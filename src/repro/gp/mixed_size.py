@@ -68,6 +68,12 @@ def _total_overlap(rects: list[tuple[float, float, float, float]]) -> float:
     return total
 
 
+def _unit_circle(n_angles: int) -> np.ndarray:
+    """Rows ``cos``/``sin`` of ``2π·a / n_angles`` per ``a``, via :mod:`math`."""
+    theta = [2.0 * math.pi * a / n_angles for a in range(n_angles)]
+    return np.array([[math.cos(t) for t in theta], [math.sin(t) for t in theta]])
+
+
 def legalize_macros_greedy(design: Design, max_radius_steps: int = 24) -> float:
     """Snap movable macros to overlap-free positions near their GP targets.
 
@@ -76,11 +82,13 @@ def legalize_macros_greedy(design: Design, max_radius_steps: int = 24) -> float:
     analytical position and takes the closest candidate with no overlap
     against preplaced or previously-legalized macros.  Returns the residual
     pairwise macro overlap (0.0 when legalization fully succeeded).
+
+    Each spiral ring is tested in one broadcast, every candidate against
+    every rectangle placed so far; the first candidate at the minimum
+    distance wins.
     """
     region = design.region
-    placed: list[tuple[float, float, float, float]] = [
-        (m.x, m.y, m.width, m.height) for m in design.netlist.preplaced_macros
-    ]
+    preplaced = design.netlist.preplaced_macros
     movable = sorted(design.netlist.movable_macros, key=lambda m: -m.area)
     if not movable:
         return 0.0
@@ -89,51 +97,55 @@ def legalize_macros_greedy(design: Design, max_radius_steps: int = 24) -> float:
         min(min(m.width, m.height) for m in movable) / 2.0,
     )
 
-    def collides(x: float, y: float, w: float, h: float) -> bool:
-        for px, py, pw, ph in placed:
-            if x < px + pw and px < x + w and y < py + ph and py < y + h:
-                return True
-        return False
+    # Placed rectangles as rows (x, y, x + w, y + h), preplaced first.
+    placed = np.empty((len(preplaced) + len(movable), 4))
+    for k, m in enumerate(preplaced):
+        placed[k] = (m.x, m.y, m.x + m.width, m.y + m.height)
+    n_placed = len(preplaced)
+    region_lo = np.array([[region.x], [region.y]])
+    circles: list[np.ndarray] = []  # unit circle per ring, built on first use
 
-    residual: list[tuple[float, float, float, float]] = []
+    residual = False
     for macro in movable:
-        tx, ty = macro.x, macro.y
-        best: tuple[float, float] | None = None
+        w, h = macro.width, macro.height
+        target = np.array([[macro.x], [macro.y]])
+        size = np.array([[w], [h]])
+        region_hi = np.array([[region.x_max - w], [region.y_max - h]])
+        placed_lo = placed[:n_placed, :2].T[:, None, :]
+        placed_hi = placed[:n_placed, 2:].T[:, None, :]
+        best = None
         for ring in range(max_radius_steps + 1):
-            candidates: list[tuple[float, float]] = []
             if ring == 0:
-                candidates.append((tx, ty))
+                xy = target
             else:
-                r = ring * step
-                n_angles = max(8, ring * 8)
-                for a in range(n_angles):
-                    theta = 2.0 * math.pi * a / n_angles
-                    candidates.append((tx + r * math.cos(theta), ty + r * math.sin(theta)))
-            found = None
-            for cx_, cy_ in candidates:
-                x = min(max(cx_, region.x), region.x_max - macro.width)
-                y = min(max(cy_, region.y), region.y_max - macro.height)
-                if not collides(x, y, macro.width, macro.height):
-                    d = (x - tx) ** 2 + (y - ty) ** 2
-                    if found is None or d < found[0]:
-                        found = (d, x, y)
-            if found is not None:
-                best = (found[1], found[2])
+                if len(circles) < ring:
+                    circles.append(_unit_circle(max(8, ring * 8)))
+                xy = target + (ring * step) * circles[ring - 1]
+            # min(max(xy, lo), hi) with Python's tie rules
+            xy = np.where(region_lo > xy, region_lo, xy)
+            xy = np.where(region_hi < xy, region_hi, xy)
+            hit = (
+                (xy[:, :, None] < placed_hi) & (placed_lo < (xy + size)[:, :, None])
+            ).all(axis=0).any(axis=1)
+            free = np.flatnonzero(~hit)
+            if len(free):
+                dx, dy = xy[:, free] - target
+                best = xy[:, free[np.argmin(dx**2 + dy**2)]]
                 break
         if best is None:
             # No free slot found: keep the clamped analytical position.
-            best = (
-                min(max(tx, region.x), max(region.x, region.x_max - macro.width)),
-                min(max(ty, region.y), max(region.y, region.y_max - macro.height)),
-            )
-            residual.append((best[0], best[1], macro.width, macro.height))
-        macro.x, macro.y = best
-        placed.append((macro.x, macro.y, macro.width, macro.height))
+            macro.x = min(max(macro.x, region.x), max(region.x, region.x_max - w))
+            macro.y = min(max(macro.y, region.y), max(region.y, region.y_max - h))
+            residual = True
+        else:
+            macro.x, macro.y = float(best[0]), float(best[1])
+        placed[n_placed] = (macro.x, macro.y, macro.x + w, macro.y + h)
+        n_placed += 1
 
     if not residual:
         return 0.0
     all_rects = [(m.x, m.y, m.width, m.height) for m in movable] + [
-        (m.x, m.y, m.width, m.height) for m in design.netlist.preplaced_macros
+        (m.x, m.y, m.width, m.height) for m in preplaced
     ]
     return _total_overlap(all_rects)
 

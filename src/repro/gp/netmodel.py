@@ -42,6 +42,13 @@ class QuadraticSystem:
     n_star: int
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + n)`` for each start *s* and length *n*."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
 def build_quadratic_system(
     flat: FlatNetlist,
     movable_mask: np.ndarray,
@@ -54,6 +61,14 @@ def build_quadratic_system(
     current centers.  Nets whose pins are all fixed contribute nothing.
     Nets of degree <= *clique_threshold* use the clique model, larger nets
     the star model.
+
+    Each kept net expands into "slots": one per pin pair ``a < b`` of a
+    clique net, one per pin of a star net.  A slot joins ends ``p`` and
+    ``q`` (unknown indices, -1 for a fixed node; ``p`` is the star node in
+    a star slot) and yields up to four matrix entries and at most one
+    fixed-pin pull on the right-hand side.  Slots are laid out net by net,
+    pin by pin, so repeated entries and right-hand-side terms are summed
+    in that order.
     """
     if movable_mask.shape != (flat.n_nodes,):
         raise ValueError("movable_mask must have one entry per node")
@@ -62,102 +77,75 @@ def build_quadratic_system(
     unknown_of_node = -np.ones(flat.n_nodes, dtype=np.int64)
     unknown_of_node[movable] = np.arange(n_mov)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    n_star = 0
-    star_rows: list[tuple[int, list[int], list[float], float]] = []
+    ptr = flat.net_ptr
+    degree = np.diff(ptr)
+    w_net = flat.net_weight.astype(float)
+    pin_node = flat.pin_node
+    pin_unknown = unknown_of_node[pin_node]
+    moving = np.concatenate([[0], np.cumsum(pin_unknown >= 0)])
+    kept = ~(w_net <= min_weight) & (degree >= 2) & (moving[ptr[1:]] > moving[ptr[:-1]])
+    clique = kept & (degree <= clique_threshold)
+    star = kept & ~clique
+    n_star = int(star.sum())
 
-    # Pre-extract per-net pin slices once.
-    fx = flat.cx
-    fy = flat.cy
+    # Slots of clique nets: every pin a pairs with the pins b after it.
+    n_pairs = degree * (degree - 1) // 2
+    n_slots = np.where(clique, n_pairs, np.where(star, degree, 0))
+    first = np.cumsum(n_slots) - n_slots
+    nets = np.flatnonzero(clique)
+    k = degree[nets]
+    pin_a = _ranges(ptr[nets], k)
+    run = np.repeat(ptr[nets] + k, k) - pin_a - 1  # pins after pin a
+    slot_c = _ranges(first[nets], n_pairs[nets])
+    pin_b = _ranges(pin_a + 1, run)
+    pin_a = np.repeat(pin_a, run)
+    w_c = np.repeat(w_net[nets] / (k - 1), n_pairs[nets])
+    # Slots of star nets: auxiliary unknown n_mov + star_id, one per pin.
+    nets = np.flatnonzero(star)
+    k = degree[nets]
+    slot_s = _ranges(first[nets], k)
+    pin_s = _ranges(ptr[nets], k)
 
-    bx_fixed: dict[int, float] = {}
-    by_fixed: dict[int, float] = {}
+    total = int(n_slots.sum())
+    p = np.empty(total, dtype=np.int64)
+    q = np.empty(total, dtype=np.int64)
+    node_p = np.zeros(total, dtype=np.int64)
+    node_q = np.empty(total, dtype=np.int64)
+    w = np.empty(total)
+    is_star = np.zeros(total, dtype=bool)
+    p[slot_c], q[slot_c] = pin_unknown[pin_a], pin_unknown[pin_b]
+    node_p[slot_c], node_q[slot_c] = pin_node[pin_a], pin_node[pin_b]
+    w[slot_c] = w_c
+    p[slot_s] = n_mov + np.repeat(np.arange(n_star), k)
+    q[slot_s] = pin_unknown[pin_s]
+    node_q[slot_s] = pin_node[pin_s]
+    w[slot_s] = np.repeat(w_net[nets] * k / (k - 1), k)
+    is_star[slot_s] = True
 
-    def add_pair(u: int, v: int, w: float, xu: float, yu: float, xv: float, yv: float):
-        """Add a weighted two-point connection between unknowns/fixeds."""
-        if u >= 0 and v >= 0:
-            rows.extend((u, v, u, v))
-            cols.extend((u, v, v, u))
-            vals.extend((w, w, -w, -w))
-        elif u >= 0:
-            rows.append(u)
-            cols.append(u)
-            vals.append(w)
-            bx_fixed[u] = bx_fixed.get(u, 0.0) + w * xv
-            by_fixed[u] = by_fixed.get(u, 0.0) + w * yv
-        elif v >= 0:
-            rows.append(v)
-            cols.append(v)
-            vals.append(w)
-            bx_fixed[v] = bx_fixed.get(v, 0.0) + w * xu
-            by_fixed[v] = by_fixed.get(v, 0.0) + w * yu
-        # both fixed: constant term, ignore
-
-    for net_idx in range(flat.n_nets):
-        lo = int(flat.net_ptr[net_idx])
-        hi = int(flat.net_ptr[net_idx + 1])
-        nodes = flat.pin_node[lo:hi]
-        k = hi - lo
-        w_net = float(flat.net_weight[net_idx])
-        if w_net <= min_weight or k < 2:
-            continue
-        unknowns = unknown_of_node[nodes]
-        if np.all(unknowns < 0):
-            continue
-        if k <= clique_threshold:
-            w = w_net / (k - 1)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    na, nb = int(nodes[a]), int(nodes[b])
-                    add_pair(
-                        int(unknowns[a]),
-                        int(unknowns[b]),
-                        w,
-                        fx[na],
-                        fy[na],
-                        fx[nb],
-                        fy[nb],
-                    )
-        else:
-            # Star: auxiliary unknown at index n_mov + star_id.
-            w = w_net * k / (k - 1)
-            star_id = n_mov + n_star
-            n_star += 1
-            neighbor_unknowns: list[int] = []
-            neighbor_weights: list[float] = []
-            fixed_x = fixed_y = 0.0
-            fixed_w = 0.0
-            for a in range(k):
-                ua = int(unknowns[a])
-                na = int(nodes[a])
-                rows.extend((star_id,))
-                cols.extend((star_id,))
-                vals.extend((w,))
-                if ua >= 0:
-                    rows.extend((ua, ua, star_id))
-                    cols.extend((ua, star_id, ua))
-                    vals.extend((w, -w, -w))
-                    neighbor_unknowns.append(ua)
-                    neighbor_weights.append(w)
-                else:
-                    fixed_x += w * fx[na]
-                    fixed_y += w * fy[na]
-                    fixed_w += w
-            star_rows.append((star_id, neighbor_unknowns, neighbor_weights, fixed_w))
-            if fixed_w > 0:
-                bx_fixed[star_id] = bx_fixed.get(star_id, 0.0) + fixed_x
-                by_fixed[star_id] = by_fixed.get(star_id, 0.0) + fixed_y
-
+    # Entries (p,p,w), (q,q,w), (p,q,-w), (q,p,-w); a star slot emits its
+    # (pin, star) entry first.  A fixed end drops the entries it is part of.
+    both = (p >= 0) & (q >= 0)
+    r2 = np.where(is_star, q, p)
+    c2 = np.where(is_star, p, q)
+    rows = np.stack([p, q, r2, c2], axis=1)
+    cols = np.stack([p, q, c2, r2], axis=1)
+    vals = np.stack([w, w, -w, -w], axis=1)
+    valid = np.stack([p >= 0, q >= 0, both, both], axis=1)
     n = n_mov + n_star
     A = sp.coo_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
+        (vals[valid], (rows[valid], cols[valid])), shape=(n, n)
     ).tocsr()
+
+    # A slot with one fixed end pulls its movable end toward it; a star
+    # pulls only when its fixed pins carry positive weight.
+    to_p = (p >= 0) & (q < 0) & (~is_star | (w > 0))
+    to_q = (p < 0) & (q >= 0)
+    pull = to_p | to_q
+    target = np.where(to_p, p, q)[pull]
+    source = np.where(to_p, node_q, node_p)[pull]
+    w_pull = w[pull]
     bx = np.zeros(n)
     by = np.zeros(n)
-    for i, v in bx_fixed.items():
-        bx[i] = v
-    for i, v in by_fixed.items():
-        by[i] = v
+    np.add.at(bx, target, w_pull * flat.cx[source])
+    np.add.at(by, target, w_pull * flat.cy[source])
     return QuadraticSystem(A=A, bx=bx, by=by, movable=movable, n_star=n_star)

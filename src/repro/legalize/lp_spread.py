@@ -15,11 +15,18 @@ independent, exactly as the paper notes.
 If the LP is infeasible (the rectangles simply cannot fit in [lo, hi] under
 the sequence-pair order) or the solver fails, :func:`pack_longest_path`
 compacts the rectangles toward ``lo`` instead and the result is clamped.
+
+The LP goes straight to the HiGHS binding that scipy bundles, with the
+options ``linprog(method="highs")`` sets; ``linprog``'s own per-call input
+checks cost several times HiGHS's solve on these small LPs.  Where that
+binding cannot be imported, ``linprog`` solves the same arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.optimize as sopt
@@ -27,6 +34,34 @@ import scipy.sparse as sp
 
 from repro.runtime import faults
 from repro.runtime.errors import SolverInfeasibleError
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # a scipy build without the bundled binding
+    _highs = None
+
+#: ``linprog``'s acceptance tolerance for an optimal solution
+_CHECK_TOL = np.sqrt(1e-9) * 10
+
+if _highs is not None:
+    #: the non-default options ``linprog(method="highs")`` passes
+    _OPTIONS = _highs.HighsOptions()
+    _OPTIONS.presolve = "on"
+    _OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    _OPTIONS.log_to_console = False
+    _OPTIONS.output_flag = False
+    _OPTIONS.simplex_strategy = (
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    )
+    _MODEL = _highs.HighsModelStatus
+    #: ``linprog``'s status code per failed HiGHS model status (others: 4)
+    _LINPROG_STATUS = {
+        _MODEL.kTimeLimit: 1,
+        _MODEL.kIterationLimit: 1,
+        _MODEL.kInfeasible: 2,
+        _MODEL.kModelError: 2,
+        _MODEL.kUnbounded: 3,
+    }
 
 
 @dataclass
@@ -66,6 +101,153 @@ def pack_longest_path(
     return pos
 
 
+def _lp_arrays(
+    sizes: np.ndarray,
+    edges: list[tuple[int, int]],
+    lo: float,
+    hi: float,
+    nets: list[AxisNet],
+) -> tuple[np.ndarray, ...]:
+    """The Eq. 3 LP of one axis as arrays: ``(c, start, index, value, rhs, lb, ub)``.
+
+    Variables are ``p_0..p_{n-1}``, then ``(u, l)`` per net.  Rows are all
+    ``≤`` rows: one per constraint edge, then per net, for each movable pin
+    and then each fixed position ("item" t), row ``E + 2t`` bounds the item
+    by ``u`` and row ``E + 2t + 1`` by ``l``.  The constraint matrix comes
+    out in CSC form (``start``, ``index``, ``value``) with ascending rows
+    per column, the layout ``linprog`` hands HiGHS for the same rows, as
+    long as every edge joins two distinct rectangles (a sequence pair's
+    always do).  Unbounded (NaN) column bounds become infinite, as in
+    ``linprog``.
+    """
+    n = len(sizes)
+    n_nets = len(nets)
+    n_vars = n + 2 * n_nets
+    weight = np.array([net.weight for net in nets], dtype=float)
+    c = np.zeros(n_vars)
+    c[n::2] = weight  # +u
+    c[n + 1 :: 2] = -weight  # -l
+
+    edge = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    n_edges = len(edge)
+    items = np.array(
+        [
+            (k, i, v)
+            for k, net in enumerate(nets)
+            for i, v in chain(net.pins, ((-1, q) for q in net.fixed_positions))
+        ],
+        dtype=float,
+    ).reshape(-1, 3)
+    u = n + 2 * items[:, 0].astype(np.intp)
+    rect = items[:, 1].astype(np.intp)
+    value = items[:, 2]
+    row = n_edges + 2 * np.arange(len(items))
+
+    rhs = np.empty(n_edges + 2 * len(items))
+    rhs[:n_edges] = -sizes[edge[:, 0]]  # p_a - p_b <= -size_a
+    rhs[n_edges::2] = -value  # p_i + off <= u  /  u >= q
+    rhs[n_edges + 1 :: 2] = value  # l <= p_i + off  /  l <= q
+
+    # Entries in row order: (p_a, +1), (p_b, -1) per edge; per item
+    # (p_i, +1), (u, -1) | (l, +1), (p_i, -1), without p_i for fixed items.
+    slot_rows = np.stack([row, row, row + 1, row + 1], axis=1)
+    slot_cols = np.stack([rect, u, u + 1, rect], axis=1)
+    keep = slot_cols >= 0
+    rows = np.concatenate([np.repeat(np.arange(n_edges), 2), slot_rows[keep]])
+    cols = np.concatenate([edge.ravel(), slot_cols[keep]])
+    vals = np.concatenate(
+        [
+            np.tile([1.0, -1.0], n_edges),
+            np.broadcast_to(np.array([1.0, -1.0, 1.0, -1.0]), keep.shape)[keep],
+        ]
+    )
+    order = np.argsort(cols, kind="stable")
+    start = np.zeros(n_vars + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n_vars), out=start[1:])
+    index = rows[order].astype(np.int32)
+
+    span = max(hi - lo, 1.0)
+    lb = np.full(n_vars, lo - 10 * span, dtype=float)
+    ub = np.full(n_vars, hi + 10 * span, dtype=float)
+    lb[:n] = lo
+    upper = hi - sizes
+    ub[:n] = np.where(upper < lo, lo, upper)  # degenerate: wider than region
+    lb[np.isnan(lb)] = -np.inf
+    ub[np.isnan(ub)] = np.inf
+    return c, start, index, vals[order], rhs, lb, ub
+
+
+def _solve_highs(c, start, index, value, rhs, lb, ub) -> np.ndarray:
+    """Solve ``min c·x, A x <= rhs, lb <= x <= ub`` on a fresh HiGHS instance.
+
+    Mirrors what ``linprog(method="highs")`` does with the same arrays,
+    minus its per-call input checks: the same options, the same model, the
+    same acceptance test of an optimal solution, and its status codes.
+    """
+    if not (np.isfinite(c).all() and np.isfinite(rhs).all()):
+        # linprog rejects these inputs before solving, as a retryable error
+        raise SolverInfeasibleError(
+            "LP solver raised: non-finite objective or right-hand side",
+            solver="highs",
+            status="error",
+        )
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.full(len(rhs), -np.inf)
+    lp.row_upper_ = rhs
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS)
+    loaded = highs.passModel(lp) != _highs.HighsStatus.kError
+    solved = loaded and highs.run() != _highs.HighsStatus.kError
+    model_status = highs.getModelStatus() if loaded else _MODEL.kModelError
+    if solved and model_status == _MODEL.kOptimal:
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        slack = rhs - np.array(solution.row_value)
+        # linprog's acceptance test (a NaN fails every comparison)
+        if (
+            ((x >= lb - _CHECK_TOL) & (x <= ub + _CHECK_TOL)).all()
+            and (slack >= -_CHECK_TOL).all()
+            and not math.isnan(highs.getObjectiveValue())
+        ):
+            return x
+        reason, status = "solution outside linprog's tolerance", 4
+    else:
+        reason = highs.modelStatusToString(model_status)
+        status = _LINPROG_STATUS.get(model_status, 4)
+    raise SolverInfeasibleError(
+        f"LP did not converge: {reason}", solver="highs", status=status
+    )
+
+
+def _solve_linprog(c, start, index, value, rhs, lb, ub) -> np.ndarray:
+    """The same solve through ``scipy.optimize.linprog``."""
+    A = sp.csc_matrix((value, index, start), shape=(len(rhs), len(c)))
+    try:
+        res = sopt.linprog(
+            c, A_ub=A, b_ub=rhs, bounds=np.stack([lb, ub], axis=1), method="highs"
+        )
+    except ValueError as exc:
+        raise SolverInfeasibleError(
+            f"LP solver raised: {exc}", solver="linprog", status="error"
+        ) from exc
+    if not res.success:
+        raise SolverInfeasibleError(
+            f"LP did not converge: {res.message}",
+            solver="linprog",
+            status=int(res.status),
+        )
+    return np.asarray(res.x, dtype=float)
+
+
 def lp_solve_axis(
     sizes: np.ndarray,
     edges: list[tuple[int, int]],
@@ -87,79 +269,13 @@ def lp_solve_axis(
 
     if faults.should_fire("lp.solve"):
         raise SolverInfeasibleError(
-            "injected LP solver failure", solver="linprog", status="injected"
+            "injected LP solver failure",
+            solver="highs" if _highs is not None else "linprog",
+            status="injected",
         )
 
-    n_nets = len(nets)
-    n_vars = n + 2 * n_nets  # p_0..p_{n-1}, then (u, l) per net
-
-    c = np.zeros(n_vars)
-    for k, net in enumerate(nets):
-        c[n + 2 * k] = net.weight  # +u
-        c[n + 2 * k + 1] = -net.weight  # -l
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs: list[float] = []
-
-    def add_row(terms: list[tuple[int, float]], ub: float) -> None:
-        r = len(rhs)
-        for col, v in terms:
-            rows.append(r)
-            cols.append(col)
-            vals.append(v)
-        rhs.append(ub)
-
-    for a, b in edges:
-        # p_a - p_b <= -size_a
-        add_row([(a, 1.0), (b, -1.0)], -float(sizes[a]))
-
-    for k, net in enumerate(nets):
-        u, l = n + 2 * k, n + 2 * k + 1
-        for i, off in net.pins:
-            add_row([(i, 1.0), (u, -1.0)], -off)  # p_i + off <= u
-            add_row([(l, 1.0), (i, -1.0)], off)  # l <= p_i + off
-        for q in net.fixed_positions:
-            add_row([(u, -1.0)], -q)  # u >= q
-            add_row([(l, 1.0)], q)  # l <= q
-
-    span = max(hi - lo, 1.0)
-    bounds: list[tuple[float, float]] = []
-    for i in range(n):
-        upper = hi - float(sizes[i])
-        if upper < lo:
-            upper = lo  # degenerate: rectangle wider than region
-        bounds.append((lo, upper))
-    for _ in range(n_nets):
-        bounds.append((lo - 10 * span, hi + 10 * span))  # u
-        bounds.append((lo - 10 * span, hi + 10 * span))  # l
-
-    A = sp.coo_matrix(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-        shape=(len(rhs), n_vars),
-    ).tocsr()
-
-    try:
-        res = sopt.linprog(
-            c,
-            A_ub=A,
-            b_ub=np.asarray(rhs),
-            bounds=bounds,
-            method="highs",
-        )
-    except ValueError as exc:
-        raise SolverInfeasibleError(
-            f"LP solver raised: {exc}", solver="linprog", status="error"
-        ) from exc
-
-    if not res.success:
-        raise SolverInfeasibleError(
-            f"LP did not converge: {res.message}",
-            solver="linprog",
-            status=int(res.status),
-        )
-    return np.asarray(res.x[:n], dtype=float)
+    solve = _solve_highs if _highs is not None else _solve_linprog
+    return solve(*_lp_arrays(sizes, edges, lo, hi, nets))[:n]
 
 
 def lp_legalize_axis(

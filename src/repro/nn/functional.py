@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def im2col(
@@ -19,16 +20,17 @@ def im2col(
     inference calls allocation-free.  A mismatched *out* is ignored.
     """
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     shape = (n, c * kernel * kernel, h * w)
     if out is not None and out.shape == shape and out.dtype == x.dtype:
         cols = out.reshape(n, c, kernel, kernel, h, w)
     else:
         cols = np.empty((n, c, kernel, kernel, h, w), dtype=x.dtype)
-    # Gather k*k shifted views; stride-1 same-size output.
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
+    # The k*k shifted (h, w) windows of the padded input, copied at once;
+    # stride-1 same-size output.
+    windows = sliding_window_view(xp, (h, w), axis=(2, 3))
+    cols[...] = windows[:, :, :kernel, :kernel]
     return cols.reshape(*shape)
 
 

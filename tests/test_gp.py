@@ -1,15 +1,23 @@
 """Analytical global-placement substrate tests (net models, QP, spreading,
 mixed-size placer)."""
 
+import copy
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gp.mixed_size import (
     MixedSizePlacer,
+    _total_overlap,
     legalize_macros_greedy,
     place_cells_with_fixed_macros,
 )
-from repro.gp.netmodel import build_quadratic_system
+from repro.gp.netmodel import QuadraticSystem, build_quadratic_system
 from repro.gp.quadratic import solve_quadratic_placement
 from repro.gp.spreading import blocked_area_grid, spread_step
 from repro.eval.metrics import macro_overlap_area
@@ -23,6 +31,7 @@ from repro.netlist.model import (
     Pin,
     PlacementRegion,
 )
+from repro.netlist.suites import make_iccad04_circuit, make_industrial_circuit
 
 
 def two_fixed_one_free() -> Netlist:
@@ -110,6 +119,222 @@ class TestQuadraticSystem:
             (small_design.region.width / 2, small_design.region.height / 2),
         )
         assert flat.total_hpwl() < before
+
+
+def _reference_build_quadratic_system(
+    flat, movable_mask, clique_threshold=6, min_weight=1e-9
+):
+    """The clique/star expansion one net and one pin pair at a time.
+
+    The oracle :func:`build_quadratic_system` must match byte for byte.
+    """
+    movable = np.flatnonzero(movable_mask)
+    n_mov = len(movable)
+    unknown_of_node = -np.ones(flat.n_nodes, dtype=np.int64)
+    unknown_of_node[movable] = np.arange(n_mov)
+    rows, cols, vals = [], [], []
+    n_star = 0
+    fx, fy = flat.cx, flat.cy
+    bx_fixed, by_fixed = {}, {}
+
+    def add_pair(u, v, w, xu, yu, xv, yv):
+        if u >= 0 and v >= 0:
+            rows.extend((u, v, u, v))
+            cols.extend((u, v, v, u))
+            vals.extend((w, w, -w, -w))
+        elif u >= 0:
+            rows.append(u)
+            cols.append(u)
+            vals.append(w)
+            bx_fixed[u] = bx_fixed.get(u, 0.0) + w * xv
+            by_fixed[u] = by_fixed.get(u, 0.0) + w * yv
+        elif v >= 0:
+            rows.append(v)
+            cols.append(v)
+            vals.append(w)
+            bx_fixed[v] = bx_fixed.get(v, 0.0) + w * xu
+            by_fixed[v] = by_fixed.get(v, 0.0) + w * yu
+
+    for net_idx in range(flat.n_nets):
+        lo = int(flat.net_ptr[net_idx])
+        hi = int(flat.net_ptr[net_idx + 1])
+        nodes = flat.pin_node[lo:hi]
+        k = hi - lo
+        w_net = float(flat.net_weight[net_idx])
+        if w_net <= min_weight or k < 2:
+            continue
+        unknowns = unknown_of_node[nodes]
+        if np.all(unknowns < 0):
+            continue
+        if k <= clique_threshold:
+            w = w_net / (k - 1)
+            for a in range(k):
+                for b in range(a + 1, k):
+                    na, nb = int(nodes[a]), int(nodes[b])
+                    add_pair(
+                        int(unknowns[a]), int(unknowns[b]), w,
+                        fx[na], fy[na], fx[nb], fy[nb],
+                    )
+        else:
+            w = w_net * k / (k - 1)
+            star_id = n_mov + n_star
+            n_star += 1
+            fixed_x = fixed_y = fixed_w = 0.0
+            for a in range(k):
+                ua = int(unknowns[a])
+                na = int(nodes[a])
+                rows.append(star_id)
+                cols.append(star_id)
+                vals.append(w)
+                if ua >= 0:
+                    rows.extend((ua, ua, star_id))
+                    cols.extend((ua, star_id, ua))
+                    vals.extend((w, -w, -w))
+                else:
+                    fixed_x += w * fx[na]
+                    fixed_y += w * fy[na]
+                    fixed_w += w
+            if fixed_w > 0:
+                bx_fixed[star_id] = bx_fixed.get(star_id, 0.0) + fixed_x
+                by_fixed[star_id] = by_fixed.get(star_id, 0.0) + fixed_y
+
+    n = n_mov + n_star
+    A = sp.coo_matrix(
+        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(n, n)
+    ).tocsr()
+    bx = np.zeros(n)
+    by = np.zeros(n)
+    for i, v in bx_fixed.items():
+        bx[i] = v
+    for i, v in by_fixed.items():
+        by[i] = v
+    return QuadraticSystem(A=A, bx=bx, by=by, movable=movable, n_star=n_star)
+
+
+def _system_bytes(system):
+    return (
+        system.A.shape,
+        system.n_star,
+        *(
+            (arr.dtype.str, arr.tobytes())
+            for arr in (
+                system.A.indptr, system.A.indices, system.A.data,
+                system.bx, system.by, system.movable,
+            )
+        ),
+    )
+
+
+@dataclass
+class _RawFlat:
+    """The arrays of a :class:`FlatNetlist`, with nets it would drop kept."""
+
+    cx: np.ndarray
+    cy: np.ndarray
+    net_ptr: np.ndarray
+    pin_node: np.ndarray
+    net_weight: np.ndarray
+
+    @property
+    def n_nodes(self):
+        return len(self.cx)
+
+    @property
+    def n_nets(self):
+        return len(self.net_ptr) - 1
+
+
+@st.composite
+def _raw_netlists(draw):
+    """Nets of degree 0..12 (single-pin, clique- and star-sized), zero,
+    sub-threshold and negative weights, repeated pins, any movable mask,
+    and ``min_weight`` thresholds that keep or drop them."""
+    n_nodes = draw(st.integers(1, 10))
+    degrees = draw(st.lists(st.integers(0, 12), max_size=10))
+    n_pins = sum(degrees)
+    node = st.integers(0, n_nodes - 1)
+    coord = st.floats(-100.0, 100.0)
+    weight = st.sampled_from([0.0, 1e-12, 1.0, 2.0, -1.5]) | st.floats(0.01, 10.0)
+    flat = _RawFlat(
+        cx=np.array(draw(st.lists(coord, min_size=n_nodes, max_size=n_nodes))),
+        cy=np.array(draw(st.lists(coord, min_size=n_nodes, max_size=n_nodes))),
+        net_ptr=np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)]),
+        pin_node=np.array(
+            draw(st.lists(node, min_size=n_pins, max_size=n_pins)), dtype=np.int64
+        ),
+        net_weight=np.array(
+            draw(st.lists(weight, min_size=len(degrees), max_size=len(degrees))),
+            dtype=float,
+        ),
+    )
+    mask = np.array(
+        draw(st.lists(st.booleans(), min_size=n_nodes, max_size=n_nodes))
+    )
+    threshold = draw(st.sampled_from([2, 3, 6, 10]))
+    return flat, mask, threshold, draw(st.sampled_from([1e-9, 0.0, -2.0]))
+
+
+_SUITE_FLATS = {}
+
+
+def _suite_flat(name):
+    """Flat netlist of a benchmark-scale suite design, built once per test run."""
+    if name not in _SUITE_FLATS:
+        entry = (
+            make_iccad04_circuit(name)
+            if name.startswith("ibm")
+            else make_industrial_circuit(name)
+        )
+        _SUITE_FLATS[name] = FlatNetlist(entry.design.netlist)
+    return _SUITE_FLATS[name]
+
+
+class TestQuadraticSystemOracle:
+    """``build_quadratic_system`` against the net-at-a-time reference."""
+
+    @pytest.mark.parametrize("threshold", [2, 3, 6, 10])
+    @pytest.mark.parametrize("mask", ["natural", "all", "none", "random"])
+    @pytest.mark.parametrize("name", ["ibm01", "Cir1"])
+    def test_suite_designs_match(self, name, mask, threshold):
+        flat = _suite_flat(name)
+        movable = {
+            "natural": ~flat.fixed,
+            "all": np.ones(flat.n_nodes, dtype=bool),
+            "none": np.zeros(flat.n_nodes, dtype=bool),
+            "random": np.random.default_rng(threshold).random(flat.n_nodes) < 0.5,
+        }[mask]
+        got = build_quadratic_system(flat, movable, clique_threshold=threshold)
+        want = _reference_build_quadratic_system(
+            flat, movable, clique_threshold=threshold
+        )
+        assert _system_bytes(got) == _system_bytes(want)
+        if mask == "all" and threshold == 2:
+            assert got.n_star > 0 and got.A.nnz > 0
+
+    def test_star_without_positive_fixed_weight_matches(self):
+        """A star whose fixed pins weigh nothing positive pulls nothing."""
+        flat = _RawFlat(
+            cx=np.array([1.0, 2.0, 3.0, 4.0]),
+            cy=np.array([0.5, 1.0, 2.0, 3.0]),
+            net_ptr=np.array([0, 4]),
+            pin_node=np.array([0, 1, 2, 3]),
+            net_weight=np.array([-1.5]),
+        )
+        movable = np.array([True, False, False, False])
+        got = build_quadratic_system(flat, movable, 2, -2.0)
+        want = _reference_build_quadratic_system(flat, movable, 2, -2.0)
+        assert _system_bytes(got) == _system_bytes(want)
+        assert got.n_star == 1 and not got.bx.any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_raw_netlists())
+    def test_random_netlists_match(self, case):
+        flat, movable, threshold, min_weight = case
+        got = build_quadratic_system(flat, movable, threshold, min_weight)
+        want = _reference_build_quadratic_system(
+            flat, movable, threshold, min_weight
+        )
+        assert _system_bytes(got) == _system_bytes(want)
 
 
 class TestSpreading:
@@ -224,3 +449,125 @@ class TestGreedyLegalizer:
         legalize_macros_greedy(design)
         for m in nl.macros:
             assert design.region.contains(m, tol=1e-6)
+
+
+def _reference_legalize_macros_greedy(design, max_radius_steps=24):
+    """The spiral scan one candidate and one placed rectangle at a time.
+
+    The oracle :func:`legalize_macros_greedy` must match bit for bit.
+    """
+    region = design.region
+    placed = [(m.x, m.y, m.width, m.height) for m in design.netlist.preplaced_macros]
+    movable = sorted(design.netlist.movable_macros, key=lambda m: -m.area)
+    if not movable:
+        return 0.0
+    step = max(
+        min(region.width, region.height) / (2.0 * max_radius_steps),
+        min(min(m.width, m.height) for m in movable) / 2.0,
+    )
+
+    def collides(x, y, w, h):
+        return any(
+            x < px + pw and px < x + w and y < py + ph and py < y + h
+            for px, py, pw, ph in placed
+        )
+
+    residual = []
+    for macro in movable:
+        tx, ty = macro.x, macro.y
+        best = None
+        for ring in range(max_radius_steps + 1):
+            if ring == 0:
+                candidates = [(tx, ty)]
+            else:
+                r = ring * step
+                n_angles = max(8, ring * 8)
+                candidates = []
+                for a in range(n_angles):
+                    theta = 2.0 * math.pi * a / n_angles
+                    candidates.append(
+                        (tx + r * math.cos(theta), ty + r * math.sin(theta))
+                    )
+            found = None
+            for cx_, cy_ in candidates:
+                x = min(max(cx_, region.x), region.x_max - macro.width)
+                y = min(max(cy_, region.y), region.y_max - macro.height)
+                if not collides(x, y, macro.width, macro.height):
+                    d = (x - tx) ** 2 + (y - ty) ** 2
+                    if found is None or d < found[0]:
+                        found = (d, x, y)
+            if found is not None:
+                best = (found[1], found[2])
+                break
+        if best is None:
+            best = (
+                min(max(tx, region.x), max(region.x, region.x_max - macro.width)),
+                min(max(ty, region.y), max(region.y, region.y_max - macro.height)),
+            )
+            residual.append(best)
+        macro.x, macro.y = best
+        placed.append((macro.x, macro.y, macro.width, macro.height))
+    if not residual:
+        return 0.0
+    return _total_overlap(
+        [(m.x, m.y, m.width, m.height) for m in movable]
+        + [(m.x, m.y, m.width, m.height) for m in design.netlist.preplaced_macros]
+    )
+
+
+def _macro_bits(design):
+    return [(m.name, float(m.x).hex(), float(m.y).hex()) for m in design.netlist.macros]
+
+
+def _crowded_design():
+    """More macro area than the region holds: some macro finds no slot."""
+    nl = Netlist()
+    nl.add_node(Macro("pp", 30, 30, x=35.0, y=35.0, fixed=True))
+    for i in range(5):
+        nl.add_node(Macro(f"m{i}", 45, 40 + i, x=20.0 + 7 * i, y=30.0))
+    return Design(netlist=nl, region=PlacementRegion(0, 0, 100, 100))
+
+
+class TestGreedyLegalizerOracle:
+    """``legalize_macros_greedy`` against the candidate-at-a-time reference."""
+
+    @staticmethod
+    def _assert_matches(design, **kwargs):
+        mine, reference = copy.deepcopy(design), copy.deepcopy(design)
+        got = legalize_macros_greedy(mine, **kwargs)
+        want = _reference_legalize_macros_greedy(reference, **kwargs)
+        assert float(got).hex() == float(want).hex()
+        assert _macro_bits(mine) == _macro_bits(reference)
+        return got
+
+    def test_design_with_preplaced_macros(self):
+        design = make_industrial_circuit("Cir1").design
+        assert design.netlist.preplaced_macros
+        for m in design.netlist.movable_macros:  # pile them up mid-region
+            m.x = design.region.x + 0.4 * design.region.width
+            m.y = design.region.y + 0.4 * design.region.height
+        assert self._assert_matches(design) == 0.0
+
+    def test_scattered_small_design(self, small_design):
+        rng = np.random.default_rng(3)
+        region = small_design.region
+        for m in small_design.netlist.movable_macros:
+            m.x = float(rng.uniform(region.x, region.x_max))
+            m.y = float(rng.uniform(region.y, region.y_max))
+        self._assert_matches(small_design)
+        self._assert_matches(small_design, max_radius_steps=3)
+
+    def test_abutting_macros_stay(self):
+        """Rectangles that only share an edge do not collide."""
+        nl = Netlist()
+        nl.add_node(Macro("pp", 10, 10, x=0.0, y=0.0, fixed=True))
+        nl.add_node(Macro("right", 10, 10, x=10.0, y=0.0))
+        nl.add_node(Macro("above", 10, 8, x=0.0, y=10.0))
+        design = Design(netlist=nl, region=PlacementRegion(0, 0, 50, 50))
+        assert self._assert_matches(design) == 0.0
+        legalize_macros_greedy(design)
+        assert (nl["right"].x, nl["above"].y) == (10.0, 10.0)
+
+    @pytest.mark.parametrize("steps", [1, 4, 24])
+    def test_no_free_slot_leaves_residual(self, steps):
+        assert self._assert_matches(_crowded_design(), max_radius_steps=steps) > 0

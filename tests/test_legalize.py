@@ -1,14 +1,25 @@
 """Legalization tests: sequence pair, LP overlap removal, full pipeline."""
 
+import copy
+
 import numpy as np
 import pytest
+import scipy.optimize as sopt
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.metrics import macro_overlap_area, out_of_region_area
-from repro.legalize.lp_spread import AxisNet, lp_legalize_axis, pack_longest_path
+from repro.legalize import lp_spread
+from repro.legalize.lp_spread import (
+    AxisNet,
+    lp_legalize_axis,
+    lp_solve_axis,
+    pack_longest_path,
+)
 from repro.legalize.pipeline import MacroLegalizer, anchor_for_span, span_rect
 from repro.legalize.sequence_pair import SequencePair, extract_sequence_pair
+from repro.runtime.errors import SolverInfeasibleError
 
 _PROPERTY_COARSE = None
 
@@ -140,6 +151,247 @@ class TestLPLegalizeAxis:
 
     def test_empty_input(self):
         assert lp_legalize_axis(np.zeros(0), [], 0.0, 1.0, []).shape == (0,)
+
+
+def _reference_lp_solve_axis(sizes, edges, lo, hi, nets):
+    """The Eq. 3 LP assembled row by row and solved by ``linprog``.
+
+    The oracle :func:`lp_solve_axis` must match bit for bit: the same
+    solution, the same raise or no-raise, the same retry class.
+    """
+    sizes = np.asarray(sizes, dtype=float)
+    n = len(sizes)
+    n_nets = len(nets)
+    n_vars = n + 2 * n_nets
+    c = np.zeros(n_vars)
+    for k, net in enumerate(nets):
+        c[n + 2 * k] = net.weight
+        c[n + 2 * k + 1] = -net.weight
+    rows, cols, vals, rhs = [], [], [], []
+
+    def add_row(terms, ub):
+        for col, v in terms:
+            rows.append(len(rhs))
+            cols.append(col)
+            vals.append(v)
+        rhs.append(ub)
+
+    for a, b in edges:
+        add_row([(a, 1.0), (b, -1.0)], -float(sizes[a]))
+    for k, net in enumerate(nets):
+        u, l = n + 2 * k, n + 2 * k + 1
+        for i, off in net.pins:
+            add_row([(i, 1.0), (u, -1.0)], -off)
+            add_row([(l, 1.0), (i, -1.0)], off)
+        for q in net.fixed_positions:
+            add_row([(u, -1.0)], -q)
+            add_row([(l, 1.0)], q)
+    span = max(hi - lo, 1.0)
+    bounds = []
+    for i in range(n):
+        upper = hi - float(sizes[i])
+        if upper < lo:
+            upper = lo
+        bounds.append((lo, upper))
+    for _ in range(n_nets):
+        bounds.append((lo - 10 * span, hi + 10 * span))
+        bounds.append((lo - 10 * span, hi + 10 * span))
+    A = sp.coo_matrix(
+        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
+        shape=(len(rhs), n_vars),
+    ).tocsr()
+    try:
+        res = sopt.linprog(
+            c, A_ub=A, b_ub=np.asarray(rhs), bounds=bounds, method="highs"
+        )
+    except ValueError as exc:
+        raise SolverInfeasibleError(
+            f"LP solver raised: {exc}", solver="linprog", status="error"
+        ) from exc
+    if not res.success:
+        raise SolverInfeasibleError(
+            f"LP did not converge: {res.message}",
+            solver="linprog",
+            status=int(res.status),
+        )
+    return np.asarray(res.x[:n], dtype=float)
+
+
+def _lp_outcome(solve, args):
+    """(``ok``, solution bytes) or (``raise``, status) of one solve; the
+    status ``"error"`` is the retried class."""
+    try:
+        return "ok", solve(*args).tobytes()
+    except SolverInfeasibleError as exc:
+        return "raise", exc.details["status"]
+
+
+def _random_lp(seed):
+    """A small Eq. 3 LP in the shape the legalizer builds, from *seed*."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    sizes = rng.uniform(0.5, 12.0, n)
+    order = rng.permutation(n)
+    edges = [
+        (int(order[a]), int(order[b]))
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < 0.4
+    ]
+    lo = float(rng.uniform(-20.0, 20.0))
+    hi = lo + float(rng.uniform(0.5, 40.0))
+    nets = [
+        AxisNet(
+            weight=float(rng.choice([1.0, 2.0, rng.uniform(0.1, 5.0)])),
+            pins=[
+                (int(rng.integers(n)), float(rng.uniform(0.0, 6.0)))
+                for _ in range(int(rng.integers(0, 4)))
+            ],
+            fixed_positions=[
+                float(rng.uniform(lo - 30.0, hi + 30.0))
+                for _ in range(int(rng.integers(0, 5)))
+            ],
+        )
+        for _ in range(int(rng.integers(0, 7)))
+    ]
+    return sizes, edges, lo, hi, nets
+
+
+_FIXTURE_LPS = None
+
+
+def _fixture_lps():
+    """Every LP the legalizer solves over a few placements of the property
+    design, built once per test run."""
+    global _FIXTURE_LPS
+    if _FIXTURE_LPS is None:
+        seen = []
+        solve = lp_spread.lp_solve_axis
+
+        def record(sizes, edges, lo, hi, nets):
+            seen.append(copy.deepcopy((sizes, edges, lo, hi, nets)))
+            return solve(sizes, edges, lo, hi, nets)
+
+        lp_spread.lp_solve_axis = record
+        try:
+            for seed in range(6):
+                coarse = copy.deepcopy(_coarse_for_property())
+                rng = np.random.default_rng(seed)
+                assignment = list(
+                    rng.integers(0, coarse.plan.n_grids, size=coarse.n_macro_groups)
+                )
+                MacroLegalizer().legalize(coarse, assignment)
+        finally:
+            lp_spread.lp_solve_axis = solve
+        _FIXTURE_LPS = seen
+    return _FIXTURE_LPS
+
+
+class TestLPOracle:
+    """``lp_solve_axis`` against the row-by-row ``linprog`` reference, through
+    the HiGHS binding and through the ``linprog`` fallback."""
+
+    HAND_BUILT = {
+        "infeasible chain": (
+            np.array([5.0, 5.0, 5.0]), [(0, 1), (1, 2)], 0.0, 8.0, []
+        ),
+        "infeasible with nets": (
+            np.array([10.0, 10.0]),
+            [(0, 1)],
+            0.0,
+            5.0,
+            [AxisNet(1.0, [(0, 1.0), (1, 2.0)], [3.0])],
+        ),
+        "rect wider than span": (
+            np.array([12.0]),
+            [],
+            0.0,
+            10.0,
+            [AxisNet(2.0, [(0, 6.0)], [50.0, -4.0])],
+        ),
+        "rect wider than span, chained": (
+            np.array([3.0, 12.0]),
+            [(0, 1)],
+            0.0,
+            10.0,
+            [AxisNet(1.0, [(0, 1.5), (1, 6.0)])],
+        ),
+        "net without movable pins": (
+            np.array([2.0]), [], 0.0, 20.0, [AxisNet(1.0, [], [4.0, 9.0])]
+        ),
+        "integer weight and bounds": (
+            np.array([2.0, 3.0]), [(1, 0)], 0, 30, [AxisNet(3, [(0, 1), (1, 0)])]
+        ),
+        "NaN fixed position": (
+            np.array([2.0]), [], 0.0, 20.0, [AxisNet(1.0, [(0, 1.0)], [np.nan])]
+        ),
+        "infinite weight": (
+            np.array([2.0]), [], 0.0, 20.0, [AxisNet(np.inf, [(0, 1.0)], [5.0])]
+        ),
+        "NaN size off the edges": (
+            np.array([np.nan, 2.0]), [], 0.0, 20.0, [AxisNet(1.0, [(1, 1.0)], [5.0])]
+        ),
+    }
+
+    @staticmethod
+    def _assert_all_agree(args):
+        """Binding and forced fallback both reproduce the reference."""
+        reference = _lp_outcome(_reference_lp_solve_axis, args)
+        assert _lp_outcome(lp_solve_axis, args) == reference
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lp_spread, "_highs", None)
+            assert _lp_outcome(lp_solve_axis, args) == reference
+        return reference
+
+    def test_binding_in_use_where_importable(self):
+        try:
+            from scipy.optimize._highspy import _core
+        except ImportError:
+            pytest.skip("this scipy bundles no HiGHS binding")
+        assert lp_spread._highs is _core
+
+    def test_every_fixture_lp_matches(self):
+        lps = _fixture_lps()
+        kinds = {self._assert_all_agree(args)[0] for args in lps}
+        assert len(lps) >= 20 and kinds == {"ok", "raise"}
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built_case_matches(self, case):
+        self._assert_all_agree(self.HAND_BUILT[case])
+
+    def test_hand_built_cases_cover_every_outcome(self):
+        classes = {
+            "ok" if kind == "ok" else f"raise, retried={detail == 'error'}"
+            for kind, detail in (
+                _lp_outcome(_reference_lp_solve_axis, args)
+                for args in self.HAND_BUILT.values()
+            )
+        }
+        assert classes == {"ok", "raise, retried=False", "raise, retried=True"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_lps_match(self, seed):
+        self._assert_all_agree(_random_lp(seed))
+
+    @pytest.mark.parametrize("binding", [True, False])
+    def test_retry_classes(self, binding, monkeypatch):
+        """A rejected input is retried once; an infeasible LP is not."""
+        if not binding:
+            monkeypatch.setattr(lp_spread, "_highs", None)
+        calls = []
+        solve = lp_spread.lp_solve_axis
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(lp_spread, "lp_solve_axis", counted)
+        for case, attempts in (("NaN fixed position", 2), ("infeasible chain", 1)):
+            calls.clear()
+            seen = []
+            lp_legalize_axis(*self.HAND_BUILT[case], on_degrade=seen.append)
+            assert len(calls) == attempts and len(seen) == 1
 
 
 class TestSpanHelpers:

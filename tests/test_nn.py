@@ -77,6 +77,21 @@ def numeric_grad_check(net, x, n_param_probes=4, eps=1e-6, tol=1e-4):
     assert max_err < tol, f"gradient mismatch: {max_err:.2e}"
 
 
+def _reference_im2col(x, kernel, pad, out=None):
+    """``im2col`` as ``np.pad`` plus one slice copy per kernel tap: the oracle."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    shape = (n, c * kernel * kernel, h * w)
+    if out is not None and out.shape == shape and out.dtype == x.dtype:
+        cols = out.reshape(n, c, kernel, kernel, h, w)
+    else:
+        cols = np.empty((n, c, kernel, kernel, h, w), dtype=x.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
+    return cols.reshape(*shape)
+
+
 class TestFunctional:
     def test_im2col_shape(self):
         x = RNG.normal(size=(2, 3, 5, 5))
@@ -88,6 +103,32 @@ class TestFunctional:
         cols = im2col(x, kernel=3, pad=1)
         center = cols[:, 4, :].reshape(1, 1, 4, 4)  # middle of 3x3 window
         np.testing.assert_allclose(center, x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1, 1), (2, 3, 5, 7), (4, 16, 8, 8), (3, 2, 1, 9)]
+    )
+    def test_im2col_matches_reference_bytes(self, shape, kernel, dtype):
+        x = np.random.default_rng(kernel).normal(size=shape).astype(dtype)
+        x[..., 0, 0] = -0.0  # signed zeros survive the copy
+        pad = kernel // 2
+        want = _reference_im2col(x, kernel, pad)
+        got = im2col(x, kernel, pad)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # with a reusable scratch: written in place, same bytes
+        scratch = np.full_like(want, np.nan)
+        again = im2col(x, kernel, pad, out=scratch)
+        assert np.shares_memory(again, scratch)
+        assert again.tobytes() == want.tobytes()
+        # a mismatched scratch is ignored
+        wrong = np.zeros(want.shape, dtype=np.float16)
+        assert im2col(x, kernel, pad, out=wrong).tobytes() == want.tobytes()
+
+    def test_im2col_non_contiguous_input(self):
+        x = np.random.default_rng(0).normal(size=(2, 3, 6, 8))[:, :, ::2, 1::2]
+        assert im2col(x, 3, 1).tobytes() == _reference_im2col(x, 3, 1).tobytes()
 
     def test_col2im_is_adjoint_of_im2col(self):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
