@@ -105,7 +105,6 @@ class ActorCriticTrainer:
         max_divergence_rollbacks: int = 8,
         max_episode_failures: int = 8,
         terminal_pool=None,
-        inference=None,
     ) -> None:
         if network.config.zeta != env.coarse.plan.zeta:
             raise ValueError(
@@ -138,14 +137,6 @@ class ActorCriticTrainer:
         #: it (terminal evaluation is pure, so pooled results are
         #: bitwise-identical to sequential ``env.finalize()`` calls).
         self.terminal_pool = terminal_pool
-        #: rollout evaluation surface.  Defaults to the network; in broker
-        #: mode the flow passes a *publishable*
-        #: :class:`~repro.inference.InferenceClient` — rollouts then
-        #: evaluate through the shared broker, and every parameter update
-        #: (including rollback restores) publishes a new weight epoch so
-        #: the broker replica can never be read torn.  Updates themselves
-        #: always run on the local network.
-        self._infer = inference if inference is not None else network
         self.max_divergence_rollbacks = max_divergence_rollbacks
         self.max_episode_failures = max_episode_failures
         self.divergence_rollbacks = 0
@@ -183,7 +174,7 @@ class ActorCriticTrainer:
         state = env.reset()
         done = False
         while not done:
-            probs, _v = self._infer.evaluate(
+            probs, _v = net.evaluate(
                 state.s_p, state.s_a, state.t, state.total_steps
             )
             action = self._pick_action(probs, state.action_mask, self.rng, sample)
@@ -247,7 +238,7 @@ class ActorCriticTrainer:
         states = [env.reset() for env in envs]
         transitions: list[list[_Transition]] = [[] for _ in range(n)]
         for _step in range(envs[0].n_steps):
-            probs_batch, _values = self._infer.evaluate_batch(states)
+            probs_batch, _values = self.network.evaluate_batch(states)
             next_states = []
             for i, env in enumerate(envs):
                 state = states[i]
@@ -380,13 +371,9 @@ class ActorCriticTrainer:
             self._consecutive_divergences = 0
             hist.losses.append(loss)
             hist.grad_norms.append(norm)
-            self._publish_weights()
             return
         self.restore(self.network, guard)
         restore_optimizer(self.optimizer, guard_opt)
-        # The restore also changed the live weights; publish so a broker
-        # replica never keeps serving the diverged half-step.
-        self._publish_weights()
         self.divergence_rollbacks += 1
         self._consecutive_divergences += 1
         self.events.emit(
@@ -402,14 +389,6 @@ class ActorCriticTrainer:
                 stage="rl_training",
                 episode=episode,
             )
-
-    def _publish_weights(self) -> None:
-        """Advance the shared-inference weight epoch after any weight
-        change (no-op when rollouts evaluate on the plain network or on
-        a non-publishable client)."""
-        publish = getattr(self._infer, "publish", None)
-        if publish is not None and getattr(self._infer, "publishable", False):
-            publish()
 
     # -- checkpoints ----------------------------------------------------------------
     def snapshot(self, episode: int) -> Snapshot:

@@ -197,9 +197,7 @@ class PolicyValueNet(Layer):
         probs, values = self.evaluate_batch([PlaneView(s_p, s_a, t, total_steps)])
         return probs[0], float(values[0])
 
-    def evaluate_batch(
-        self, states, tile: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_batch(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Batched inference: (masked probabilities (B, ζ²), values (B,)).
 
         Packs *states* (see :meth:`pack_planes_batch`) into one NCHW tensor
@@ -209,33 +207,18 @@ class PolicyValueNet(Layer):
         (``s_a > 0``; an all-masked row falls back to the plain softmax,
         matching the single-state path).  The previous train/eval mode is
         restored on exit.
-
-        With *tile* set, the forward runs through :meth:`forward_eval_tiled`
-        instead of one variable-size forward; see that method for why the
-        shared-inference stack needs it.  ``tile=None`` (the default) is
-        byte-for-byte the historical path.
         """
         from repro.nn.functional import masked_softmax
 
         zeta = self.config.zeta
         if len(states) == 0:
             return np.zeros((0, zeta * zeta)), np.zeros(0)
-        x = self.pack_planes_batch(states)
-        if tile is None:
-            logits, v = self.forward_eval(x)
-        else:
-            logits, v = self.forward_eval_tiled(x, tile)
+        logits, v = self.forward_eval(self.pack_planes_batch(states))
         probs = masked_softmax(logits, self.policy_masks(states), axis=1)
         return probs, np.asarray(v, dtype=np.float64)
 
     def policy_masks(self, states) -> np.ndarray:
-        """Per-state availability masks for the policy softmax (B, ζ²).
-
-        Shared by :meth:`evaluate_batch` and the broker-served
-        :class:`~repro.inference.client.InferenceClient` path, which
-        receives raw logits/value rows and applies the identical masking
-        tail locally — keeping both paths literally the same code.
-        """
+        """Per-state availability masks for the policy softmax (B, ζ²)."""
         zeta = self.config.zeta
         masks = np.empty((len(states), zeta * zeta))
         for i, s in enumerate(states):
@@ -266,10 +249,13 @@ class PolicyValueNet(Layer):
         sizes — but at a fixed row count it is bitwise independent of both
         its position and the other rows' content (zero padding included).
         Running every forward as exact *tile*-row chunks therefore makes
-        each state's (logits, value) invariant to how requests were
-        coalesced, which is what lets the inference broker batch across
-        jobs while staying bitwise-identical to a private network using
-        the same tile.
+        each state's (logits, value) invariant to how rows were batched.
+
+        Nothing in the placer calls this: every evaluation runs the
+        untiled :meth:`forward_eval`, on which all recorded HPWLs rest.  It
+        stays because the repository benchmark's layer tracer
+        (``perfbench/spans.py``) wraps it by name and fails to install
+        without it; it goes together with that binding.
         """
         n = len(x)
         if n == 0:

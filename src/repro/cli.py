@@ -97,14 +97,6 @@ def cmd_place(args) -> int:
         config = replace(config, terminal_workers=args.terminal_workers)
     if getattr(args, "exact_topk", None) is not None:
         config = replace(config, exact_topk=args.exact_topk)
-    if getattr(args, "inference_broker", False):
-        config = replace(config, inference_broker=True)
-    if getattr(args, "inference_max_batch", None):
-        config = replace(config, inference_max_batch=args.inference_max_batch)
-    if getattr(args, "inference_coalesce_us", None) is not None:
-        config = replace(
-            config, inference_coalesce_us=args.inference_coalesce_us
-        )
     if getattr(args, "verify", False):
         config = replace(config, verify_results=True)
     if args.resume and not args.run_dir:
@@ -231,16 +223,12 @@ def cmd_serve(args) -> int:
         max_retries=args.max_retries,
         backoff_base=args.backoff_base,
         verify_results=not args.no_verify,
-        inference_broker=args.inference_broker,
-        inference_max_batch=args.inference_max_batch,
-        inference_coalesce_us=args.inference_coalesce_us,
         **_governor_kwargs(args),
     )
     print(f"serving {args.service_dir} "
           f"(workers={args.workers}, max_queue={args.max_queue}, "
           f"drain={args.drain}, stall_seconds={args.stall_seconds}, "
-          f"max_retries={args.max_retries}, "
-          f"inference_broker={args.inference_broker})")
+          f"max_retries={args.max_retries})")
     snapshot = service.run(drain=args.drain, max_seconds=args.max_seconds)
     jobs = snapshot["jobs"]
     print("served: " + ", ".join(f"{k}={v}" for k, v in jobs.items()))
@@ -420,9 +408,6 @@ def cmd_fleet_shard(args) -> int:
         max_retries=args.max_retries,
         backoff_base=args.backoff_base,
         verify_results=not args.no_verify,
-        inference_broker=args.inference_broker,
-        inference_max_batch=args.inference_max_batch,
-        inference_coalesce_us=args.inference_coalesce_us,
         **_governor_kwargs(args),
     )
     print(f"shard {shard.shard} serving {args.service_dir} "
@@ -465,14 +450,6 @@ def cmd_fleet_serve(args) -> int:
             cmd += ["--max-seconds", str(args.max_seconds)]
         if args.no_verify:
             cmd.append("--no-verify")
-        if args.inference_broker:
-            # Each shard daemon owns its own broker (one per process; the
-            # broker serves every scheduler slot of that shard).
-            cmd += [
-                "--inference-broker",
-                "--inference-max-batch", str(args.inference_max_batch),
-                "--inference-coalesce-us", str(args.inference_coalesce_us),
-            ]
         cmd += [
             "--high-water", str(args.high_water),
             "--low-water", str(args.low_water),
@@ -799,26 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="macro_scale", help="macro count scale factor")
         p.add_argument("--seed", type=int, default=0)
 
-    def inference_flags(p: argparse.ArgumentParser) -> None:
-        """Shared inference-broker knobs (place, serve, fleet)."""
-        p.add_argument("--inference-broker", action="store_true",
-                       dest="inference_broker",
-                       help="route PolicyValueNet evaluations through one "
-                            "shared batched broker process; concurrent "
-                            "jobs' leaf batches coalesce into larger "
-                            "forwards (per-job results stay bitwise-"
-                            "identical to a private network)")
-        p.add_argument("--inference-max-batch", type=int, default=64,
-                       dest="inference_max_batch",
-                       help="coalescing cap: flush once this many states "
-                            "are pending (execution knob; never changes "
-                            "results)")
-        p.add_argument("--inference-coalesce-us", type=int, default=2000,
-                       dest="inference_coalesce_us",
-                       help="coalescing window in microseconds from the "
-                            "first pending request (execution knob; "
-                            "never changes results)")
-
     p_place = sub.add_parser("place", help="run the full flow on one circuit")
     common(p_place)
     p_place.add_argument("--preset", default="fast",
@@ -842,7 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "ranking in the search's running top-K by "
                               "surrogate HPWL (default: every terminal "
                               "exact)")
-    inference_flags(p_place)
     p_place.add_argument("--run-dir", default=None, dest="run_dir",
                          help="persist stage checkpoints, the run manifest, "
                               "and the event log into this directory")
@@ -963,7 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-verify", action="store_true", dest="no_verify",
                          help="skip the independent result verification "
                               "normally run on every completed job")
-    inference_flags(p_serve)
     governor_flags(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -1047,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "shared inbox is empty")
         p.add_argument("--max-seconds", type=float, default=None,
                        dest="max_seconds")
-        inference_flags(p)
         governor_flags(p)
 
     p_fshard = fleet_sub.add_parser(

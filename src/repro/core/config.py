@@ -109,35 +109,6 @@ class PlacerConfig:
     #: observes the result without changing it, so — like the execution
     #: knobs above — it is excluded from the run-dir config fingerprint.
     verify_results: bool = False
-    #: route network evaluations through the shared inference broker
-    #: (``repro.inference``): a spawn-context process owning the
-    #: policy/value network and coalescing requests from every concurrent
-    #: job into large cross-job batches.  Broker mode runs *all* forwards
-    #: (broker-served and in-process fallback alike) as fixed 32-row
-    #: zero-padded tiles, so per-job results are bitwise-identical at
-    #: every concurrency and across broker crashes — but differ from the
-    #: broker-off untiled forward (BLAS results depend on the GEMM row
-    #: count), so flipping this knob mid-resume changes leaf evaluations.
-    #: Like the terminal-pool knobs it is an execution knob — excluded
-    #: from the run-dir config fingerprint.
-    inference_broker: bool = False
-    #: broker coalescing cap: flush once this many states are pending.
-    #: Pure execution knob (the forward tile is a fixed constant, so
-    #: batching limits never influence numerics) — excluded from the
-    #: run-dir config fingerprint.
-    inference_max_batch: int = 64
-    #: broker coalescing window in microseconds, measured from the first
-    #: pending request; only engaged while more than one client is
-    #: registered, so a lone job pays no added latency.  Pure execution
-    #: knob — excluded from the run-dir config fingerprint.
-    inference_coalesce_us: int = 2000
-    #: use :class:`repro.legalize.IncrementalMacroLegalizer` for terminal
-    #: evaluations: QP factorizations, the step-1 coarse netlist, and
-    #: axis-net topologies are cached across calls.  Results are
-    #: bitwise-identical to the from-scratch pipeline (equivalence-gated in
-    #: tests and bench_surrogate), so this is an execution knob — excluded
-    #: from the run-dir config fingerprint.
-    incremental_legalizer: bool = True
 
     seed: int = 0
 

@@ -36,7 +36,7 @@ from repro.core.config import PlacerConfig
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.gp.mixed_size import MixedSizePlacer
 from repro.grid.plan import GridPlan
-from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
+from repro.legalize.pipeline import IncrementalMacroLegalizer
 from repro.mcts.search import MCTSPlacer, SearchResult
 from repro.netlist.model import Design
 from repro.parallel import (
@@ -128,14 +128,9 @@ class MCTSGuidedPlacer:
         )
 
     def build_environment(self, coarse: CoarseNetlist) -> MacroGroupPlacementEnv:
-        legalizer_cls = (
-            IncrementalMacroLegalizer
-            if self.config.incremental_legalizer
-            else MacroLegalizer
-        )
         return MacroGroupPlacementEnv(
             coarse,
-            legalizer=legalizer_cls(events=self._events),
+            legalizer=IncrementalMacroLegalizer(events=self._events),
             cell_place_iters=self.config.cell_place_iterations,
         )
 
@@ -182,8 +177,7 @@ class MCTSGuidedPlacer:
         return reward_fn, samples
 
     def _build_trainer(
-        self, env, network, reward_fn, rng, budget=None, terminal_pool=None,
-        inference=None,
+        self, env, network, reward_fn, rng, budget=None, terminal_pool=None
     ) -> ActorCriticTrainer:
         cfg = self.config
         return ActorCriticTrainer(
@@ -201,7 +195,6 @@ class MCTSGuidedPlacer:
             max_episode_failures=cfg.max_episode_failures,
             n_envs=cfg.rollout_envs,
             terminal_pool=terminal_pool,
-            inference=inference,
         )
 
     def optimize(
@@ -339,30 +332,6 @@ class MCTSGuidedPlacer:
                 clamp=cfg.terminal_pool_clamp,
             )
 
-        # Shared inference: with the broker enabled (config knob, or a
-        # service-owned handle arriving on the context), RL rollouts and
-        # MCTS evaluate through InferenceClients instead of the private
-        # network.  Broker-served, fallback, and degraded paths all share
-        # the fixed-tile forward, so stage results are bitwise-identical
-        # whether the broker lives, dies, or was never reachable.
-        inference_broker = getattr(ctx, "inference_broker", None)
-        owned_broker = None
-        trainer_client = mcts_client = None
-        if cfg.inference_broker or inference_broker is not None:
-            from repro.inference import InferenceBroker, InferenceClient
-
-            if inference_broker is None:
-                inference_broker = owned_broker = InferenceBroker(
-                    max_batch=cfg.inference_max_batch,
-                    coalesce_us=cfg.inference_coalesce_us,
-                    events=events,
-                ).start()
-            trainer_client = InferenceClient(
-                network, inference_broker, events=events, publishable=True
-            )
-            mcts_client = InferenceClient(
-                network, inference_broker, events=events
-            )
         try:
             # -- stage 4: RL pre-training ----------------------------------------
             if ctx.completed("rl_training"):
@@ -376,7 +345,6 @@ class MCTSGuidedPlacer:
                     rng,
                     budget=ctx.budget("rl_training"),
                     terminal_pool=terminal_pool,
-                    inference=trainer_client,
                 )
                 history = ctx.load_training_snapshot(trainer)
                 trainer.checkpoint_hook = (
@@ -413,7 +381,6 @@ class MCTSGuidedPlacer:
                     ),
                     terminal_pool=terminal_pool,
                     terminal_cache=terminal_cache,
-                    inference=mcts_client,
                 )
                 resume_state = ctx.load_mcts_snapshot()
                 with ctx.guard("mcts"):
@@ -448,11 +415,6 @@ class MCTSGuidedPlacer:
                     ctx.save_final(design, hpwl, legal_hpwl)
                     ctx.mark("final", hpwl=hpwl)
         finally:
-            for client in (trainer_client, mcts_client):
-                if client is not None:
-                    client.close()
-            if owned_broker is not None:
-                owned_broker.close()
             if terminal_pool is not None:
                 terminal_pool.close()
 

@@ -32,10 +32,6 @@ Known sites
   workers up to its bounded limit, then degrades in-process)
 - ``pool.worker_kill``  — hard-kill one pool worker process mid-wave
   (``os._exit`` inside the worker; exercises the bounded respawn path)
-- ``inference.worker_kill`` — hard-kill the shared inference-broker
-  process at an eval arrival (``os._exit`` in the broker; bounded
-  respawn, then clients degrade to the bitwise-identical in-process
-  tiled evaluation)
 - ``checkpoint.corrupt``— flip one byte of a just-written run-dir
   artifact *after* its sha256 was recorded (bit-rot simulation; caught
   by integrity verification on the next resume/load)

@@ -54,12 +54,6 @@ class RunContext:
     ) -> None:
         self.config = config
         self.fault_plan = fault_plan
-        #: optional externally-owned :class:`repro.inference.InferenceBroker`
-        #: handle; the flow routes network evaluations through it when set
-        #: (the placement service shares one broker across all scheduler
-        #: slots this way).  Plain single-shot runs leave it None and the
-        #: flow builds its own when ``config.inference_broker`` asks.
-        self.inference_broker = None
         self.dir = RunDir(run_dir) if run_dir else None
         self.events = EventLog(self.dir.events_path if self.dir else None)
         if self.dir is not None:

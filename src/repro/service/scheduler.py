@@ -52,13 +52,10 @@ class JobRunContext(RunContext):
         resume: bool = False,
         job_budget: StageBudget | None = None,
         heartbeat=None,
-        inference_broker=None,
     ) -> None:
         super().__init__(run_dir, config, design, resume=resume)
         self.job_budget = job_budget
         self.heartbeat = heartbeat
-        # One daemon-owned broker serves every scheduler slot.
-        self.inference_broker = inference_broker
         if heartbeat is not None:
             self.events.listener = heartbeat.beat_event
 

@@ -138,9 +138,6 @@ class PlacementService:
         verify_results: bool = True,
         reject_malformed_after: float = 5.0,
         paths: ServicePaths | None = None,
-        inference_broker: bool = False,
-        inference_max_batch: int = 64,
-        inference_coalesce_us: int = 2000,
         disk_quota_bytes: int | None = None,
         mem_quota_bytes: int | None = None,
         high_water: float = 0.9,
@@ -161,21 +158,6 @@ class PlacementService:
         self.poll_interval = poll_interval
         self.verify_results = verify_results
         self.reject_malformed_after = reject_malformed_after
-        #: daemon-owned shared inference broker (None until ``run()``
-        #: starts it): every scheduler slot's job evaluates through the
-        #: same broker, so concurrent jobs coalesce into cross-job
-        #: batches.  Note broker mode runs the fixed-tile forward, whose
-        #: results differ from the broker-off untiled path — enable it
-        #: per service directory, not per job, so warm artifacts and
-        #: resumes stay internally consistent.
-        self.inference_broker = None
-        self._broker_enabled = bool(inference_broker)
-        self._broker_opts = {
-            "max_batch": inference_max_batch,
-            "coalesce_us": inference_coalesce_us,
-        }
-        self._broker_stats_cache: dict | None = None
-        self._broker_stats_ts = 0.0
         self.scheduler = Scheduler(
             self._execute, self._dispatchable, workers=workers
         )
@@ -470,7 +452,6 @@ class PlacementService:
                     resume=resume,
                     job_budget=StageBudget("job", job.spec.budget_seconds),
                     heartbeat=heartbeat,
-                    inference_broker=self.inference_broker,
                 )
                 warm_key = self.warm.key(config, design)
                 if not resume and not cold:
@@ -635,37 +616,6 @@ class PlacementService:
         write_json_atomic(self.paths.result_file(job.id), payload)
 
     # -- metrics ---------------------------------------------------------------
-    def _fold_broker_metrics(self) -> None:
-        """Mirror broker-side counters into the service metrics.
-
-        The ``stats()`` round-trip doubles as the broker heartbeat; it is
-        rate-limited to once per second (``write_metrics`` is called from
-        worker threads too) and a degraded/dead broker simply reports
-        ``inference_broker_up = 0`` plus the parent-side lifecycle state.
-        """
-        broker = self.inference_broker
-        if broker is None:
-            return
-        now = time.monotonic()
-        if now - self._broker_stats_ts >= 1.0:
-            self._broker_stats_ts = now
-            self._broker_stats_cache = broker.stats(timeout=2.0)
-        stats = self._broker_stats_cache
-        self.metrics.set_gauge(
-            "inference_broker_up", 0 if stats is None else 1
-        )
-        if stats is None:
-            stats = broker.handle_stats()
-        for key in (
-            "queue_depth", "active_clients", "requests", "states",
-            "batches", "coalesced_batches", "batch_size_mean",
-            "batch_size_p50", "batch_size_p90", "batch_size_max",
-            "wait_us_mean", "wait_us_p90", "wait_us_max",
-            "respawns", "unknown_weights",
-        ):
-            if key in stats:
-                self.metrics.set_gauge(f"inference_{key}", stats[key])
-
     def write_metrics(self) -> dict:
         counts = self.store.counts()
         self.metrics.set_gauge("queue_depth", counts[QUEUED])
@@ -674,7 +624,6 @@ class PlacementService:
         self.metrics.set_gauge(
             "pending_retries", self.supervisor.pending_retries()
         )
-        self._fold_broker_metrics()
         try:
             return self.metrics.write(
                 self.paths.metrics,
@@ -703,12 +652,6 @@ class PlacementService:
         the final metrics snapshot.
         """
         started = time.monotonic()
-        if self._broker_enabled and self.inference_broker is None:
-            from repro.inference import InferenceBroker
-
-            self.inference_broker = InferenceBroker(
-                events=self.metrics_events(), **self._broker_opts
-            ).start()
         self.scheduler.start()
         try:
             while True:
@@ -731,23 +674,8 @@ class PlacementService:
                 time.sleep(self.poll_interval)
         finally:
             self.scheduler.stop()
-            broker, self.inference_broker = self.inference_broker, None
-            if broker is not None:
-                broker.close()
             self._clear_stop()
         return self.write_metrics()
-
-    def metrics_events(self):
-        """Event sink for daemon-owned infrastructure (broker lifecycle):
-        a counting adapter so degradations surface in metrics.json even
-        though the daemon itself has no run-dir event log."""
-        service = self
-
-        class _Sink:
-            def emit(self, kind: str, **data) -> None:
-                service.metrics.inc(f"events_{kind}")
-
-        return _Sink()
 
     def _clear_stop(self) -> None:
         """Consume the stop file on exit (fleet shards leave it in

@@ -51,17 +51,12 @@ class GroupCentroidSurrogate:
             canonical centroids, and the cell-response influence matrix
             are compiled once at construction; the evaluator never
             touches the design afterwards (scoring a million assignments
-            mutates nothing the exact pipeline sees).
-        cell_response: model cell groups at their clique-equilibrium
-            positions given the boundary (on by default — this is what
-            carries the fidelity gate).  ``False`` freezes cell groups
-            at canonical centroids: cheaper per score, pure prefix-stack
-            incremental, noticeably worse ranking.
+            mutates nothing the exact pipeline sees).  Cell groups are
+            modelled at their clique-equilibrium positions given the
+            boundary whenever the design has any.
     """
 
-    def __init__(
-        self, coarse: CoarseNetlist, cell_response: bool = True
-    ) -> None:
+    def __init__(self, coarse: CoarseNetlist) -> None:
         self.coarse = coarse
         n_mg = coarse.n_macro_groups
         self.n_macro_groups = n_mg
@@ -108,8 +103,9 @@ class GroupCentroidSurrogate:
         cell_ids = [
             g for g in range(n_groups) if groups[g].kind is GroupKind.CELL
         ]
-        self.cell_response = bool(cell_response) and len(cell_ids) > 0
-        cell_set = set(cell_ids) if self.cell_response else set()
+        #: the design has cell groups, so scoring runs the cell response
+        self.cell_response = len(cell_ids) > 0
+        cell_set = set(cell_ids)
         if self.cell_response:
             self._compile_cell_response(n_groups, cell_ids)
 

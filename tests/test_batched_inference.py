@@ -1,5 +1,5 @@
-"""Batched inference engine: evaluate_batch equivalence, vectorized
-rollouts (N=1 bitwise reproduction), virtual-loss MCTS leaf batching
+"""Batched inference engine: evaluate_batch equivalence, the fixed-tile
+forward's batch-size invariance, vectorized rollouts (N=1 bitwise reproduction), virtual-loss MCTS leaf batching
 (K=1 path reproduction, wave integrity), the transposition eval cache
 under fault injection, and the configurable-dtype substrate."""
 
@@ -80,6 +80,19 @@ class TestEvaluateBatch:
         pb, vb = net.evaluate_batch([s])
         np.testing.assert_array_equal(p1, pb[0])
         assert float(vb[0]) == v1
+
+    def test_tiled_forward_invariant_to_batch_size(self):
+        """At a fixed tile a state's (logits, value) is identical whether
+        it is forwarded alone or inside a larger batch."""
+        net = _net()
+        states = _random_states(4, 7, seed=4)
+        logits_all, values_all = net.forward_eval_tiled(
+            net.pack_planes_batch(states), 32
+        )
+        for i, s in enumerate(states):
+            logits, v = net.forward_eval_tiled(net.pack_planes_batch([s]), 32)
+            np.testing.assert_array_equal(logits_all[i], logits[0])
+            assert values_all[i] == v[0]
 
 
 class TestVectorizedRollouts:

@@ -25,7 +25,11 @@ from repro.core.config import PlacerConfig as PC
 from repro.netlist.generator import generate_design
 from repro.runtime import faults as fault_mod
 from repro.runtime.budget import StageBudget
-from repro.runtime.checkpoint import RunDir, config_fingerprint
+from repro.runtime.checkpoint import (
+    RunDir,
+    config_fingerprint,
+    pretraining_fingerprint,
+)
 from repro.runtime.errors import (
     CalibrationError,
     FaultInjected,
@@ -305,6 +309,24 @@ class TestRunDir:
         c = config_fingerprint(_cfg(episodes=7))
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize(
+        "preset, config_fp, pretraining_fp",
+        [
+            (PC, "7dc68bf2b125e8dc", "0373292c0b706c9a"),
+            (PC.fast, "bb3e8143b90c7383", "4e7cc14686b0f1ab"),
+            (PC.benchmark, "5ca3003f2a0a2958", "00148b856996f1c7"),
+            (PC.paper, "34d6b40b0349990b", "59b78256cf93485e"),
+        ],
+        ids=["default", "fast", "benchmark", "paper"],
+    )
+    def test_fingerprint_values_pinned(self, preset, config_fp, pretraining_fp):
+        """Both fingerprints key run-dir resume and the warm cache, so
+        their values must survive refactors of PlacerConfig: a changed
+        value orphans every existing run dir and warm entry."""
+        cfg = preset()
+        assert config_fingerprint(cfg) == config_fp
+        assert pretraining_fingerprint(cfg) == pretraining_fp
 
     def test_resume_with_other_config_rejected(self, tmp_path):
         d = str(tmp_path / "run")
