@@ -889,7 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser("serve", help="run the placement service daemon")
     service_dir(p_serve)
     p_serve.add_argument("--workers", type=int, default=1,
-                         help="concurrent placement jobs")
+                         help="concurrent placement jobs, each in its own "
+                              "worker process")
     p_serve.add_argument("--max-queue", type=int, default=64, dest="max_queue",
                          help="admission limit; submissions beyond this are "
                               "rejected (FAILED with kind=Backpressure)")
@@ -987,7 +988,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between poll cycles (also the lease "
                             "renewal cadence)")
         p.add_argument("--workers", type=int, default=1,
-                       help="concurrent placement jobs per shard")
+                       help="concurrent placement jobs per shard, each in "
+                            "its own worker process")
         p.add_argument("--max-queue", type=int, default=64, dest="max_queue")
         p.add_argument("--stall-seconds", type=float, default=None,
                        dest="stall_seconds",

@@ -5,9 +5,10 @@ durable writer in the tree can use them without import cycles:
 
 **Probes** — cheap, dependency-free measurements of the two resources a
 long-running placement service can exhaust: bytes under a directory tree
-(:func:`dir_usage_bytes`, the service root's footprint) and the process'
+(:func:`dir_usage_bytes`, the service root's footprint) and a process'
 resident set (:func:`process_rss_bytes`).  The service governor samples
-both on its poll loop and publishes them as ``resource_*`` gauges.
+both on its poll loop — the resident set of the daemon plus its attempt
+workers — and publishes them as ``resource_*`` gauges.
 
 **The write guard** — :func:`guarded_write` wraps one durable write
 (a journal append, a checkpoint rename, a warm-artifact copy) so that
@@ -29,7 +30,10 @@ the retry succeed (degradation exercised, result unchanged), while
 ``count=None`` simulates a disk that never frees (attempt quarantined,
 daemon alive).  Hooks are installed by the service governor
 (:class:`repro.service.governor.ResourceGovernor`); library code and
-tests may install their own via :func:`install_guard`.
+tests may install their own via :func:`install_guard`.  A service
+attempt worker installs hooks that relay to its daemon, which hands the
+relayed calls to its own hooks (:func:`report_degradation`,
+:func:`run_emergency_gc`).
 """
 
 from __future__ import annotations
@@ -81,19 +85,24 @@ def dir_usage_bytes(root: str) -> int:
     return total
 
 
-def process_rss_bytes() -> int:
-    """Resident-set size of this process in bytes (0 when unmeasurable).
+def process_rss_bytes(pid: int | None = None) -> int:
+    """Resident-set size of process *pid* (default: this one) in bytes,
+    0 when unmeasurable.
 
-    Reads ``/proc/self/status`` (Linux); falls back to ``ru_maxrss``
-    (peak, not current — still a usable upper bound) elsewhere.
+    Reads ``/proc/<pid>/status`` (Linux).  For this process it falls back
+    to ``ru_maxrss`` (peak, not current — still a usable upper bound)
+    elsewhere; another process without a readable status (gone, or not
+    Linux) measures 0.
     """
     try:
-        with open("/proc/self/status") as f:
+        with open(f"/proc/{'self' if pid is None else pid}/status") as f:
             for line in f:
                 if line.startswith("VmRSS:"):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
+    if pid is not None:
+        return 0
     try:
         import resource
 
@@ -142,27 +151,34 @@ def _current_hooks() -> GuardHooks | None:
     return _HOOKS[-1] if _HOOKS else None
 
 
-def _notify_degradation(label: str, attempt: int, exc: OSError) -> None:
+def report_degradation(info: dict) -> None:
+    """Hand one degradation record to the installed hooks (best-effort)."""
     hooks = _current_hooks()
     if hooks is None or hooks.on_degradation is None:
         return
     try:
-        hooks.on_degradation(
-            {
-                "event": "degradation",
-                "solver": "resources",
-                "fallback": "emergency_gc",
-                "site": ENOSPC_SITE,
-                "label": label,
-                "attempt": attempt,
-                "errno": exc.errno,
-            }
-        )
+        hooks.on_degradation(info)
     except Exception:
         pass  # reporting is best-effort by contract
 
 
-def _run_emergency_gc() -> None:
+def _notify_degradation(label: str, attempt: int, exc: OSError) -> None:
+    report_degradation(
+        {
+            "event": "degradation",
+            "solver": "resources",
+            "fallback": "emergency_gc",
+            "site": ENOSPC_SITE,
+            "label": label,
+            "attempt": attempt,
+            "errno": exc.errno,
+        }
+    )
+
+
+def run_emergency_gc() -> None:
+    """Run the installed emergency-GC hook once (best-effort, and never
+    re-entered from a GC pass on the same thread)."""
     hooks = _current_hooks()
     if hooks is None or hooks.emergency_gc is None:
         return
@@ -207,5 +223,5 @@ def guarded_write(label: str, write, retries: int = 1):
                     label=label,
                     attempts=attempt + 1,
                 ) from exc
-            _run_emergency_gc()
+            run_emergency_gc()
             attempt += 1

@@ -15,7 +15,8 @@ Layers:
 - :mod:`repro.service.jobs`      — job specs, states, the durable journal
 - :mod:`repro.service.warm`      — warm-artifact cache (skip pre-training)
 - :mod:`repro.service.metrics`   — counters / gauges / histograms
-- :mod:`repro.service.scheduler` — worker threads + per-job budgets
+- :mod:`repro.service.scheduler` — slot threads + per-job budgets
+- :mod:`repro.service.worker`    — attempt worker processes, one per slot
 - :mod:`repro.service.supervisor`— heartbeats, watchdog, retry, quarantine
 - :mod:`repro.service.service`   — the daemon: inbox, control, recovery
 - :mod:`repro.service.fleet`     — sharded fleet: leases, work stealing

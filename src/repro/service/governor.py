@@ -8,7 +8,8 @@ layer that turns "self-healing" into "runs indefinitely":
 
 **Monitoring** — :meth:`poll` samples the service root's disk footprint
 (:func:`~repro.runtime.resources.dir_usage_bytes`), filesystem headroom,
-and the process RSS on a rate-limited schedule, publishing them as
+and the RSS of the daemon plus its attempt worker processes (where the
+jobs' memory lives) on a rate-limited schedule, publishing them as
 ``resource_*`` gauges into ``metrics.json`` (and, through the shard
 metric files, ``fleet_metrics.json``).
 
@@ -142,6 +143,7 @@ class ResourceGovernor:
         rundir_projection_bytes: int = 4 << 20,
         sample_interval: float = 1.0,
         leases=None,
+        worker_pids=None,
         clock=time.time,
     ) -> None:
         self.paths = paths
@@ -160,6 +162,8 @@ class ResourceGovernor:
         self.rundir_projection_bytes = int(rundir_projection_bytes)
         self.sample_interval = float(sample_interval)
         self.leases = leases
+        #: callable listing the pids of the live attempt workers
+        self.worker_pids = worker_pids or (lambda: [])
         self._clock = clock
         self._last_sample_ts: float | None = None
         #: latest sample (updated by :meth:`poll`/:meth:`sample`); free
@@ -199,7 +203,9 @@ class ResourceGovernor:
         self._last_sample_ts = self._clock()
         usage = resources.dir_usage_bytes(self.paths.root)
         free = resources.disk_free_bytes(self.paths.root)
-        rss = resources.process_rss_bytes()
+        rss = resources.process_rss_bytes() + sum(
+            resources.process_rss_bytes(pid) for pid in self.worker_pids()
+        )
         if faults.should_fire("disk.pressure"):
             # synthetic quota-full sample: shedding engages without a
             # real full disk (released once real usage drops below the

@@ -21,7 +21,10 @@ Each job runs in its own run dir under ``runs/<job_id>/`` with the full
 PR 1 checkpoint/resume machinery, so killing the daemon mid-job and
 restarting resumes RUNNING jobs from their checkpoints (the recovery
 pass re-queues them; the executor sees the existing manifest and resumes)
-without re-running completed ones.
+without re-running completed ones.  The flow itself runs in the
+scheduler slot's attempt worker process (:mod:`repro.service.worker`),
+so ``workers=N`` places on N CPUs; the daemon journals, publishes and
+counts.
 
 Self-healing (PR 5): every attempt carries a heartbeat; the daemon's
 poll cycle runs the :class:`~repro.service.supervisor.JobSupervisor`
@@ -44,8 +47,8 @@ import shutil
 import time
 from dataclasses import replace
 
-from repro.runtime.budget import StageBudget
-from repro.runtime.errors import PlacementError, ResourceExhaustedError
+from repro.runtime import faults
+from repro.runtime.errors import ResourceExhaustedError
 from repro.service.governor import ResourceGovernor
 from repro.service.jobs import (
     CANCELLED,
@@ -61,8 +64,8 @@ from repro.service.jobs import (
     write_json_atomic,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.scheduler import JobRunContext, Scheduler
-from repro.service.supervisor import JobSupervisor
+from repro.service.scheduler import Scheduler
+from repro.service.supervisor import JobSupervisor, error_record
 from repro.service.warm import WarmArtifactCache
 
 
@@ -158,8 +161,13 @@ class PlacementService:
         self.poll_interval = poll_interval
         self.verify_results = verify_results
         self.reject_malformed_after = reject_malformed_after
+        # Imported here, not at module level: only a daemon needs worker
+        # processes, and ``import repro.service`` stays as light as it was.
+        from repro.service.worker import AttemptWorker
+
         self.scheduler = Scheduler(
-            self._execute, self._dispatchable, workers=workers
+            self._execute, self._dispatchable, workers=workers,
+            worker_factory=AttemptWorker,
         )
         self.supervisor = JobSupervisor(
             self.store,
@@ -193,6 +201,7 @@ class PlacementService:
             rundir_projection_bytes=rundir_projection_bytes,
             sample_interval=resource_sample_interval,
             leases=getattr(self, "leases", None),
+            worker_pids=self.scheduler.worker_pids,
         ).install()
         # Pressure pauses *dispatch* (queued jobs requeue), never
         # running jobs; admission shedding is handled at the journal.
@@ -413,8 +422,11 @@ class PlacementService:
             self.metrics.inc("executor_errors")
 
     def _execute_attempt(self, job_id: str) -> None:
-        """One attempt end to end.  Failures are routed through the
-        supervisor, which decides retry / quarantine / fail."""
+        """One attempt end to end: the slot's worker process runs the
+        flow, this thread journals the outcome.  Failures are routed
+        through the supervisor, which decides retry / quarantine / fail."""
+        from repro.service.worker import AttemptRequest
+
         job = self.store.get(job_id)
         if not self._still_owner(job.id):
             self.metrics.inc("stale_lease_drops")
@@ -428,75 +440,56 @@ class PlacementService:
             shutil.rmtree(run_dir, ignore_errors=True)
         resume = os.path.exists(os.path.join(run_dir, "manifest.json"))
         started = time.perf_counter()
-        warm_hit = False
         heartbeat = self.supervisor.begin(job.id, attempt)
         try:
-            try:
-                name, design = job.spec.build_design()
-                config = job.spec.build_config(
-                    terminal_cache_path=(
-                        None if cold else self.paths.terminal_cache
-                    )
-                )
-                if self.verify_results:
-                    config = replace(config, verify_results=True)
-                self.store.transition(
-                    job.id, RUNNING, attempt=attempt, resume=resume,
-                    design=name, cold=cold,
-                )
-                self.write_metrics()
-                ctx = JobRunContext(
-                    run_dir,
-                    config,
-                    design,
+            name, design = job.spec.build_design()
+            config = job.spec.build_config(
+                terminal_cache_path=None if cold else self.paths.terminal_cache
+            )
+            if self.verify_results:
+                config = replace(config, verify_results=True)
+            warm_key = self.warm.key(config, design)
+            worker = self.scheduler.worker()
+            self.store.transition(
+                job.id, RUNNING, attempt=attempt, resume=resume,
+                design=name, cold=cold, worker=worker.pid,
+            )
+            self.write_metrics()
+            reply = worker.run(
+                AttemptRequest(
+                    job_id=job.id,
+                    attempt=attempt,
+                    spec=job.spec,
+                    config=config,
+                    run_dir=run_dir,
                     resume=resume,
-                    job_budget=StageBudget("job", job.spec.budget_seconds),
-                    heartbeat=heartbeat,
-                )
-                warm_key = self.warm.key(config, design)
-                if not resume and not cold:
-                    warm_hit = self.warm.inject(warm_key, ctx)
-                self.metrics.inc("warm_hits" if warm_hit else "warm_misses")
-
-                from repro.core.flow import MCTSGuidedPlacer
-                from repro.runtime import faults
-
-                # A per-job fault plan (chaos drills) is installed only
-                # when present, so it never clears a plan installed
-                # around the whole daemon by the process-level drill.
-                fault_plan = job.spec.build_fault_plan()
-                if fault_plan is not None:
-                    with faults.inject(fault_plan):
-                        result = MCTSGuidedPlacer(config).place(
-                            design, context=ctx
-                        )
-                else:
-                    result = MCTSGuidedPlacer(config).place(
-                        design, context=ctx
-                    )
-            except PlacementError as exc:
-                self._resolve_attempt_failure(job, attempt, started, {
-                    "kind": type(exc).__name__,
-                    "message": exc.message,
-                    "stage": exc.stage,
-                    "exit_code": exc.exit_code,
-                    "details": {k: repr(v) for k, v in exc.details.items()},
-                }, warm_hit=warm_hit)
-                return
-            except Exception as exc:  # noqa: BLE001 — jobs must not kill workers
-                self._resolve_attempt_failure(
-                    job, attempt, started,
-                    {"kind": type(exc).__name__, "message": str(exc)},
-                    warm_hit=warm_hit,
-                )
-                return
+                    warm_root=self.warm.root,
+                    warm_key=None if resume or cold else warm_key,
+                    plan=faults.active(),
+                ),
+                heartbeat,
+            )
+        except Exception as exc:  # noqa: BLE001 — jobs must not kill slots
+            self._resolve_attempt_failure(
+                job, attempt, started, error_record(exc)
+            )
+            return
         finally:
             self.supervisor.end(job.id, attempt)
+        self.warm.absorb(reply.warm_counts)
+        warm_hit = bool(reply.warm_hit)
+        if reply.warm_hit is not None:
+            self.metrics.inc("warm_hits" if warm_hit else "warm_misses")
+        if reply.error is not None:
+            self._resolve_attempt_failure(
+                job, attempt, started, reply.error, warm_hit=warm_hit
+            )
+            return
 
         if not self.supervisor.attempt_current(job.id, attempt):
             # The watchdog force-abandoned this attempt and already
             # resolved the job (it may even be running a fresh attempt);
-            # this thread's late result must not clobber that state.
+            # this late result must not clobber that state.
             self.metrics.inc("stale_attempts_dropped")
             return
         if not self._still_owner(job.id):
@@ -514,35 +507,29 @@ class PlacementService:
             # Publishing the warm entry is itself a durable write: a full
             # disk here (after the guarded write's own emergency GC +
             # retry) fails the *attempt* — retryable, supervisor-routed —
-            # not the worker thread or the daemon.
+            # not the slot thread or the daemon.
             self.warm.store(warm_key, run_dir)
         except ResourceExhaustedError as exc:
-            self._resolve_attempt_failure(job, attempt, started, {
-                "kind": type(exc).__name__,
-                "message": exc.message,
-                "stage": exc.stage,
-                "exit_code": exc.exit_code,
-                "details": {k: repr(v) for k, v in exc.details.items()},
-            }, warm_hit=warm_hit)
+            self._resolve_attempt_failure(
+                job, attempt, started, error_record(exc), warm_hit=warm_hit
+            )
             return
-        best = min(result.hpwl, result.search.best_terminal_wirelength)
+        result = reply.summary
         for stage, stage_seconds in result.stage_seconds.items():
             if stage_seconds > 0.0:
                 self.metrics.observe(f"stage_seconds.{stage}", stage_seconds)
         self.metrics.observe("job_seconds", seconds)
-        for event in result.events.of("terminal_cache"):
-            self.metrics.inc("terminal_cache_hits", event.data["hits"])
-            self.metrics.inc("terminal_cache_misses", event.data["misses"])
-        self.metrics.inc("exact_evaluations", result.search.n_exact_evaluations)
-        self.metrics.inc(
-            "surrogate_evaluations", result.search.n_surrogate_evaluations
-        )
-        if result.search.surrogate_spearman is not None:
+        for hits, misses in result.terminal_cache:
+            self.metrics.inc("terminal_cache_hits", hits)
+            self.metrics.inc("terminal_cache_misses", misses)
+        self.metrics.inc("exact_evaluations", result.exact_evaluations)
+        self.metrics.inc("surrogate_evaluations", result.surrogate_evaluations)
+        if result.surrogate_spearman is not None:
             self.metrics.observe(
-                "surrogate_spearman", result.search.surrogate_spearman
+                "surrogate_spearman", result.surrogate_spearman
             )
-        self.metrics.inc("degradations", len(result.events.of("degradation")))
-        if result.verification is not None:
+        self.metrics.inc("degradations", result.degradations)
+        if result.verified:
             self.metrics.inc("jobs_verified")
         self.store.transition(
             job.id, DONE,
@@ -555,9 +542,9 @@ class PlacementService:
         self._write_result(
             self.store.get(job.id),
             hpwl=result.hpwl,
-            best_hpwl=best,
+            best_hpwl=result.best_hpwl,
             n_macro_groups=result.n_macro_groups,
-            verified=result.verification is not None,
+            verified=result.verified,
             stage_seconds={
                 k: round(v, 6) for k, v in result.stage_seconds.items()
             },

@@ -12,17 +12,23 @@ log's listener hook, and every budget poll beats via
 and each MCTS exploration, which bounds heartbeat granularity by the
 cost of one episode.
 
+The flow runs in the slot's attempt worker process
+(:mod:`repro.service.worker`); its beats cross the worker pipe and feed
+the daemon-side heartbeat, where the ``stall.freeze`` fault site is
+polled.
+
 **Watchdog** — :meth:`JobSupervisor.check_stalls` runs inside the
 daemon's poll cycle.  A heartbeat older than ``stall_seconds`` is
-*cancelled*: the next budget poll inside the job raises a structured
-:class:`~repro.runtime.errors.StageStallError` (cooperative kill — the
-worker thread unwinds through the normal failure path).  If the job
-still hasn't unwound after a further grace period (a truly hung solver
-never polls), the watchdog force-abandons it: the scheduler releases
-the slot (spawning a replacement worker thread so capacity survives)
-and the supervisor resolves the failure on the stuck thread's behalf.
-A stale attempt that eventually wakes up and reports is detected by
-its attempt number and dropped.
+*cancelled*: the cancel is forwarded to the worker, whose next budget
+poll raises a structured :class:`~repro.runtime.errors.StageStallError`
+(cooperative kill — the attempt unwinds through the normal failure
+path).  If the job still hasn't unwound after a further grace period (a
+truly hung solver never polls), the watchdog force-abandons it: the
+scheduler kills the slot's worker process, releases the slot (spawning
+a replacement scheduler thread with a fresh worker), and the supervisor
+resolves the failure on the attempt's behalf.  The abandoned attempt's
+report — the worker died — is detected by its attempt number and
+dropped.
 
 **Retry / quarantine** (:meth:`JobSupervisor.resolve_failure`) —
 transient failures (injected faults, stalls, artifact corruption,
@@ -44,7 +50,7 @@ import threading
 import time
 
 from repro.runtime import faults
-from repro.runtime.errors import StageStallError
+from repro.runtime.errors import PlacementError, StageStallError
 from repro.utils.events import append_jsonl
 from repro.service.jobs import (
     FAILED,
@@ -91,6 +97,21 @@ def classify_transient(kind: str | None) -> bool:
     if kind in TRANSIENT_KINDS:
         return True
     return kind not in PERMANENT_KINDS
+
+
+def error_record(exc: Exception) -> dict:
+    """The journaled error of a failed attempt: a structured
+    :class:`~repro.runtime.errors.PlacementError`'s fields, or the kind
+    and message of anything else."""
+    if isinstance(exc, PlacementError):
+        return {
+            "kind": type(exc).__name__,
+            "message": exc.message,
+            "stage": exc.stage,
+            "exit_code": exc.exit_code,
+            "details": {k: repr(v) for k, v in exc.details.items()},
+        }
+    return {"kind": type(exc).__name__, "message": str(exc)}
 
 
 class Heartbeat:
@@ -153,6 +174,10 @@ class Heartbeat:
     def cancelled(self) -> bool:
         return self._cancel_reason is not None
 
+    @property
+    def cancel_reason(self) -> str | None:
+        return self._cancel_reason
+
     def cancel(self, reason: str) -> None:
         self._cancel_reason = reason
 
@@ -200,7 +225,7 @@ class JobSupervisor:
 
     Owns no threads: the daemon calls :meth:`check_stalls` and
     :meth:`due_retries` from its poll loop (``poll_interval`` is the
-    watchdog resolution), and the scheduler's workers call
+    watchdog resolution), and the scheduler's slot threads call
     :meth:`begin`/:meth:`end`/:meth:`resolve_failure` around each
     attempt.
     """
@@ -391,8 +416,9 @@ class JobSupervisor:
         Phase 1: a heartbeat past ``stall_seconds`` is cancelled — the
         job raises :class:`StageStallError` at its next progress poll.
         Phase 2: a cancelled heartbeat still unreported after a further
-        ``stall_grace`` means the thread never polls (hard hang): the
-        job's slot is force-abandoned and the failure resolved here.
+        ``stall_grace`` means the attempt never polls (hard hang): the
+        job's worker process is killed, its slot force-abandoned, and
+        the failure resolved here.
         """
         if self.stall_seconds is None:
             return
@@ -420,8 +446,6 @@ class JobSupervisor:
         if job is None or job.state != RUNNING or job.attempts != hb.attempt:
             return  # the attempt reported in the meantime
         self.metrics.inc("jobs_abandoned")
-        if self.scheduler is not None:
-            self.scheduler.abandon(job_id)
         error = {
             "kind": "StageStallError",
             "message": (
@@ -434,3 +458,7 @@ class JobSupervisor:
         action = self.resolve_failure(job, error, transient=True)
         if action in ("quarantine", "fail") and self.finalize is not None:
             self.finalize(self.store.get(job_id))
+        if self.scheduler is not None:
+            # Only now kill the worker: the attempt's own report of its
+            # death must find the failure resolved, and drop as stale.
+            self.scheduler.abandon(job_id)

@@ -13,6 +13,11 @@ the code path the kill-and-resume tests prove bit-for-bit, a warm job's
 HPWL is bitwise-identical to an uninterrupted cold run with the same
 seed: the cache trades time, never determinism.
 
+In the service, injection runs in the attempt's worker process on a
+fresh instance over the same root; the daemon's instance, which stores
+entries and publishes the counts, adds what the worker saw with
+:meth:`WarmArtifactCache.absorb`.
+
 Integrity (PR 5): every stored entry carries a ``checksums.json`` of
 sha256 digests, verified *before* injection — a corrupted entry (bit
 rot, torn copy, the ``warm.corrupt`` fault site) is discarded with a
@@ -97,17 +102,26 @@ class WarmArtifactCache:
         """See :func:`warm_key`."""
         return warm_key(config, design)
 
-    def _count(self, key: str, event: str) -> None:
+    def _count(self, key: str, event: str, n: int = 1) -> None:
         entry = self._by_key.setdefault(
             key,
             {"hits": 0, "misses": 0, "stores": 0, "corruptions": 0,
              "evictions": 0},
         )
-        entry[event] = entry.get(event, 0) + 1
+        entry[event] = entry.get(event, 0) + n
 
     def per_key(self) -> dict[str, dict[str, int]]:
         """Snapshot of per-fingerprint hit/miss/store/corruption counts."""
         return {key: dict(counts) for key, counts in sorted(self._by_key.items())}
+
+    def absorb(self, per_key: dict[str, dict[str, int]]) -> None:
+        """Add the counts another instance recorded (an attempt worker's
+        :meth:`per_key`) to this one's totals and per-key counts."""
+        for key, counts in per_key.items():
+            for event, n in counts.items():
+                if n:
+                    setattr(self, event, getattr(self, event) + n)
+                    self._count(key, event, n)
 
     def _entry_dir(self, key: str) -> str:
         return os.path.join(self.root, key)

@@ -82,6 +82,10 @@ class TestProbes:
     def test_rss_is_measurable(self):
         assert process_rss_bytes() > 0
 
+    def test_rss_of_another_process(self):
+        assert process_rss_bytes(os.getpid()) > 0
+        assert process_rss_bytes(2**22 + 1) == 0  # beyond pid_max: no such process
+
 
 # ---------------------------------------------------------------------------
 # the ENOSPC write guard
@@ -412,6 +416,27 @@ class TestGovernorPolicy:
 # ---------------------------------------------------------------------------
 # end to end: ENOSPC against a live daemon
 # ---------------------------------------------------------------------------
+
+
+class TestWorkerMemory:
+    def test_sample_counts_the_live_workers(self, tmp_path):
+        """Jobs run in worker processes, so the governor's RSS sample —
+        what ``--mem-quota-bytes`` sheds on — must include theirs."""
+        service = PlacementService(str(tmp_path / "svc"), workers=1)
+        service.scheduler.start()
+        try:
+            (pid,) = service.scheduler.worker_pids()
+            own = process_rss_bytes()
+            worker = process_rss_bytes(pid)
+            assert worker > 0
+            rss = service.governor.sample()["rss_bytes"]
+            assert rss >= worker
+            assert rss >= own + worker - (4 << 20)  # the sum, not the daemon alone
+            assert service.metrics.gauge("resource_rss_bytes") == rss
+        finally:
+            service.scheduler.stop()
+            service.governor.uninstall()
+        assert process_rss_bytes(pid) == 0  # stop() ended the worker
 
 
 class TestServiceDegradation:

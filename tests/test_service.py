@@ -12,7 +12,11 @@ acceptance properties:
 - a budget-exceeding job fails with a structured error without taking
   down the scheduler or its sibling jobs;
 - ``metrics.json`` carries queue depth, per-state counts, per-stage
-  latency histograms, and warm/terminal cache hit counters.
+  latency histograms, and warm/terminal cache hit counters;
+- attempts run in one worker process per scheduler slot: two slots place
+  two jobs at once with the HPWLs of one slot, a worker killed
+  mid-attempt costs one transient retry, and a SIGKILLed daemon leaves
+  no worker behind.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from __future__ import annotations
 import copy
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -28,7 +37,7 @@ from repro.core import MCTSGuidedPlacer
 from repro.netlist.bookshelf import read_aux, write_design
 from repro.netlist.generator import generate_design
 from repro.runtime.errors import FaultInjected, UsageError
-from repro.runtime.faults import Fault, FaultPlan
+from repro.runtime.faults import Fault, FaultPlan, inject
 from repro.service import (
     CANCELLED,
     DONE,
@@ -411,6 +420,18 @@ class TestWarmReuseAndBudgets:
             assert hists[f"stage_seconds.{stage}"]["count"] >= 1
         assert snapshot["gauges"]["warm_cache_entries"] == 1
 
+    def test_worker_warm_counts_reach_the_metrics(self, served):
+        """Injection runs in the attempt's worker process; the hits and
+        misses it saw land in the daemon's cache and ``metrics.json``."""
+        _, service, _, _ = served
+        snapshot = json.load(open(service.paths.metrics))
+        assert snapshot["counters"]["warm_hits"] == 2
+        ((key, counts),) = snapshot["warm_fingerprints"].items()
+        assert key in service.warm.keys()
+        assert counts["hits"] == 2 and counts["misses"] == 1
+        assert counts["stores"] == 1 and counts["corruptions"] == 0
+        assert service.warm.hits == 2 and service.warm.misses == 1
+
 
 class TestRestartRecovery:
     def test_restart_resumes_running_job_bitwise(self, aux_path, tmp_path):
@@ -458,6 +479,187 @@ class TestRestartRecovery:
         assert [r["id"] for r in running].count(done_id) == 1
         # The recovered attempt went down the resume path.
         assert running[-1]["id"] == crash_id and running[-1]["resume"]
+
+
+@dataclass
+class _HangOnce(Fault):
+    """A fault that never fires.  Its first arrival, in whichever process
+    polls the site, hangs the caller without a beat or a budget poll —
+    a hung solver; the marker file keeps later attempts from hanging."""
+
+    marker: str = ""
+
+    def arrive(self) -> bool:
+        if not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            time.sleep(600)
+        return False
+
+
+def _journal_states(service, state: str) -> list[dict]:
+    return [r for r in read_jsonl(service.store.path)
+            if r.get("record") == "state" and r.get("state") == state]
+
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is *pid* (Linux ``/proc``)."""
+    out = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                fields = f.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            out.append(int(name))
+    return out
+
+
+def _alive(pid: int) -> bool:
+    """Running — neither gone nor a zombie waiting for its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+class TestWorkerProcesses:
+    def test_two_slots_place_two_jobs_at_once_bitwise(self, aux_path, tmp_path):
+        specs = [_spec(aux_path, seed=s) for s in (11, 12)]
+        hpwls = {}
+        for workers in (1, 2):
+            sdir = str(tmp_path / f"w{workers}")
+            ids = [submit_job(sdir, spec) for spec in specs]
+            service = PlacementService(sdir, workers=workers,
+                                       poll_interval=0.01)
+            service.run(drain=True, max_seconds=150.0)
+            assert [service.store.get(i).state for i in ids] == [DONE, DONE]
+            hpwls[workers] = [service.store.get(i).hpwl for i in ids]
+        running = {r["id"]: r for r in _journal_states(service, RUNNING)}
+        done = {r["id"]: r for r in _journal_states(service, DONE)}
+        # the two RUNNING -> DONE intervals overlap ...
+        assert max(running[i]["ts"] for i in ids) < min(
+            done[i]["ts"] for i in ids
+        )
+        # ... in two different worker processes ...
+        pids = {running[i]["worker"] for i in ids}
+        assert len(pids) == 2 and os.getpid() not in pids
+        # ... and the answers are those of one slot, bit for bit
+        assert hpwls[2] == hpwls[1]
+
+    def test_killed_worker_costs_one_transient_retry(self, aux_path, tmp_path):
+        sdir = str(tmp_path / "svc")
+        spec = _spec(aux_path, seed=13)
+        reference = MCTSGuidedPlacer(spec.build_config()).place(
+            read_aux(aux_path)
+        )
+        job_id = submit_job(sdir, spec)
+        service = PlacementService(sdir, workers=2, poll_interval=0.01,
+                                   backoff_base=0.05)
+        killed: list[int] = []
+
+        def serve_until_done(job_id: str) -> None:
+            deadline = time.monotonic() + 150.0
+            while True:
+                service.poll()
+                job = service.store.get(job_id)
+                if job is not None and job.state == DONE:
+                    return
+                if not killed and job is not None and job.state == RUNNING:
+                    pid = _journal_states(service, RUNNING)[-1]["worker"]
+                    os.kill(pid, signal.SIGKILL)  # mid-attempt
+                    killed.append(pid)
+                assert time.monotonic() < deadline, service.store.counts()
+                time.sleep(0.01)
+
+        service.scheduler.start()
+        try:
+            serve_until_done(job_id)
+            job = service.store.get(job_id)
+            assert job.attempts == 2 and job.hpwl == reference.hpwl
+            retry = [r for r in _journal_states(service, QUEUED)
+                     if r.get("reason") == "retry"]
+            assert [r["error"]["kind"] for r in retry] == ["WorkerDied"]
+            assert service.metrics.counter("jobs_retried") == 1
+            # the daemon keeps serving, on a pool back to two live workers
+            followup = submit_job(sdir, _spec(aux_path, seed=14))
+            serve_until_done(followup)
+            pids = service.scheduler.worker_pids()
+            assert len(pids) == 2 and killed[0] not in pids
+        finally:
+            service.scheduler.stop()
+            service.governor.uninstall()
+        assert not any(_alive(pid) for pid in pids)  # stop() ended them
+
+    def test_watchdog_kills_a_hung_worker(self, aux_path, tmp_path):
+        """A solver that hangs without ever polling its budget: watchdog
+        phase 2 kills the worker, the job is retried on a fresh one, and
+        the abandoned attempt's report of its death is dropped."""
+        marker = str(tmp_path / "hung-once")
+        sdir = str(tmp_path / "svc")
+        job_id = submit_job(sdir, _spec(aux_path, seed=16))
+        service = PlacementService(sdir, workers=1, poll_interval=0.02,
+                                   stall_seconds=0.3, backoff_base=0.05)
+        # a plan installed around the daemon travels with every attempt
+        plan = FaultPlan(_HangOnce("trainer.kill", marker=marker))
+        try:
+            with inject(plan):
+                service.run(drain=True, max_seconds=120.0)
+        finally:
+            service.governor.uninstall()
+        job = service.store.get(job_id)
+        assert job.state == DONE and job.attempts == 2
+        assert os.path.exists(marker)
+        assert service.metrics.counter("jobs_abandoned") == 1
+        assert service.metrics.counter("stale_attempts_dropped") == 1
+        abandoned = [r for r in _journal_states(service, QUEUED)
+                     if r.get("reason") == "retry"]
+        assert "watchdog abandoned" in abandoned[0]["error"]["message"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_sigkilled_daemon_leaves_no_worker(self, aux_path, tmp_path):
+        sdir = str(tmp_path / "svc")
+        job_id = submit_job(sdir, _spec(aux_path, seed=15))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["repro"].__file__
+        )))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--service-dir", sdir,
+             "--workers", "2", "--poll-interval", "0.02"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            store = JobStore(ServicePaths(sdir).journal)
+            deadline = time.monotonic() + 60.0
+            while True:
+                job = store.load().get(job_id)
+                if job is not None and job.state == RUNNING:
+                    break
+                assert job is None or job.state == QUEUED, job.state
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.005)
+            workers = _children(daemon.pid)
+            assert len(workers) == 2
+            daemon.kill()  # SIGKILL mid-job: no cleanup runs
+            daemon.wait()
+            deadline = time.monotonic() + 5.0
+            while any(_alive(p) for p in workers):
+                assert time.monotonic() < deadline, [
+                    p for p in workers if _alive(p)
+                ]
+                time.sleep(0.05)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
 
 
 class TestCLIService:
