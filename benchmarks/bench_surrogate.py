@@ -62,8 +62,8 @@ REWARD = NormalizedReward(w_max=2000.0, w_min=500.0, w_avg=1200.0)
 
 
 def build_problem(zeta: int = 8, seed: int = 7):
-    # Same shape as bench_terminal: cell-heavy so the exact pipeline (QP
-    # legalize + cell placement) dominates — the cost tier 1 avoids.
+    # Cell-heavy so the exact pipeline (QP legalize + cell placement)
+    # dominates — the cost tier 1 avoids.
     spec = GeneratorSpec(
         name="bench-surrogate",
         n_movable_macros=12,

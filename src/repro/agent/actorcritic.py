@@ -22,7 +22,6 @@ gradients on the network outputs.  Parameters update every
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -78,13 +77,10 @@ class TrainingHistory:
 class ActorCriticTrainer:
     """Trains a :class:`PolicyValueNet` on a placement environment.
 
-    With ``n_envs > 1`` episodes roll out in synchronized waves: N
-    environments step in lock-step and every step costs one *batched*
-    network forward instead of N single-state forwards.  Each episode in a
-    wave samples from its own deterministic RNG stream and keeps its own
-    transition buffer; updates and checkpoints still fire on the same
-    per-episode boundaries.  ``n_envs=1`` reproduces the sequential
-    trainer bit-for-bit under a fixed seed.
+    Episodes roll out one at a time, as in the paper's A2C: every step
+    samples from one network forward, the episode ends with one terminal
+    legalize-and-place, and parameters update every ``update_every``
+    episodes.  A fixed seed fixes the whole run bit for bit.
     """
 
     def __init__(
@@ -98,13 +94,11 @@ class ActorCriticTrainer:
         entropy_coef: float = 0.0,
         epochs_per_update: int = 1,
         augment_symmetry: bool = False,
-        n_envs: int = 1,
         rng: int | np.random.Generator | None = None,
         events: EventLog | None = None,
         budget=None,
         max_divergence_rollbacks: int = 8,
         max_episode_failures: int = 8,
-        terminal_pool=None,
     ) -> None:
         if network.config.zeta != env.coarse.plan.zeta:
             raise ValueError(
@@ -119,24 +113,15 @@ class ActorCriticTrainer:
         self.entropy_coef = entropy_coef
         self.epochs_per_update = max(1, epochs_per_update)
         self.augment_symmetry = augment_symmetry
-        #: episodes rolled out per batched policy forward (N); 1 reproduces
-        #: the sequential trainer bit-for-bit under a fixed seed.
-        self.n_envs = max(1, int(n_envs))
         self.optimizer = Adam(network.parameters(), lr=lr)
         self.rng = ensure_rng(rng)
         self._buffer: list[_Transition] = []
-        self._shadow_envs: list["MacroGroupPlacementEnv"] = []
         #: runtime plumbing (all optional): structured event log, wall-clock
         #: budget polled at episode boundaries, and a hook the harness uses
         #: to persist intra-stage snapshots (called as hook(trainer, hist)).
         self.events = events if events is not None else EventLog()
         self.budget = budget
         self.checkpoint_hook = None
-        #: optional :class:`~repro.parallel.TerminalEvaluationPool`: the
-        #: n_envs episodes of a rollout wave finalize concurrently through
-        #: it (terminal evaluation is pure, so pooled results are
-        #: bitwise-identical to sequential ``env.finalize()`` calls).
-        self.terminal_pool = terminal_pool
         self.max_divergence_rollbacks = max_divergence_rollbacks
         self.max_episode_failures = max_episode_failures
         self.divergence_rollbacks = 0
@@ -144,28 +129,6 @@ class ActorCriticTrainer:
         self._consecutive_divergences = 0
 
     # -- rollout --------------------------------------------------------------
-    @staticmethod
-    def _pick_action(
-        probs: np.ndarray,
-        mask: np.ndarray,
-        rng: np.random.Generator,
-        sample: bool,
-    ) -> int:
-        """Mask, renormalize, and sample/argmax one action.
-
-        Shared by the sequential and batched rollout paths so their
-        arithmetic (and therefore their RNG consumption) is identical.
-        """
-        probs = probs * mask
-        total = probs.sum()
-        if total <= 0:
-            probs = mask / mask.sum()
-        else:
-            probs = probs / total
-        if sample:
-            return int(rng.choice(len(probs), p=probs))
-        return int(np.argmax(probs))
-
     def play_episode(self, sample: bool = True) -> tuple[list[_Transition], float]:
         """One full episode; returns its transitions and terminal wirelength."""
         env = self.env
@@ -177,7 +140,17 @@ class ActorCriticTrainer:
             probs, _v = net.evaluate(
                 state.s_p, state.s_a, state.t, state.total_steps
             )
-            action = self._pick_action(probs, state.action_mask, self.rng, sample)
+            mask = state.action_mask
+            probs = probs * mask
+            total = probs.sum()
+            if total <= 0:
+                probs = mask / mask.sum()
+            else:
+                probs = probs / total
+            if sample:
+                action = int(self.rng.choice(len(probs), p=probs))
+            else:
+                action = int(np.argmax(probs))
             transitions.append(
                 _Transition(
                     planes=net.pack_planes(
@@ -191,80 +164,6 @@ class ActorCriticTrainer:
             state, done = env.step(action)
         wirelength = env.finalize()
         return transitions, wirelength
-
-    def _rollout_envs(self, n: int) -> list["MacroGroupPlacementEnv"]:
-        """The first env plus lazily-built shadows sharing the coarse design.
-
-        Shadows share the coarse netlist and legalizer — safe because
-        terminal evaluations (the only mutating calls) run sequentially at
-        wave end — but each owns its :class:`StateBuilder`, so the N
-        occupancy grids evolve independently.
-        """
-        from repro.env.placement_env import MacroGroupPlacementEnv
-
-        while len(self._shadow_envs) < n - 1:
-            self._shadow_envs.append(
-                MacroGroupPlacementEnv(
-                    self.env.coarse,
-                    legalizer=self.env.legalizer,
-                    cell_place_iters=self.env.cell_place_iters,
-                )
-            )
-        return [self.env] + self._shadow_envs[: n - 1]
-
-    def play_episodes(
-        self, n: int, sample: bool = True
-    ) -> list[tuple[list[_Transition], float]]:
-        """Roll out *n* synchronized episodes with one batched forward per step.
-
-        All episodes place the same macro-group sequence, so the N
-        environments stay in lock-step: each step packs the N states into
-        one tensor, runs a single :meth:`PolicyValueNet.evaluate_batch`
-        forward, and samples each env's action from its own RNG stream.
-        At ``n == 1`` the single stream *is* ``self.rng`` and no extra
-        entropy is drawn, which keeps the wave path bit-identical to
-        :meth:`play_episode`; at ``n > 1`` per-env child streams are seeded
-        from ``self.rng`` (one deterministic draw, captured by
-        checkpoint/resume).  Terminal legalize-and-measure still runs
-        per-episode, in env order, preserving per-episode semantics.
-        """
-        net = self.network
-        envs = self._rollout_envs(n)
-        if n == 1:
-            rngs = [self.rng]
-        else:
-            seeds = self.rng.integers(0, 2**63, size=n)
-            rngs = [np.random.default_rng(int(s)) for s in seeds]
-        states = [env.reset() for env in envs]
-        transitions: list[list[_Transition]] = [[] for _ in range(n)]
-        for _step in range(envs[0].n_steps):
-            probs_batch, _values = self.network.evaluate_batch(states)
-            next_states = []
-            for i, env in enumerate(envs):
-                state = states[i]
-                action = self._pick_action(
-                    probs_batch[i], state.action_mask, rngs[i], sample
-                )
-                transitions[i].append(
-                    _Transition(
-                        planes=net.pack_planes(
-                            state.s_p, state.s_a, state.t, state.total_steps
-                        )[0],
-                        mask=state.action_mask.copy(),
-                        action=action,
-                        span=env.builder.footprint(state.t).shape,
-                    )
-                )
-                next_state, _done = env.step(action)
-                next_states.append(next_state)
-            states = next_states
-        pool = self.terminal_pool
-        if n > 1 and pool is not None and pool.parallel:
-            # Concurrent episode finalization: purity guarantees the pooled
-            # wirelengths match sequential finalize() calls bitwise.
-            wirelengths = pool.evaluate_many([env.assignment for env in envs])
-            return [(transitions[i], wirelengths[i]) for i in range(n)]
-        return [(transitions[i], envs[i].finalize()) for i in range(n)]
 
     # -- update ------------------------------------------------------------------
     def _update(self) -> tuple[float, float]:
@@ -527,23 +426,18 @@ class ActorCriticTrainer:
                     elapsed=round(self.budget.elapsed(), 3),
                 )
                 break
-            n_wave = min(self.n_envs, n_episodes - len(hist.rewards))
             try:
                 if faults.should_fire("trainer.episode"):
                     raise RuntimeError("injected episode fault")
-                wave_started = time.perf_counter()
-                episodes = self.play_episodes(n_wave, sample=True)
+                transitions, wirelength = self.play_episode(sample=True)
             except PlacementError:
                 raise
             except Exception as exc:
-                # A failure anywhere in the wave discards the whole wave
-                # (at N=1 this is exactly the old single-episode skip).
                 self.episode_failures += 1
                 self.events.emit(
                     "episode_failed",
                     stage="rl_training",
                     episode=len(hist.rewards) + 1,
-                    wave=n_wave,
                     error=str(exc),
                 )
                 if self.episode_failures > self.max_episode_failures:
@@ -554,29 +448,18 @@ class ActorCriticTrainer:
                         last_error=str(exc),
                     ) from exc
                 continue
-            if n_wave > 1:
-                self.events.emit(
-                    "rollout_wave",
-                    stage="rl_training",
-                    episodes=n_wave,
-                    seconds=round(time.perf_counter() - wave_started, 6),
-                )
-            # Episodes of one wave are consumed in env order: buffer append,
-            # history append, and the update/checkpoint cadences all observe
-            # the same per-episode boundaries the sequential trainer does.
-            for transitions, wirelength in episodes:
-                reward = float(self.reward_fn(wirelength))
-                for t in transitions:
-                    t.reward = reward  # r_t = r_n for every step (Sec. III-E)
-                self._buffer.extend(transitions)
-                hist.rewards.append(reward)
-                hist.wirelengths.append(wirelength)
+            reward = float(self.reward_fn(wirelength))
+            for t in transitions:
+                t.reward = reward  # r_t = r_n for every step (Sec. III-E)
+            self._buffer.extend(transitions)
+            hist.rewards.append(reward)
+            hist.wirelengths.append(wirelength)
 
-                episode_index = len(hist.rewards)
-                if episode_index % self.update_every == 0:
-                    self._guarded_update(hist)
-                if checkpoint_every and episode_index % checkpoint_every == 0:
-                    self._take_checkpoint(hist, episode_index)
+            episode_index = len(hist.rewards)
+            if episode_index % self.update_every == 0:
+                self._guarded_update(hist)
+            if checkpoint_every and episode_index % checkpoint_every == 0:
+                self._take_checkpoint(hist, episode_index)
         final_episode = len(hist.rewards)
         if (
             checkpoint_every

@@ -93,8 +93,6 @@ def cmd_place(args) -> int:
     config = _preset(args.preset, args.seed)
     if getattr(args, "legal_cells", False):
         config = replace(config, legalize_cells=True)
-    if getattr(args, "terminal_workers", None):
-        config = replace(config, terminal_workers=args.terminal_workers)
     if getattr(args, "exact_topk", None) is not None:
         config = replace(config, exact_topk=args.exact_topk)
     if getattr(args, "verify", False):
@@ -286,7 +284,6 @@ def cmd_submit(args) -> int:
         macro_scale=args.macro_scale,
         preset=args.preset,
         seed=args.seed,
-        terminal_workers=args.terminal_workers or 1,
         budget_seconds=args.budget_seconds,
         overrides=_parse_set(args.set),
     )
@@ -786,12 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.add_argument("--legal-cells", action="store_true",
                          dest="legal_cells",
                          help="snap cells onto rows after the final placement")
-    p_place.add_argument("--terminal-workers", type=int, default=None,
-                         dest="terminal_workers",
-                         help="worker processes for terminal legalize-and-"
-                              "place evaluations (results are bitwise-"
-                              "identical for every count; default 1 = "
-                              "in-process)")
     p_place.add_argument("--exact-topk", type=int, default=None,
                          dest="exact_topk",
                          help="two-tier terminal evaluation: run the exact "
@@ -934,10 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="budget_seconds",
                        help="whole-job wall-clock allowance; exceeding it "
                             "fails the job without affecting siblings")
-    p_sub.add_argument("--terminal-workers", type=int, default=None,
-                       dest="terminal_workers",
-                       help="worker processes for terminal evaluation "
-                            "inside this job")
     p_sub.add_argument("--set", action="append", default=None,
                        metavar="KNOB=VALUE",
                        help="dotted-path config override on top of the "

@@ -122,8 +122,7 @@ class CoarseNetlist:
         :meth:`restore_canonical` rewinds to it before each legalization, so
         ``evaluate_assignment`` is a pure function of the assignment —
         bitwise-identical HPWL regardless of what was evaluated before
-        (which is what makes results cacheable and worker-pool evaluation
-        equivalent to in-process evaluation).
+        (which is what makes results cacheable).
         """
         self._canonical = (
             {node.name: (node.x, node.y) for node in self.design.netlist},

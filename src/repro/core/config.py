@@ -39,10 +39,6 @@ class PlacerConfig:
     entropy_coef: float = 0.0
     epochs_per_update: int = 1
     checkpoint_every: int | None = None
-    #: synchronized episodes rolled out per batched network forward during
-    #: RL pre-training (1 = the sequential rollout path, bit-identical to
-    #: the pre-batching trainer)
-    rollout_envs: int = 1
 
     # MCTS (Sec. IV)
     mcts: MCTSConfig = field(default_factory=MCTSConfig)
@@ -78,25 +74,12 @@ class PlacerConfig:
 
     # Terminal evaluation (Sec. II-B/II-C)
     cell_place_iterations: int = 3
-    #: worker processes for terminal legalize-and-place evaluations
-    #: (``repro.parallel``); 1 evaluates in-process.  Results are
-    #: bitwise-identical for every worker count (terminal evaluation is a
-    #: pure function of the assignment), so this is an execution knob, not
-    #: a result knob — it is excluded from the run-dir config fingerprint.
-    terminal_workers: int = 1
-    #: clamp ``terminal_workers`` to ``os.cpu_count()`` and fall back
-    #: in-process when the clamp leaves a single worker (oversubscribed
-    #: pools lose; BENCH_pr3 recorded 0.21× at w4 on one core).  False
-    #: takes the requested count literally — benchmarks measuring
-    #: oversubscription and pool fault drills on small hosts opt out.
-    #: Pure execution knob: excluded from the run-dir config fingerprint.
-    terminal_pool_clamp: bool = True
     #: explicit path for the cross-run terminal cache JSONL, overriding the
     #: per-run-dir default.  The placement service points every job at one
     #: shared file so terminal HPWL results amortize across the fleet
-    #: (entries are fingerprint-keyed, so unrelated designs coexist).  Like
-    #: ``terminal_workers`` this is an execution knob, not a result knob —
-    #: excluded from the run-dir config fingerprint.
+    #: (entries are fingerprint-keyed, so unrelated designs coexist).  An
+    #: execution knob, not a result knob — excluded from the run-dir
+    #: config fingerprint.
     terminal_cache_path: str | None = None
     #: run the row-based cell legalizer after the final cell placement and
     #: report the legalized HPWL as well (an extension beyond the paper,
@@ -181,17 +164,9 @@ class PlacerConfig:
 
 #: knobs that must stay under the caller's (job spec / service) control —
 #: overriding them through the generic path would desynchronize the
-#: service's run-dir, cache, and pool management from the config it thinks
-#: it is running.
-_RESERVED_KNOBS = frozenset(
-    {
-        "run_dir",
-        "resume",
-        "terminal_cache_path",
-        "terminal_workers",
-        "terminal_pool_clamp",
-    }
-)
+#: service's run-dir and cache management from the config it thinks it is
+#: running.
+_RESERVED_KNOBS = frozenset({"run_dir", "resume", "terminal_cache_path"})
 
 
 def _coerce(current, value, path: str):

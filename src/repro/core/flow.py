@@ -39,11 +39,7 @@ from repro.grid.plan import GridPlan
 from repro.legalize.pipeline import IncrementalMacroLegalizer
 from repro.mcts.search import MCTSPlacer, SearchResult
 from repro.netlist.model import Design
-from repro.parallel import (
-    TerminalCache,
-    TerminalEvaluationPool,
-    environment_fingerprint,
-)
+from repro.parallel import TerminalCache, environment_fingerprint
 from repro.runtime.errors import CalibrationError
 from repro.runtime.harness import RunContext
 from repro.utils.events import EventLog
@@ -177,7 +173,7 @@ class MCTSGuidedPlacer:
         return reward_fn, samples
 
     def _build_trainer(
-        self, env, network, reward_fn, rng, budget=None, terminal_pool=None
+        self, env, network, reward_fn, rng, budget=None
     ) -> ActorCriticTrainer:
         cfg = self.config
         return ActorCriticTrainer(
@@ -193,8 +189,6 @@ class MCTSGuidedPlacer:
             budget=budget,
             max_divergence_rollbacks=cfg.max_divergence_rollbacks,
             max_episode_failures=cfg.max_episode_failures,
-            n_envs=cfg.rollout_envs,
-            terminal_pool=terminal_pool,
         )
 
     def optimize(
@@ -316,107 +310,93 @@ class MCTSGuidedPlacer:
 
         network = PolicyValueNet(cfg.network)
 
-        # Terminal evaluation infrastructure: the cross-run wirelength
-        # cache (persisted to the run dir when there is one) and, when
-        # configured, the process pool.  Both are execution accelerators —
-        # every stage below produces bitwise-identical results with or
-        # without them.
+        # The cross-run wirelength cache (persisted to the run dir when
+        # there is one) is a pure accelerator: every stage below produces
+        # bitwise-identical results with or without it.
         terminal_cache = TerminalCache(
             environment_fingerprint(env),
             path=cfg.terminal_cache_path or ctx.terminal_cache_path(),
         )
-        terminal_pool = None
-        if cfg.terminal_workers > 1:
-            terminal_pool = TerminalEvaluationPool(
-                env, workers=cfg.terminal_workers, events=events,
-                clamp=cfg.terminal_pool_clamp,
+
+        # -- stage 4: RL pre-training --------------------------------------------
+        if ctx.completed("rl_training"):
+            history = ctx.load_training(network, rng)
+            ctx.skip("rl_training")
+        else:
+            trainer = self._build_trainer(
+                env,
+                network,
+                reward_fn,
+                rng,
+                budget=ctx.budget("rl_training"),
             )
-
-        try:
-            # -- stage 4: RL pre-training ----------------------------------------
-            if ctx.completed("rl_training"):
-                history = ctx.load_training(network, rng)
-                ctx.skip("rl_training")
-            else:
-                trainer = self._build_trainer(
-                    env,
-                    network,
-                    reward_fn,
-                    rng,
-                    budget=ctx.budget("rl_training"),
-                    terminal_pool=terminal_pool,
-                )
-                history = ctx.load_training_snapshot(trainer)
-                trainer.checkpoint_hook = (
-                    lambda t, h: ctx.save_training_snapshot(t, h)
-                )
-                with ctx.guard("rl_training"):
-                    with stopwatch.measure("rl_training"):
-                        history = trainer.train(
-                            cfg.episodes,
-                            checkpoint_every=cfg.checkpoint_every,
-                            history=history,
-                        )
-                    ctx.save_training(network, history, rng)
-                    ctx.mark(
-                        "rl_training",
-                        episodes=len(history.rewards),
-                        seconds=round(stopwatch.total("rl_training"), 3),
+            history = ctx.load_training_snapshot(trainer)
+            trainer.checkpoint_hook = (
+                lambda t, h: ctx.save_training_snapshot(t, h)
+            )
+            with ctx.guard("rl_training"):
+                with stopwatch.measure("rl_training"):
+                    history = trainer.train(
+                        cfg.episodes,
+                        checkpoint_every=cfg.checkpoint_every,
+                        history=history,
                     )
-
-            # -- stage 5: MCTS ----------------------------------------------------
-            if ctx.completed("mcts"):
-                search = ctx.load_search()
-                ctx.skip("mcts")
-            else:
-                placer = MCTSPlacer(
-                    env,
-                    network,
-                    reward_fn,
-                    cfg.mcts,
-                    events=events,
-                    budget=ctx.budget("mcts"),
-                    on_commit=(
-                        ctx.save_mcts_snapshot if ctx.dir is not None else None
-                    ),
-                    terminal_pool=terminal_pool,
-                    terminal_cache=terminal_cache,
+                ctx.save_training(network, history, rng)
+                ctx.mark(
+                    "rl_training",
+                    episodes=len(history.rewards),
+                    seconds=round(stopwatch.total("rl_training"), 3),
                 )
-                resume_state = ctx.load_mcts_snapshot()
-                with ctx.guard("mcts"):
-                    with stopwatch.measure("mcts"):
-                        search = placer.run(resume_state=resume_state)
-                    ctx.save_search(search)
-                    ctx.mark(
-                        "mcts",
-                        wirelength=search.wirelength,
-                        seconds=round(stopwatch.total("mcts"), 3),
-                    )
 
-            # -- stage 6: final placement ----------------------------------------
-            legal_hpwl = None
-            cell_result = None
-            if ctx.completed("final"):
-                hpwl, legal_hpwl = ctx.load_final(design)
-                ctx.skip("final")
-            else:
-                with ctx.guard("final"):
-                    # deliberately in-process: the design object must carry
-                    # the final coordinates
-                    with stopwatch.measure("final"):
-                        hpwl = env.evaluate_assignment(search.assignment)
-                    if cfg.legalize_cells:
-                        from repro.legalize.cells import legalize_cells
-                        from repro.netlist.hpwl import FlatNetlist
+        # -- stage 5: MCTS -------------------------------------------------------
+        if ctx.completed("mcts"):
+            search = ctx.load_search()
+            ctx.skip("mcts")
+        else:
+            placer = MCTSPlacer(
+                env,
+                network,
+                reward_fn,
+                cfg.mcts,
+                events=events,
+                budget=ctx.budget("mcts"),
+                on_commit=(
+                    ctx.save_mcts_snapshot if ctx.dir is not None else None
+                ),
+                terminal_cache=terminal_cache,
+            )
+            resume_state = ctx.load_mcts_snapshot()
+            with ctx.guard("mcts"):
+                with stopwatch.measure("mcts"):
+                    search = placer.run(resume_state=resume_state)
+                ctx.save_search(search)
+                ctx.mark(
+                    "mcts",
+                    wirelength=search.wirelength,
+                    seconds=round(stopwatch.total("mcts"), 3),
+                )
 
-                        with stopwatch.measure("cell_legalization"):
-                            cell_result = legalize_cells(design)
-                            legal_hpwl = FlatNetlist(design.netlist).total_hpwl()
-                    ctx.save_final(design, hpwl, legal_hpwl)
-                    ctx.mark("final", hpwl=hpwl)
-        finally:
-            if terminal_pool is not None:
-                terminal_pool.close()
+        # -- stage 6: final placement --------------------------------------------
+        legal_hpwl = None
+        cell_result = None
+        if ctx.completed("final"):
+            hpwl, legal_hpwl = ctx.load_final(design)
+            ctx.skip("final")
+        else:
+            with ctx.guard("final"):
+                # deliberately in-process: the design object must carry
+                # the final coordinates
+                with stopwatch.measure("final"):
+                    hpwl = env.evaluate_assignment(search.assignment)
+                if cfg.legalize_cells:
+                    from repro.legalize.cells import legalize_cells
+                    from repro.netlist.hpwl import FlatNetlist
+
+                    with stopwatch.measure("cell_legalization"):
+                        cell_result = legalize_cells(design)
+                        legal_hpwl = FlatNetlist(design.netlist).total_hpwl()
+                ctx.save_final(design, hpwl, legal_hpwl)
+                ctx.mark("final", hpwl=hpwl)
 
         # -- independent verification (repro.verify): re-derive legality and
         # HPWL through code paths the optimizer does not share ---------------

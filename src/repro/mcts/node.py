@@ -64,22 +64,6 @@ class Node:
         self.visit[action_index] += 1.0
         self.total_value[action_index] += value
 
-    def apply_virtual_loss(self, action_index: int, amount: float) -> None:
-        """Pessimistically pre-charge an in-flight traversal of one edge.
-
-        N rises and W falls by *amount*, so concurrent selection descents
-        in the same leaf batch are steered away from paths that are already
-        being evaluated.  Must be paired with :meth:`revert_virtual_loss`
-        before the real :meth:`record` for the traversal.
-        """
-        self.visit[action_index] += amount
-        self.total_value[action_index] -= amount
-
-    def revert_virtual_loss(self, action_index: int, amount: float) -> None:
-        """Undo :meth:`apply_virtual_loss` once the evaluation is in hand."""
-        self.visit[action_index] -= amount
-        self.total_value[action_index] += amount
-
     def most_visited_index(self) -> int:
         """Commit rule after γ explorations: the most-traversed edge
         (Q breaks ties)."""

@@ -16,28 +16,12 @@ the most-visited edge.  Each exploration:
 4. **Backpropagation** — N/W/Q updated along the whole path to the root
    (Eq. 12).
 
-Throughput extensions (``MCTSConfig.leaf_batch`` / ``virtual_loss``):
-explorations run in *waves* of up to K selection descents.  Each descent
-pre-charges a virtual loss along its path (N+vl, W−vl) so the following
-descents in the wave spread to different leaves; the wave's distinct
-non-terminal leaves are then evaluated in **one**
-:meth:`PolicyValueNet.evaluate_batch` forward, the virtual losses are
-reverted, and every descent backpropagates its real value.  A
-transposition-keyed evaluation cache — keyed on the canonical state
+A transposition-keyed evaluation cache — keyed on the canonical state
 content ``(t, s_p)``, so different action orders reaching the same
 placement condition genuinely share one entry — lets repeated states skip
-the network entirely.  K=1 disables virtual loss and reproduces the
-sequential search's committed paths exactly.
-
-Terminal evaluations (the real legalize-and-place) are pure functions of
-the assignment, so they are memoized in a shared
-:class:`~repro.parallel.TerminalCache` (optionally persisted across runs)
-and can be dispatched to a :class:`~repro.parallel.TerminalEvaluationPool`:
-a wave submits its terminal leaves as soon as selection discovers them,
-overlaps the in-flight legalizations with the batched network forward, and
-resolves the results — in deterministic submission order — before
-backpropagation.  Pooled and in-process evaluations agree bitwise, so the
-search result is identical for every worker count.
+the network entirely.  Terminal evaluations (the real legalize-and-place)
+are pure functions of the assignment, so they are memoized in a shared
+:class:`~repro.parallel.TerminalCache` (optionally persisted across runs).
 
 Two-tier terminal evaluation (``MCTSConfig.exact_topk``): with a finite K,
 every terminal leaf is first scored by an incremental
@@ -89,13 +73,6 @@ class MCTSConfig:
 
     c_puct: float = 1.05
     explorations: int = 40  # γ
-    #: leaf-batch wave size K: selection descents collected per batched
-    #: network evaluation.  1 keeps the sequential search (virtual loss is
-    #: skipped entirely, so the committed path is reproduced exactly).
-    leaf_batch: int = 1
-    #: virtual-loss magnitude pre-charged along in-flight descent paths
-    #: (only applied when ``leaf_batch`` > 1).
-    virtual_loss: float = 1.0
     #: Dirichlet root noise (0 disables; the paper does not use noise, but
     #: the ablation benches expose it).
     root_noise_frac: float = 0.0
@@ -130,9 +107,6 @@ class SearchResult:
     #: terminal-cache hits (legalize-and-place calls avoided; includes
     #: entries carried over from a persisted cross-run cache)
     n_terminal_cache_hits: int = 0
-    #: batched evaluation waves issued and leaves evaluated across them
-    n_waves: int = 0
-    n_wave_leaves: int = 0
     #: wall-clock seconds by stage (selection+backprop / network forward /
     #: terminal legalize-and-place)
     seconds_selection: float = 0.0
@@ -164,7 +138,6 @@ class MCTSPlacer:
         events: EventLog | None = None,
         budget=None,
         on_commit=None,
-        terminal_pool=None,
         terminal_cache: TerminalCache | None = None,
         surrogate: GroupCentroidSurrogate | None = None,
     ) -> None:
@@ -181,9 +154,6 @@ class MCTSPlacer:
             if terminal_cache is not None
             else TerminalCache(environment_fingerprint(env))
         )
-        #: optional :class:`~repro.parallel.TerminalEvaluationPool`; when it
-        #: has live workers, waves dispatch terminal leaves asynchronously.
-        self.terminal_pool = terminal_pool
         #: transposition-keyed evaluation cache: canonical state content
         #: ``(t, s_p bytes)`` maps to the network's (masked probs, value).
         self._eval_cache: dict[tuple[int, bytes], tuple[np.ndarray, float]] = {}
@@ -199,16 +169,10 @@ class MCTSPlacer:
         #: max-heap (negated) of the K best surrogate scores seen so far —
         #: the streaming admission filter for tier 2.
         self._topk_heap: list[float] = []
-        #: assignment key → in-flight pooled future; dedupes submissions so
-        #: a key never runs on two workers at once (avoided resubmissions
-        #: count as terminal-cache hits).
-        self._inflight: dict[tuple[int, ...], object] = {}
         self.n_terminal_evaluations = 0
         self.n_network_evaluations = 0
         self.n_eval_cache_hits = 0
         self.n_terminal_cache_hits = 0
-        self.n_waves = 0
-        self.n_wave_leaves = 0
         self.n_exact_evaluations = 0
         self.n_surrogate_evaluations = 0
         self.seconds_selection = 0.0
@@ -316,10 +280,7 @@ class MCTSPlacer:
     ) -> float:
         """Tier 2: the real legalize-and-place, counted, cached, noted."""
         started = time.perf_counter()
-        if self.terminal_pool is not None:
-            wirelength = self.terminal_pool.evaluate(key)
-        else:
-            wirelength = self.env.evaluate_assignment(list(key))
+        wirelength = self.env.evaluate_assignment(list(key))
         self.seconds_terminal += time.perf_counter() - started
         self.n_terminal_evaluations += 1
         self.n_exact_evaluations += 1
@@ -330,24 +291,14 @@ class MCTSPlacer:
         return float(self.reward_fn(wirelength))
 
     def _terminal_value(self, assignment: list[int]) -> float:
-        """Reward of a complete assignment (cached, deduped, poolable).
+        """Reward of a complete assignment (cached).
 
-        Order of business: memoized result → in-flight pooled future
-        (reuse instead of resubmitting; the avoided call counts as a cache
-        hit) → tier-1 surrogate gate (finite ``exact_topk`` only) → tier-2
-        exact evaluation.
+        Order of business: memoized result → tier-1 surrogate gate (finite
+        ``exact_topk`` only) → tier-2 exact evaluation.
         """
         key = tuple(int(a) for a in assignment)
         wirelength = self._terminal_cache.get(key)
         if wirelength is not None:
-            self.n_terminal_cache_hits += 1
-            self._note_terminal(key, wirelength)
-            return float(self.reward_fn(wirelength))
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            started = time.perf_counter()
-            wirelength = inflight.result()
-            self.seconds_terminal += time.perf_counter() - started
             self.n_terminal_cache_hits += 1
             self._note_terminal(key, wirelength)
             return float(self.reward_fn(wirelength))
@@ -382,7 +333,7 @@ class MCTSPlacer:
         prefix so backpropagation can run all the way to the root, as the
         paper's Fig. 3 shows.  Leaf evaluation goes through :meth:`_expand`
         so subclasses overriding it (the Sec. IV-B3 rollout ablation) keep
-        working; no virtual loss is involved.
+        working.
         """
         started = time.perf_counter()
         if prefix_builder is not None:
@@ -420,182 +371,6 @@ class MCTSPlacer:
             parent.record(idx, value)
         self.seconds_selection += time.perf_counter() - started
 
-    def _explore_wave(
-        self,
-        root: Node,
-        committed: list[int],
-        path_to_target: list[tuple[Node, int]],
-        target: Node,
-        k: int,
-        prefix_builder: StateBuilder | None = None,
-    ) -> None:
-        """Up to *k* virtual-loss selection descents sharing one batched
-        network evaluation.
-
-        Each descent pre-charges ``config.virtual_loss`` along its path so
-        later descents in the wave diversify; the wave's distinct
-        non-terminal leaves (cache misses only) go through **one**
-        :meth:`PolicyValueNet.evaluate_batch` call, then every virtual loss
-        is reverted and every descent backpropagates its real value to the
-        root (Eq. 12).  At k=1 virtual loss is skipped — float add/subtract
-        round-trips are not bitwise identities — so the sequential search
-        is reproduced exactly.
-
-        With a live :attr:`terminal_pool`, terminal leaves are *submitted*
-        to the workers the moment selection discovers them, overlap with
-        the remaining descents and the network forward, and are resolved in
-        deterministic submission order before backpropagation — terminal
-        values never influence other descents of the same wave (backprop is
-        deferred to wave end), so the deferral changes nothing but
-        wall-clock.
-        """
-        k = max(1, int(k))
-        if k == 1:
-            self._explore(root, committed, path_to_target, target, prefix_builder)
-            return
-        vl = self.config.virtual_loss
-        if prefix_builder is None:
-            prefix_builder = StateBuilder(self.env.coarse)
-            for a in committed:
-                prefix_builder.apply(a)
-        pool = self.terminal_pool
-        if pool is not None and not pool.parallel:
-            pool = None
-
-        started = time.perf_counter()
-        # descent := [path, vl_edges, node, state | None]; terminal descents
-        # carry state=None and read node.terminal_value at backprop time.
-        descents: list[list] = []
-        #: in-flight pooled terminal evaluations, in submission order:
-        #: assignment tuple → (future, node, surrogate score | None, owned).
-        #: owned=False entries ride a future submitted earlier (the
-        #: in-flight dedupe) — the owner counts and caches the result.
-        pending: dict[tuple[int, ...], tuple[object, Node, float | None, bool]] = {}
-        for _ in range(k):
-            builder = prefix_builder.clone()
-            path: list[tuple[Node, int]] = list(path_to_target)
-            vl_edges: list[tuple[Node, int]] = []
-            node = target
-            actions_taken = list(committed)
-
-            # Selection: descend through expanded nodes.
-            while node.expanded and not node.terminal:
-                idx = node.select_child_index(self.config.c_puct)
-                path.append((node, idx))
-                if vl:
-                    node.apply_virtual_loss(idx, vl)
-                    vl_edges.append((node, idx))
-                action = int(node.actions[idx])
-                actions_taken.append(action)
-                builder.apply(action)
-                node = node.child_for(idx)
-
-            if builder.done():
-                node.terminal = True
-                key = tuple(int(a) for a in actions_taken)
-                if node.terminal_value is None and key not in pending:
-                    if pool is not None:
-                        wirelength = self._terminal_cache.get(key)
-                        inflight = (
-                            self._inflight.get(key) if wirelength is None else None
-                        )
-                        if wirelength is not None:
-                            self.n_terminal_cache_hits += 1
-                            self._note_terminal(key, wirelength)
-                            node.terminal_value = float(self.reward_fn(wirelength))
-                        elif inflight is not None:
-                            # a worker is already computing this key — ride
-                            # the in-flight future instead of resubmitting
-                            # (owned=False: the owner counts/caches it)
-                            self.n_terminal_cache_hits += 1
-                            pending[key] = (inflight, node, None, False)
-                        else:
-                            score = None
-                            admit = True
-                            if self.surrogate is not None:
-                                self.seconds_selection += (
-                                    time.perf_counter() - started
-                                )
-                                score = self._surrogate_score(key)
-                                admit = self._admit_exact(score)
-                                started = time.perf_counter()
-                            if not admit:
-                                node.terminal_value = self._pruned_value(score)
-                            else:
-                                # dispatch now; legalization overlaps with
-                                # the rest of the wave and the network
-                                # forward
-                                future = pool.submit(key)
-                                self._inflight[key] = future
-                                pending[key] = (future, node, score, True)
-                    else:
-                        # keep the legalize-and-place call out of the
-                        # selection timer — it bills to seconds_terminal
-                        # (and the surrogate gate to seconds_surrogate)
-                        self.seconds_selection += time.perf_counter() - started
-                        node.terminal_value = self._terminal_value(actions_taken)
-                        started = time.perf_counter()
-                descents.append([path, vl_edges, node, None])
-            else:
-                descents.append([path, vl_edges, node, builder.observe()])
-        self.seconds_selection += time.perf_counter() - started
-
-        # One batched evaluation for the wave's distinct uncached leaves.
-        miss_keys: list[tuple[int, bytes]] = []
-        miss_states: list = []
-        seen: set[tuple[int, bytes]] = set()
-        for _, _, _, state in descents:
-            if state is None:
-                continue
-            key = _state_key(state)
-            if key in self._eval_cache or key in seen:
-                self.n_eval_cache_hits += 1
-            else:
-                seen.add(key)
-                miss_keys.append(key)
-                miss_states.append(state)
-        if miss_states:
-            started = time.perf_counter()
-            probs_batch, values = self.network.evaluate_batch(miss_states)
-            self.seconds_evaluation += time.perf_counter() - started
-            self.n_network_evaluations += len(miss_states)
-            self.n_waves += 1
-            self.n_wave_leaves += len(miss_states)
-            for i, key in enumerate(miss_keys):
-                self._eval_cache[key] = (probs_batch[i], float(values[i]))
-
-        # Resolve the in-flight terminal evaluations (submission order is
-        # deterministic, so best-terminal tie-breaking matches the
-        # sequential path).
-        for key, (future, node, score, owned) in pending.items():
-            started = time.perf_counter()
-            wirelength = future.result()
-            self.seconds_terminal += time.perf_counter() - started
-            if owned:
-                self.n_terminal_evaluations += 1
-                self.n_exact_evaluations += 1
-                self._terminal_cache.put(key, wirelength)
-                if score is not None:
-                    self._calibration.observe(score, wirelength)
-                self._note_terminal(key, wirelength)
-                self._inflight.pop(key, None)
-            node.terminal_value = float(self.reward_fn(wirelength))
-
-        # Expansion, virtual-loss revert, backpropagation (Eq. 12).
-        started = time.perf_counter()
-        for path, vl_edges, node, state in descents:
-            if state is not None:
-                probs, value = self._eval_cache[_state_key(state)]
-                if not node.expanded:
-                    self._attach(node, state, probs)
-            else:
-                value = node.terminal_value
-            for parent, idx in vl_edges:
-                parent.revert_virtual_loss(idx, vl)
-            for parent, idx in path:
-                parent.record(idx, value)
-        self.seconds_selection += time.perf_counter() - started
-
     # -- checkpoint/resume ---------------------------------------------------------------
     def _export_state(
         self,
@@ -621,8 +396,6 @@ class MCTSPlacer:
             "n_network_evaluations": self.n_network_evaluations,
             "n_eval_cache_hits": self.n_eval_cache_hits,
             "n_terminal_cache_hits": self.n_terminal_cache_hits,
-            "n_waves": self.n_waves,
-            "n_wave_leaves": self.n_wave_leaves,
             "seconds_selection": self.seconds_selection,
             "seconds_evaluation": self.seconds_evaluation,
             "seconds_terminal": self.seconds_terminal,
@@ -659,8 +432,6 @@ class MCTSPlacer:
         self.n_network_evaluations = state["n_network_evaluations"]
         self.n_eval_cache_hits = state.get("n_eval_cache_hits", 0)
         self.n_terminal_cache_hits = state.get("n_terminal_cache_hits", 0)
-        self.n_waves = state.get("n_waves", 0)
-        self.n_wave_leaves = state.get("n_wave_leaves", 0)
         self.seconds_selection = state.get("seconds_selection", 0.0)
         self.seconds_evaluation = state.get("seconds_evaluation", 0.0)
         self.seconds_terminal = state.get("seconds_terminal", 0.0)
@@ -723,9 +494,7 @@ class MCTSPlacer:
             faults.check_kill("mcts.kill", stage="mcts")
             if not current.expanded:
                 self._expand(current, prefix_builder.clone(), list(committed))
-            remaining = int(self.config.explorations)
-            wave_size = max(1, int(self.config.leaf_batch))
-            while remaining > 0:
+            for _ in range(int(self.config.explorations)):
                 if not exhausted and self.budget is not None and self.budget.exhausted():
                     exhausted = True
                     self.events.emit(
@@ -736,12 +505,10 @@ class MCTSPlacer:
                     )
                 if exhausted:
                     break
-                k = min(wave_size, remaining)
-                self._explore_wave(
-                    root, committed, committed_path, current, k,
+                self._explore(
+                    root, committed, committed_path, current,
                     prefix_builder=prefix_builder,
                 )
-                remaining -= k
             if current.visit.sum() > 0:
                 idx = current.most_visited_index()
             else:
@@ -766,8 +533,6 @@ class MCTSPlacer:
             terminal_evaluations=self.n_terminal_evaluations,
             eval_cache_hits=self.n_eval_cache_hits,
             terminal_cache_hits=self.n_terminal_cache_hits,
-            waves=self.n_waves,
-            wave_leaves=self.n_wave_leaves,
             exact_evaluations=self.n_exact_evaluations,
             surrogate_evaluations=self.n_surrogate_evaluations,
             surrogate_spearman=surrogate_spearman,
@@ -787,8 +552,6 @@ class MCTSPlacer:
             best_terminal_wirelength=self.best_terminal_wirelength,
             n_eval_cache_hits=self.n_eval_cache_hits,
             n_terminal_cache_hits=self.n_terminal_cache_hits,
-            n_waves=self.n_waves,
-            n_wave_leaves=self.n_wave_leaves,
             seconds_selection=self.seconds_selection,
             seconds_evaluation=self.seconds_evaluation,
             seconds_terminal=self.seconds_terminal,

@@ -1,18 +1,15 @@
-"""Parallel pure terminal evaluation.
+"""Pure terminal evaluation, memoized across runs.
 
 Built on the purity guarantee of :meth:`MacroLegalizer.legalize` (every
-call rewinds to the canonical start state), this package ships the
-legalize-and-place inner loop to a persistent process pool
-(:class:`TerminalEvaluationPool`) and memoizes its results across runs
-(:class:`TerminalCache`).  Both degrade gracefully: a dead or absent pool
-falls back to in-process evaluation with identical (bitwise) results.
+call rewinds to the canonical start state), this package memoizes the
+legalize-and-place results of an environment across searches, resumes
+and separate runs (:class:`TerminalCache`), keyed by
+:func:`environment_fingerprint`.
 """
 
 from repro.parallel.cache import TerminalCache, environment_fingerprint
-from repro.parallel.pool import TerminalEvaluationPool
 
 __all__ = [
     "TerminalCache",
-    "TerminalEvaluationPool",
     "environment_fingerprint",
 ]

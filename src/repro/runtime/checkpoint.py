@@ -74,10 +74,8 @@ def config_fingerprint(config) -> str:
     ``run_dir``/``resume`` are where/how the run persists, not what it
     computes, so they are excluded — a run may be resumed with a different
     run-dir path spelling or from a config that only flips ``resume``.
-    ``terminal_workers`` and ``terminal_cache_path`` are likewise
-    excluded: pooled and in-process terminal evaluations are
-    bitwise-identical and the cache is a pure accelerator, so a run may
-    be resumed with a different worker count or cache location.
+    ``terminal_cache_path`` is likewise excluded: the cache is a pure
+    accelerator, so a run may be resumed with a different cache location.
     ``verify_results`` only re-checks a finished placement (it can fail
     a run, never change its coordinates), so verified and unverified
     runs share warm artifacts and resume each other freely.
@@ -85,9 +83,7 @@ def config_fingerprint(config) -> str:
     terminal leaves receive exact values, so two runs differing in K are
     different computations.
     """
-    payload = dataclasses.asdict(config)
-    for knob in _EXECUTION_KNOBS:
-        payload.pop(knob, None)
+    payload = _fingerprint_payload(config)
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -97,11 +93,26 @@ def config_fingerprint(config) -> str:
 _EXECUTION_KNOBS = (
     "run_dir",
     "resume",
-    "terminal_workers",
-    "terminal_pool_clamp",
     "terminal_cache_path",
     "verify_results",
 )
+
+#: deleted knobs, hashed at the only value they ever ran with in the
+#: presets, so fingerprints taken while they existed (run dirs, warm keys)
+#: still match
+_RETIRED_KNOBS = {"rollout_envs": 1}
+_RETIRED_MCTS_KNOBS = {"leaf_batch": 1, "virtual_loss": 1.0}
+
+
+def _fingerprint_payload(config) -> dict:
+    """``asdict(config)`` without the execution knobs, with the retired ones."""
+    payload = dataclasses.asdict(config)
+    for knob in _EXECUTION_KNOBS:
+        payload.pop(knob, None)
+    payload.update(_RETIRED_KNOBS)
+    payload["mcts"].update(_RETIRED_MCTS_KNOBS)
+    return payload
+
 
 #: result-affecting knobs that only the *post-training* stages consume.
 #: Calibration and RL pre-training never read the MCTS section (or the
@@ -130,8 +141,8 @@ def pretraining_fingerprint(config) -> str:
     (pre-training config × design) and serve every other sweep point
     warm, bit-for-bit.
     """
-    payload = dataclasses.asdict(config)
-    for knob in _EXECUTION_KNOBS + _POST_TRAINING_KNOBS:
+    payload = _fingerprint_payload(config)
+    for knob in _POST_TRAINING_KNOBS:
         payload.pop(knob, None)
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:16]

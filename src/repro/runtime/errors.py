@@ -87,7 +87,7 @@ class StageStallError(PlacementError):
 
     Raised *cooperatively*: the service watchdog cancels the job's
     heartbeat, and the next progress poll inside the flow (budget checks
-    run every RL episode wave and every MCTS exploration) raises this
+    run every RL episode and every MCTS exploration) raises this
     instead of continuing.  Classified as transient — a stalled solver is
     usually a one-off scheduling or I/O hiccup — so the supervisor
     retries it with backoff before quarantining.

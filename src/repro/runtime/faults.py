@@ -27,11 +27,6 @@ Known sites
 - ``lp.solve``          — LP spread reports infeasible (degrades to packing)
 - ``qp.solve``          — QP placement solve raises (degrades to no-op)
 - ``budget.<stage>``    — the stage's wall-clock budget reads as exhausted
-- ``pool.spawn``        — terminal-pool spawn fails (degrades in-process)
-- ``pool.submit``       — a pooled terminal submit raises (pool respawns
-  workers up to its bounded limit, then degrades in-process)
-- ``pool.worker_kill``  — hard-kill one pool worker process mid-wave
-  (``os._exit`` inside the worker; exercises the bounded respawn path)
 - ``checkpoint.corrupt``— flip one byte of a just-written run-dir
   artifact *after* its sha256 was recorded (bit-rot simulation; caught
   by integrity verification on the next resume/load)

@@ -111,13 +111,6 @@ class JobSpec:
     macro_scale: float = 0.08
     preset: str = "fast"
     seed: int = 0
-    #: worker processes for terminal evaluation inside this job (execution
-    #: knob; results are bitwise-identical for every count)
-    terminal_workers: int = 1
-    #: clamp the terminal pool to the host's cores (see
-    #: :class:`~repro.core.config.PlacerConfig.terminal_pool_clamp`);
-    #: fault drills that need a real pool on a 1-core CI host opt out
-    terminal_pool_clamp: bool = True
     #: whole-job wall-clock allowance; stages see the remaining budget
     #: through :class:`repro.service.scheduler.JobRunContext` (None = no cap)
     budget_seconds: float | None = None
@@ -133,8 +126,8 @@ class JobSpec:
     #: ``((\"mcts.c_puct\", 2.5), ...)`` pairs, routed through
     #: :func:`repro.core.config.apply_overrides` so the same validation
     #: and coercion rules cover study sweep points and ``repro submit
-    #: --set``.  Applied *before* the terminal execution knobs, so a
-    #: spec can never alias them.
+    #: --set``.  The reserved knobs (run dir, resume, terminal cache
+    #: path) stay under the service's control and cannot be overridden.
     overrides: tuple | list | None = None
 
     def validate(self) -> None:
@@ -181,12 +174,7 @@ class JobSpec:
             config = getattr(PlacerConfig, self.preset)(seed=self.seed)
         if self.overrides:
             config = apply_overrides(config, self.overrides)
-        return replace(
-            config,
-            terminal_workers=self.terminal_workers,
-            terminal_pool_clamp=self.terminal_pool_clamp,
-            terminal_cache_path=terminal_cache_path,
-        )
+        return replace(config, terminal_cache_path=terminal_cache_path)
 
     def build_fault_plan(self):
         """The per-job :class:`~repro.runtime.faults.FaultPlan` (or None)."""
@@ -431,9 +419,11 @@ class JobStore:
                     break  # in-flight append; retry next refresh
                 self._offset = f.tell()
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # damaged line (skipped, like read_jsonl)
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError:
+                    # damaged line (skipped, like read_jsonl): torn JSON,
+                    # or a flipped high bit that is not UTF-8
+                    continue
                 if isinstance(record, dict):
                     self._apply_record(record)
 

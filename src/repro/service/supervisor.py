@@ -8,7 +8,7 @@ Beats come from two existing progress streams, so no flow code had to
 learn about supervision: every :class:`~repro.utils.events.EventLog`
 emission (stage transitions, checkpoints, degradations) beats via the
 log's listener hook, and every budget poll beats via
-:class:`SupervisedBudget` — the flow polls budgets each RL episode wave
+:class:`SupervisedBudget` — the flow polls budgets each RL episode
 and each MCTS exploration, which bounds heartbeat granularity by the
 cost of one episode.
 

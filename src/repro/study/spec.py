@@ -210,7 +210,7 @@ class StudyPoint:
     """One expanded sweep point: a knob assignment plus a seed.
 
     ``point_id`` is a content hash of the point's full job identity
-    (design source, preset, seed, overrides, execution knobs), so the
+    (design source, preset, seed, overrides, budget), so the
     derived job id is deterministic: resubmitting the same point is
     idempotent at the service inbox, which is the whole crash-safety
     story of ``repro study run``.
@@ -239,7 +239,6 @@ class StudyPoint:
             macro_scale=spec.macro_scale,
             preset=spec.preset,
             seed=self.seed,
-            terminal_workers=spec.terminal_workers,
             budget_seconds=spec.budget_seconds,
             overrides=self.values or None,
         )
@@ -270,7 +269,6 @@ class StudySpec:
     constraints: tuple = ()
     priority: int = 0
     budget_seconds: float | None = None
-    terminal_workers: int = 1
     max_points: int = field(default=MAX_POINTS)
 
     # -- parsing --------------------------------------------------------------
@@ -278,6 +276,9 @@ class StudySpec:
     def from_json(cls, payload: dict) -> "StudySpec":
         if not isinstance(payload, dict):
             raise UsageError("study spec must be a JSON/TOML table")
+        # a retired execution knob that older spec.json files carry; its
+        # value never changed a result, so it is dropped, not rejected
+        payload = {k: v for k, v in payload.items() if k != "terminal_workers"}
         unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(
@@ -343,7 +344,6 @@ class StudySpec:
             "constraints": [dict(c) for c in self.constraints],
             "priority": self.priority,
             "budget_seconds": self.budget_seconds,
-            "terminal_workers": self.terminal_workers,
             "max_points": self.max_points,
         }
 
@@ -436,7 +436,9 @@ def _point_id(spec: StudySpec, seed: int, values: tuple) -> str:
         "scale": spec.scale,
         "macro_scale": spec.macro_scale,
         "preset": spec.preset,
-        "terminal_workers": spec.terminal_workers,
+        # a retired execution knob, kept at its only value so point ids
+        # (study journal keys and service job ids) stay what they were
+        "terminal_workers": 1,
         "budget_seconds": spec.budget_seconds,
         "seed": seed,
         "values": [[k, list(v) if isinstance(v, tuple) else v]

@@ -1,7 +1,7 @@
 """Two-tier terminal evaluation: fast surrogate HPWL + top-K exact.
 
 The exact terminal evaluation (legalize + cell place) dominates MCTS
-wall-clock (BENCH_pr2/BENCH_pr3).  This package provides the cheap tier:
+wall-clock.  This package provides the cheap tier:
 
 - :class:`GroupCentroidSurrogate` — group-centroid HPWL over the coarse
   netlist, computed *incrementally* against a prefix stack so scoring a

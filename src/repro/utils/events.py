@@ -64,20 +64,22 @@ def read_jsonl(path: str) -> list[dict]:
     mid-append leaves a torn trailing line, which is skipped rather than
     raised on — everything written before the crash stays readable.
     Non-dict records (a bare number or string that happens to parse) are
-    skipped for the same reason.
+    skipped for the same reason, and so is a line that is not UTF-8: the
+    writers emit pure ASCII, so a byte >= 0x80 is damage (a flipped bit),
+    not data.
     """
     records: list[dict] = []
     if not os.path.exists(path):
         return records
-    with open(path) as f:
+    with open(path, "rb") as f:
         for line in f:
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn line from a kill mid-write
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:
+                continue  # torn line from a kill mid-write, or bit rot
             if isinstance(record, dict):
                 records.append(record)
     return records

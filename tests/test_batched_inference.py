@@ -1,6 +1,6 @@
 """Batched inference engine: evaluate_batch equivalence, the fixed-tile
-forward's batch-size invariance, vectorized rollouts (N=1 bitwise reproduction), virtual-loss MCTS leaf batching
-(K=1 path reproduction, wave integrity), the transposition eval cache
+forward's batch-size invariance, deterministic sequential training, the
+MCTS search against its reference loop, the transposition eval cache
 under fault injection, and the configurable-dtype substrate."""
 
 import numpy as np
@@ -96,37 +96,20 @@ class TestEvaluateBatch:
 
 
 class TestVectorizedRollouts:
-    def _trainer(self, coarse, seed=0, n_envs=1):
+    def _trainer(self, coarse, seed=0):
         env = MacroGroupPlacementEnv(coarse, cell_place_iters=1)
         net = PolicyValueNet(NetworkConfig(zeta=4, channels=4, res_blocks=1, seed=1))
         return ActorCriticTrainer(
-            env, net, REWARD, lr=1e-3, update_every=2, rng=seed, n_envs=n_envs
+            env, net, REWARD, lr=1e-3, update_every=2, rng=seed
         )
 
-    def test_wave_of_one_is_bitwise_sequential(self, coarse_small):
-        """play_episodes(1) must consume the same RNG and produce the same
-        transitions as the sequential play_episode."""
-        import copy
-
-        a = self._trainer(copy.deepcopy(coarse_small), seed=11)
-        b = self._trainer(copy.deepcopy(coarse_small), seed=11)
-        ta, wa = a.play_episode()
-        [(tb, wb)] = b.play_episodes(1)
-        assert wa == wb
-        assert [t.action for t in ta] == [t.action for t in tb]
-        for x, y in zip(ta, tb):
-            np.testing.assert_array_equal(x.planes, y.planes)
-            np.testing.assert_array_equal(x.mask, y.mask)
-        # RNG streams stayed in lock-step → next draws agree too.
-        assert a.rng.integers(0, 2**31) == b.rng.integers(0, 2**31)
-
     def test_train_n1_bitwise_matches_across_instances(self, coarse_small):
-        """Full train() with n_envs=1 is deterministic and equal to another
-        n_envs=1 trainer — the pre-batching sequential semantics."""
+        """Full train() is deterministic: equal to another trainer with the
+        same seed, bit for bit."""
         import copy
 
-        a = self._trainer(copy.deepcopy(coarse_small), seed=3, n_envs=1)
-        b = self._trainer(copy.deepcopy(coarse_small), seed=3, n_envs=1)
+        a = self._trainer(copy.deepcopy(coarse_small), seed=3)
+        b = self._trainer(copy.deepcopy(coarse_small), seed=3)
         ha = a.train(4)
         hb = b.train(4)
         assert ha.rewards == hb.rewards
@@ -134,24 +117,6 @@ class TestVectorizedRollouts:
         assert ha.losses == hb.losses
         for pa, pb in zip(a.network.parameters(), b.network.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
-
-    def test_batched_wave_episodes_are_complete(self, coarse_small):
-        tr = self._trainer(coarse_small, seed=5, n_envs=3)
-        episodes = tr.play_episodes(3)
-        assert len(episodes) == 3
-        n_steps = tr.env.n_steps
-        for transitions, wirelength in episodes:
-            assert len(transitions) == n_steps
-            assert np.isfinite(wirelength) and wirelength > 0
-
-    def test_train_with_waves_hits_same_cadences(self, coarse_small):
-        """n_envs>1 still updates every update_every episodes and fills the
-        history to exactly n_episodes."""
-        tr = self._trainer(coarse_small, seed=7, n_envs=2)
-        hist = tr.train(5)
-        assert len(hist.rewards) == 5
-        assert len(hist.losses) == 2  # updates at episodes 2 and 4
-        assert tr.events.count("rollout_wave") >= 2
 
 
 def _mcts_env_net(coarse):
@@ -161,8 +126,8 @@ def _mcts_env_net(coarse):
 
 
 def _reference_sequential_search(env, network, reward_fn, config):
-    """The pre-batching MCTS loop (no eval cache, no waves), kept here as
-    the ground truth the K=1 engine must reproduce."""
+    """The plain MCTS loop (no eval cache), kept here as the ground truth
+    the search must reproduce."""
     placer = MCTSPlacer(env, network, reward_fn, config)
     root = Node(depth=0)
     builder = StateBuilder(env.coarse)
@@ -191,61 +156,16 @@ class TestMCTSLeafBatching:
     def test_k1_reproduces_reference_path(self, coarse_small):
         import copy
 
-        cfg = MCTSConfig(explorations=8, leaf_batch=1, seed=0)
+        cfg = MCTSConfig(explorations=8, seed=0)
         env1, net = _mcts_env_net(copy.deepcopy(coarse_small))
         reference = _reference_sequential_search(env1, net, REWARD, cfg)
         env2, _ = _mcts_env_net(copy.deepcopy(coarse_small))
         result = MCTSPlacer(env2, net, REWARD, cfg).run()
         assert result.assignment == reference
 
-    def test_wave_visits_are_integral_after_revert(self, coarse_small):
-        """Virtual losses must be fully reverted: every visit count is an
-        integer and each step's exploration budget is exactly consumed."""
-        cfg = MCTSConfig(explorations=9, leaf_batch=4, virtual_loss=1.0, seed=0)
-        env, net = _mcts_env_net(coarse_small)
-        placer = MCTSPlacer(env, net, REWARD, cfg)
-        result = placer.run()
-        assert result.n_waves > 0
-        root = placer.last_root
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.expanded:
-                np.testing.assert_array_equal(node.visit, np.round(node.visit))
-                stack.extend(node.children.values())
-        # Every exploration of every step backpropagates through the root
-        # (Fig. 3), so the root's edge visits count all of them — exactly,
-        # because the waves revert their virtual losses.
-        assert root.visit.sum() == cfg.explorations * env.n_steps
-
-    def test_leaf_batching_reduces_network_calls(self, coarse_small):
-        """Waves + the eval cache must not evaluate more states than the
-        sequential engine."""
-        import copy
-
-        env1, net = _mcts_env_net(copy.deepcopy(coarse_small))
-        seq = MCTSPlacer(env1, net, REWARD, MCTSConfig(explorations=8, seed=0)).run()
-        env2, _ = _mcts_env_net(copy.deepcopy(coarse_small))
-        wav = MCTSPlacer(
-            env2, net, REWARD, MCTSConfig(explorations=8, leaf_batch=4, seed=0)
-        ).run()
-        assert wav.n_network_evaluations <= seq.n_network_evaluations
-
-    def test_eval_cache_dedupes_colliding_descents(self, coarse_small):
-        """With virtual loss disabled all K descents of a wave select the
-        same leaf — the dedup + cache must collapse them to one network
-        evaluation and count the rest as hits."""
-        env, net = _mcts_env_net(coarse_small)
-        cfg = MCTSConfig(explorations=8, leaf_batch=4, virtual_loss=0.0, seed=0)
-        result = MCTSPlacer(env, net, REWARD, cfg).run()
-        assert result.n_eval_cache_hits > 0
-        assert result.n_wave_leaves < cfg.explorations * env.n_steps
-
     def test_search_stats_event_emitted(self, coarse_small):
         env, net = _mcts_env_net(coarse_small)
-        placer = MCTSPlacer(
-            env, net, REWARD, MCTSConfig(explorations=6, leaf_batch=3, seed=0)
-        )
+        placer = MCTSPlacer(env, net, REWARD, MCTSConfig(explorations=6, seed=0))
         result = placer.run()
         [stats] = placer.events.of("search_stats")
         assert stats.data["network_evaluations"] == result.n_network_evaluations
@@ -253,12 +173,12 @@ class TestMCTSLeafBatching:
         assert stats.data["seconds_evaluation"] >= 0.0
 
     def test_eval_cache_survives_kill_and_resume(self, coarse_small):
-        """mcts.kill mid-search with leaf batching on: resuming from the
-        last commit snapshot must finish with the same assignment as an
-        uninterrupted run (eval cache included in the snapshot)."""
+        """mcts.kill mid-search: resuming from the last commit snapshot
+        must finish with the same assignment as an uninterrupted run (eval
+        cache included in the snapshot)."""
         import copy
 
-        cfg = MCTSConfig(explorations=6, leaf_batch=3, seed=0)
+        cfg = MCTSConfig(explorations=6, seed=0)
         env1, net = _mcts_env_net(copy.deepcopy(coarse_small))
         baseline = MCTSPlacer(env1, net, REWARD, cfg).run()
 
@@ -292,7 +212,7 @@ class TestMCTSLeafBatching:
         ).run()
         legacy = dict(snapshots[0])
         for key in (
-            "eval_cache", "n_eval_cache_hits", "n_waves", "n_wave_leaves",
+            "eval_cache", "n_eval_cache_hits",
             "seconds_selection", "seconds_evaluation", "seconds_terminal",
         ):
             legacy.pop(key, None)

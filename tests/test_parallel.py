@@ -1,20 +1,23 @@
-"""Parallel pure terminal evaluation (PR 3).
+"""Pure terminal evaluation.
 
 Covers the purity contract (``evaluate_assignment`` is a history-free
-function of the assignment), the worker pool's bitwise equivalence and
-degradation paths, the cross-run terminal cache, the transposition-keyed
-network-evaluation cache, and the vectorized pairwise-overlap check.
+function of the assignment), the cross-run terminal cache, the
+transposition-keyed network-evaluation cache, and the vectorized
+pairwise-overlap check.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.agent.actorcritic import ActorCriticTrainer
 from repro.agent.network import NetworkConfig, PolicyValueNet
 from repro.agent.reward import NormalizedReward
 from repro.agent.state import StateBuilder
@@ -27,13 +30,7 @@ from repro.mcts.node import Node as TreeNode
 from repro.mcts.search import MCTSConfig, MCTSPlacer, _state_key
 from repro.netlist.generator import GeneratorSpec, generate_design
 from repro.netlist.model import Node
-from repro.parallel import (
-    TerminalCache,
-    TerminalEvaluationPool,
-    environment_fingerprint,
-)
-from repro.runtime.faults import Fault, FaultPlan, inject
-from repro.utils.events import EventLog
+from repro.parallel import TerminalCache, environment_fingerprint
 
 REWARD = NormalizedReward(w_max=2000.0, w_min=500.0, w_avg=1200.0, alpha=0.75)
 
@@ -80,8 +77,8 @@ class TestPurity:
     @pytest.mark.parametrize("which", ["small", "other"])
     def test_history_independent(self, which, coarse_small, coarse_other):
         """evaluate_assignment(a) is bitwise-identical regardless of what
-        the environment evaluated before — the property every other piece
-        of this PR (pool, cross-run cache) is built on."""
+        the environment evaluated before — the property the cross-run
+        cache is built on."""
         coarse = {"small": coarse_small, "other": coarse_other}[which]
         env = make_env(coarse)
         assignments = random_assignments(env, 3, seed=1)
@@ -96,131 +93,6 @@ class TestPurity:
         # and again, interleaved, on the same reused env
         again = [reused.evaluate_assignment(a) for a in assignments]
         assert again == fresh
-
-    def test_pool_matches_in_process_bitwise(self, coarse_small):
-        env = make_env(coarse_small)
-        assignments = random_assignments(env, 3, seed=2)
-        expected = [
-            make_env(coarse_small).evaluate_assignment(a) for a in assignments
-        ]
-        with TerminalEvaluationPool(env, workers=2, clamp=False) as pool:
-            assert pool.parallel
-            assert pool.evaluate_many(assignments) == expected
-            assert pool.n_pooled == len(assignments)
-
-
-# -- the worker pool ----------------------------------------------------------
-class TestTerminalEvaluationPool:
-    def test_workers1_stays_in_process(self, coarse_small):
-        env = make_env(coarse_small)
-        pool = TerminalEvaluationPool(env, workers=1)
-        assert not pool.parallel
-        a = [0] * env.n_steps
-        expected = make_env(coarse_small).evaluate_assignment(a)
-        assert pool.evaluate(a) == expected
-        assert pool.n_local == 1 and pool.n_pooled == 0
-
-    def test_spawn_failure_degrades_with_event(self, coarse_small):
-        env = make_env(coarse_small)
-        events = EventLog()
-        with inject(FaultPlan(Fault("pool.spawn", at=1))):
-            pool = TerminalEvaluationPool(env, workers=2, clamp=False, events=events)
-        assert not pool.parallel
-        degradations = events.of("degradation")
-        assert len(degradations) == 1
-        assert degradations[0].data["solver"] == "terminal_pool"
-        assert degradations[0].data["phase"] == "spawn"
-        # evaluation still works, in-process
-        a = [0] * env.n_steps
-        assert pool.evaluate(a) == make_env(coarse_small).evaluate_assignment(a)
-        assert pool.n_local == 1
-
-    def test_submit_failure_marks_broken_and_falls_back(self, coarse_small):
-        # respawn_limit=0 pins the pre-respawn semantics: the first failed
-        # submit permanently degrades the pool (the bounded-respawn path
-        # is covered in tests/test_supervision.py)
-        env = make_env(coarse_small)
-        events = EventLog()
-        assignments = random_assignments(env, 3, seed=3)
-        expected = [
-            make_env(coarse_small).evaluate_assignment(a) for a in assignments
-        ]
-        with inject(FaultPlan(Fault("pool.submit", at=1))):
-            with TerminalEvaluationPool(
-                env, workers=2, clamp=False, events=events, respawn_limit=0
-            ) as pool:
-                assert pool.parallel
-                results = [pool.evaluate(a) for a in assignments]
-                assert not pool.parallel  # broken after the injected submit
-        assert results == expected
-        degradations = events.of("degradation")
-        assert len(degradations) == 1
-        assert degradations[0].data["phase"] == "submit"
-        assert pool.n_local == len(assignments)
-
-    def test_close_is_idempotent_and_degrades(self, coarse_small):
-        env = make_env(coarse_small)
-        pool = TerminalEvaluationPool(env, workers=2, clamp=False)
-        pool.close()
-        pool.close()
-        a = [1] * env.n_steps
-        assert pool.evaluate(a) == make_env(coarse_small).evaluate_assignment(a)
-
-
-# -- adaptive pool sizing (PR 6) ----------------------------------------------
-class TestAdaptivePoolSizing:
-    def test_oversubscription_clamped_to_cpu_count(self, coarse_small):
-        import os
-
-        cores = os.cpu_count() or 1
-        env = make_env(coarse_small)
-        events = EventLog()
-        pool = TerminalEvaluationPool(env, workers=cores + 3, events=events)
-        try:
-            assert pool.requested_workers == cores + 3
-            assert pool.workers == cores
-            degradations = events.of("degradation")
-            assert len(degradations) == 1
-            data = degradations[0].data
-            assert data["solver"] == "terminal_pool"
-            assert data["phase"] == "sizing"
-            assert data["requested"] == cores + 3
-            assert data["cpu_count"] == cores
-            assert data["workers"] == cores
-            expected_fallback = "in_process" if cores <= 1 else "clamp"
-            assert data["fallback"] == expected_fallback
-            # when the clamp leaves one worker, no pool is spawned at all
-            if cores <= 1:
-                assert not pool.parallel
-            # results are unchanged either way (purity)
-            a = [0] * env.n_steps
-            assert pool.evaluate(a) == (
-                make_env(coarse_small).evaluate_assignment(a)
-            )
-        finally:
-            pool.close()
-
-    def test_clamp_optout_keeps_the_literal_request(self, coarse_small):
-        env = make_env(coarse_small)
-        events = EventLog()
-        pool = TerminalEvaluationPool(
-            env, workers=2, clamp=False, events=events
-        )
-        try:
-            assert pool.workers == 2
-            assert pool.parallel
-            assert events.of("degradation") == []
-        finally:
-            pool.close()
-
-    def test_request_within_budget_emits_nothing(self, coarse_small):
-        env = make_env(coarse_small)
-        events = EventLog()
-        pool = TerminalEvaluationPool(env, workers=1, events=events)
-        assert pool.workers == 1
-        assert not pool.parallel
-        assert events.of("degradation") == []
-
 
 # -- the cross-run terminal cache ---------------------------------------------
 class TestTerminalCache:
@@ -283,6 +155,42 @@ class TestTerminalCache:
         assert reloaded.corrupt_entries == 1
         assert reloaded.get([1, 2]) is None  # poisoned value never served
         assert reloaded.get([3, 4]) == 200.0
+
+    def test_flipped_high_bit_drops_only_that_record(self, tmp_path):
+        path = str(tmp_path / "terminal_cache.jsonl")
+        cache = TerminalCache("fp", path=path)
+        cache.put([1, 2], 100.0)
+        cache.put([3, 4], 200.0)
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
+        data[5] ^= 0x80  # inside the first record: no longer UTF-8
+        with open(path, "wb") as f:
+            f.write(data)
+        reloaded = TerminalCache("fp", path=path)
+        assert reloaded.get([1, 2]) is None
+        assert reloaded.get([3, 4]) == 200.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_single_bit_flip_never_serves_a_wrong_value(self, data):
+        """Construction never raises on a one-bit-damaged file, and every
+        entry it loads is the value written for that key: the per-record
+        sha drops whatever the flip changed."""
+        written = {(1, 2): 100.0, (3, 4): 200.25, (5,): 1234.5678}
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "terminal_cache.jsonl")
+            cache = TerminalCache("fp", path=path)
+            for key, wirelength in written.items():
+                cache.put(key, wirelength)
+            with open(path, "rb") as f:
+                damaged = bytearray(f.read())
+            bit = data.draw(st.integers(0, len(damaged) * 8 - 1), label="bit")
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            with open(path, "wb") as f:
+                f.write(damaged)
+            loaded = TerminalCache("fp", path=path).as_dict()
+        for key, wirelength in loaded.items():
+            assert written[key] == wirelength
 
     def test_legacy_records_without_sha_still_load(self, tmp_path):
         path = str(tmp_path / "terminal_cache.jsonl")
@@ -349,36 +257,16 @@ class TestTerminalCache:
 
 # -- MCTS integration ---------------------------------------------------------
 class TestMCTSIntegration:
-    def _search(self, coarse, pool=None, cache=None, leaf_batch=4):
-        env = pool.env if pool is not None else make_env(coarse)
+    def _search(self, coarse, cache=None):
+        env = make_env(coarse)
         net = PolicyValueNet(
             NetworkConfig(zeta=4, channels=4, res_blocks=1, seed=0)
         )
         placer = MCTSPlacer(
-            env, net, REWARD,
-            MCTSConfig(explorations=8, leaf_batch=leaf_batch, seed=0),
-            terminal_pool=pool, terminal_cache=cache,
+            env, net, REWARD, MCTSConfig(explorations=8, seed=0),
+            terminal_cache=cache,
         )
         return placer.run(), placer
-
-    def test_pooled_search_equivalent(self, coarse_small):
-        base, _ = self._search(coarse_small)
-        with TerminalEvaluationPool(make_env(coarse_small), workers=2, clamp=False) as pool:
-            pooled, _ = self._search(coarse_small, pool=pool)
-        assert pooled.assignment == base.assignment
-        assert pooled.wirelength == base.wirelength
-        assert pooled.best_terminal_wirelength == base.best_terminal_wirelength
-        assert pooled.best_terminal_assignment == base.best_terminal_assignment
-
-    def test_broken_pool_mid_search_still_equivalent(self, coarse_small):
-        base, _ = self._search(coarse_small)
-        with inject(FaultPlan(Fault("pool.submit", at=2))):
-            with TerminalEvaluationPool(
-                make_env(coarse_small), workers=2, clamp=False
-            ) as pool:
-                degraded, _ = self._search(coarse_small, pool=pool)
-        assert degraded.assignment == base.assignment
-        assert degraded.wirelength == base.wirelength
 
     def test_persisted_cache_skips_all_terminal_evaluations(
         self, coarse_small, tmp_path
@@ -404,10 +292,9 @@ class TestMCTSIntegration:
 # -- satellite: the transposition-keyed evaluation cache ----------------------
 class TestEvalCacheTranspositions:
     def test_same_state_different_prefix_shares_entry(self, coarse_small):
-        """The PR 2 cache keyed on the action prefix, so two tree positions
-        holding the same state never shared an entry (BENCH_pr2 recorded 0
-        hits).  Keyed on the canonical state content, the second expansion
-        is a hit."""
+        """A cache keyed on the action prefix never shares an entry between
+        two tree positions holding the same state.  Keyed on the canonical
+        state content, the second expansion is a hit."""
         env = make_env(coarse_small)
         net = PolicyValueNet(
             NetworkConfig(zeta=4, channels=4, res_blocks=1, seed=0)
@@ -426,47 +313,6 @@ class TestEvalCacheTranspositions:
         a, b = builder.observe(), builder.clone().observe()
         assert a is not b
         assert _state_key(a) == _state_key(b)
-
-    def test_colliding_wave_descents_hit(self, coarse_small):
-        """virtual_loss=0 makes every descent of a wave identical — the
-        transposition configuration on which hits must be nonzero."""
-        env = make_env(coarse_small)
-        net = PolicyValueNet(
-            NetworkConfig(zeta=4, channels=4, res_blocks=1, seed=0)
-        )
-        result = MCTSPlacer(
-            env, net, REWARD,
-            MCTSConfig(explorations=8, leaf_batch=4, virtual_loss=0.0, seed=0),
-        ).run()
-        assert result.n_eval_cache_hits > 0
-
-
-# -- satellite: trainer integration -------------------------------------------
-class TestTrainerIntegration:
-    def _trainer(self, coarse, pool=None, n_envs=4):
-        env = pool.env if pool is not None else make_env(coarse)
-        net = PolicyValueNet(
-            NetworkConfig(zeta=4, channels=4, res_blocks=1, seed=0)
-        )
-        return ActorCriticTrainer(
-            env, net, REWARD, rng=5, n_envs=n_envs, terminal_pool=pool
-        )
-
-    def test_pooled_finalization_bitwise(self, coarse_small):
-        base = self._trainer(coarse_small).play_episodes(4)
-        with TerminalEvaluationPool(make_env(coarse_small), workers=2, clamp=False) as pool:
-            pooled = self._trainer(coarse_small, pool=pool).play_episodes(4)
-        assert [w for _, w in pooled] == [w for _, w in base]
-        assert [
-            [t.action for t in ts] for ts, _ in pooled
-        ] == [[t.action for t in ts] for ts, _ in base]
-
-    def test_single_env_skips_pool(self, coarse_small):
-        with TerminalEvaluationPool(make_env(coarse_small), workers=2, clamp=False) as pool:
-            trainer = self._trainer(coarse_small, pool=pool, n_envs=1)
-            trainer.play_episodes(1)
-            assert pool.n_pooled == 0  # n==1 finalizes in-process
-
 
 # -- satellite: vectorized pairwise overlap -----------------------------------
 class TestAnyPairwiseOverlap:

@@ -97,10 +97,9 @@ class TestJobSpec:
         assert JobSpec.from_json(payload) == spec
 
     def test_build_config_applies_seed_and_knobs(self, tmp_path):
-        spec = JobSpec(circuit="ibm01", seed=11, terminal_workers=2)
+        spec = JobSpec(circuit="ibm01", seed=11)
         cfg = spec.build_config(terminal_cache_path=str(tmp_path / "tc"))
         assert cfg.seed == 11
-        assert cfg.terminal_workers == 2
         assert cfg.terminal_cache_path == str(tmp_path / "tc")
 
 
@@ -136,6 +135,24 @@ class TestJobStore:
         replayed = JobStore(path).load()
         assert replayed.get(job.id).state == RUNNING
         assert replayed.queue_depth() == 0
+
+    def test_flipped_high_bit_drops_only_that_record(self, tmp_path):
+        path = str(tmp_path / "jobs.jsonl")
+        store = JobStore(path)
+        lost = store.add(JobSpec(circuit="ibm01"))
+        kept = store.add(JobSpec(circuit="ibm02"))
+        store.transition(kept.id, RUNNING, attempt=1)
+        store.transition(kept.id, DONE, hpwl=42.5)
+        with open(path, "rb") as f:
+            data = bytearray(f.read())
+        data[2] ^= 0x80  # inside the first submit record: no longer UTF-8
+        with open(path, "wb") as f:
+            f.write(data)
+
+        replayed = JobStore(path).load()
+        assert replayed.get(lost.id) is None
+        assert replayed.get(kept.id).state == DONE
+        assert replayed.get(kept.id).hpwl == 42.5
 
     def test_restart_after_compact_replays_identically(self, tmp_path):
         path = str(tmp_path / "jobs.jsonl")
@@ -281,12 +298,12 @@ class TestWarmKeys:
         assert not cache.has(cache.key(cfg_a, design))
 
     def test_execution_knobs_do_not_split_the_key(self, aux_path, tmp_path):
-        """terminal_workers / terminal_cache_path are execution knobs:
-        two jobs differing only there must share warm artifacts."""
+        """terminal_cache_path is an execution knob: two jobs differing
+        only there must share warm artifacts."""
         cache = WarmArtifactCache(str(tmp_path / "warm"))
         design = read_aux(aux_path)
         cfg_a = _spec(aux_path).build_config()
-        cfg_b = _spec(aux_path, terminal_workers=4).build_config(
+        cfg_b = _spec(aux_path).build_config(
             terminal_cache_path=str(tmp_path / "tc.jsonl")
         )
         assert cache.key(cfg_a, design) == cache.key(cfg_b, design)

@@ -177,6 +177,41 @@ class TestSpecExpansion:
         assert len({pretraining_fingerprint(c) for c in configs}) == 2
 
 
+class TestStudyDirCompatibility:
+    #: a spec.json in the older format, which carries a retired knob
+    SPEC_JSON = {
+        "aux": None,
+        "axes": [{"knob": "mcts.c_puct", "values": [1.05, 2.5]}],
+        "budget_seconds": None,
+        "circuit": "ibm01",
+        "constraints": [],
+        "macro_scale": 0.04,
+        "max_points": 4096,
+        "name": "parent-format",
+        "preset": "fast",
+        "priority": 0,
+        "scale": 0.004,
+        "seeds": [0, 1],
+        "terminal_workers": 1,
+    }
+    #: the point ids that spec.json expanded to back then: the study
+    #: journal keys, and (as ``study-<id>``) the service job ids
+    POINT_IDS = ["7e7fe74b4a1d", "322dee28c0d0", "ecfe6da695e1", "0dd4946ada67"]
+
+    def test_older_spec_json_loads_with_the_same_point_ids(self, tmp_path):
+        root = tmp_path / "study"
+        root.mkdir()
+        (root / "spec.json").write_text(json.dumps(self.SPEC_JSON))
+        study = Study.load(str(root))
+        assert [p.point_id for p in study.points] == self.POINT_IDS
+        # a re-run with the same spec passes the drift check
+        again = Study.create(str(root), StudySpec.from_json(self.SPEC_JSON))
+        assert [p.point_id for p in again.points] == self.POINT_IDS
+        # only that one retired key is forgiven
+        with pytest.raises(UsageError, match="unknown study spec keys"):
+            StudySpec.from_json(dict(self.SPEC_JSON, workers=2))
+
+
 # ---------------------------------------------------------------------------
 # orchestration against a scripted fake daemon
 # ---------------------------------------------------------------------------
@@ -506,11 +541,11 @@ class TestOverrides:
     def test_apply_overrides_nested_and_coerced(self):
         config = apply_overrides(
             PlacerConfig.fast(),
-            {"mcts.c_puct": 2.5, "zeta": 10.0, "mcts.leaf_batch": 4},
+            {"mcts.c_puct": 2.5, "zeta": 10.0, "mcts.explorations": 4},
         )
         assert config.mcts.c_puct == 2.5
         assert config.zeta == 10 and isinstance(config.zeta, int)
-        assert config.mcts.leaf_batch == 4
+        assert config.mcts.explorations == 4
 
     def test_jobspec_overrides_round_trip_and_fingerprint(self, aux_path):
         spec = JobSpec(

@@ -4,9 +4,9 @@ artifact integrity, and independent result verification.
 Unit layers (fake clocks, hand-built designs) pin the deterministic
 pieces — backoff schedules, stall detection, checksum round-trips, the
 verifier's geometry checks — and one integration test runs the full
-chaos drill: every injected failure (worker kill, checkpoint bit-rot,
-stage stall, warm-cache corruption, poison job) must end DONE-after-retry
-or QUARANTINED, with DONE HPWLs bit-identical to the unfaulted baseline.
+chaos drill: every injected failure (checkpoint bit-rot, stage stall,
+warm-cache corruption, poison job) must end DONE-after-retry or
+QUARANTINED, with DONE HPWLs bit-identical to the unfaulted baseline.
 """
 
 from __future__ import annotations
@@ -42,11 +42,8 @@ from repro.utils.events import read_jsonl
 from repro.verify import verify_placement
 from repro.verify.doctor import doctor_run_dir
 from tests.conftest import build_tiny_design
-from tests.test_parallel import make_env, random_assignments
 
-from repro.parallel import TerminalEvaluationPool
 from repro.runtime.budget import StageBudget
-from repro.utils.events import EventLog
 
 
 class FakeClock:
@@ -412,45 +409,6 @@ class TestVerifier:
         design = build_tiny_design()
         report = verify_placement(design, reported_hpwl=hpwl(design.netlist) * 1.01)
         assert "hpwl_recompute" in report.failed
-
-
-# -- pool worker kill: bounded respawn -----------------------------------------
-class TestPoolRespawn:
-    def test_worker_kill_respawns_and_matches_bitwise(self, coarse_small):
-        env = make_env(coarse_small)
-        events = EventLog()
-        assignments = random_assignments(env, 4, seed=11)
-        expected = [
-            make_env(coarse_small).evaluate_assignment(a) for a in assignments
-        ]
-        with inject(FaultPlan(Fault("pool.worker_kill", at=1))):
-            with TerminalEvaluationPool(env, workers=2, clamp=False, events=events) as pool:
-                assert pool.parallel
-                results = [pool.evaluate(a) for a in assignments]
-                assert pool.parallel  # respawned, not broken
-        assert results == expected
-        assert pool.respawns >= 1
-        respawn_events = [
-            e for e in events.of("degradation")
-            if e.data.get("fallback") == "respawn"
-        ]
-        assert len(respawn_events) == pool.respawns
-
-    def test_respawn_limit_exhaustion_degrades_in_process(self, coarse_small):
-        env = make_env(coarse_small)
-        events = EventLog()
-        a = [0] * env.n_steps
-        expected = make_env(coarse_small).evaluate_assignment(a)
-        with inject(FaultPlan(Fault("pool.submit", at=1, count=None))):
-            with TerminalEvaluationPool(
-                env, workers=2, clamp=False, events=events, respawn_limit=1
-            ) as pool:
-                assert pool.evaluate(a) == expected
-                assert pool.evaluate(a) == expected
-                assert not pool.parallel  # limit spent: degraded for good
-        fallbacks = [e.data["fallback"] for e in events.of("degradation")]
-        assert fallbacks.count("respawn") == 1
-        assert "in_process" in fallbacks
 
 
 # -- service-level supervision -------------------------------------------------

@@ -210,66 +210,6 @@ class TestTwoTierSearch:
         assert len(result.assignment) == env.n_steps
         assert math.isfinite(result.wirelength)
 
-    def test_inflight_future_reused_not_resubmitted(self, setup):
-        """A key already in flight on a pool worker rides that future;
-        the avoided resubmission counts as a terminal-cache hit."""
-        env, net, reward_fn = setup
-
-        class _Done:
-            def __init__(self, value):
-                self._value = value
-
-            def result(self):
-                return self._value
-
-        placer = MCTSPlacer(env, net, reward_fn, MCTSConfig(explorations=2))
-        key = tuple([0] * env.n_steps)
-        placer._inflight[key] = _Done(1234.5)
-        value = placer._terminal_value(list(key))
-        assert value == pytest.approx(float(reward_fn(1234.5)))
-        assert placer.n_terminal_cache_hits == 1
-        assert placer.n_exact_evaluations == 0
-
-    def test_pooled_waves_never_submit_a_key_twice(self, setup):
-        env, net, reward_fn = setup
-
-        class _Done:
-            def __init__(self, value):
-                self._value = value
-
-            def result(self):
-                return self._value
-
-        class _CountingPool:
-            """In-process stand-in for TerminalEvaluationPool: resolves
-            immediately but journals every submission per key."""
-
-            parallel = True
-
-            def __init__(self, pool_env):
-                self.env = pool_env
-                self.submissions: dict[tuple[int, ...], int] = {}
-
-            def submit(self, key):
-                self.submissions[key] = self.submissions.get(key, 0) + 1
-                return _Done(self.env.evaluate_assignment(list(key)))
-
-            def evaluate(self, key):
-                return self.env.evaluate_assignment(list(key))
-
-        cfg = MCTSConfig(explorations=8, seed=4, leaf_batch=4, exact_topk=3)
-        env_pool = self._fresh_env(env)
-        pool = _CountingPool(self._fresh_env(env))
-        pooled = MCTSPlacer(
-            env_pool, net, reward_fn, cfg, terminal_pool=pool
-        ).run()
-        assert pool.submissions  # the wave path actually dispatched
-        assert max(pool.submissions.values()) == 1
-        # Pooled and in-process two-tier searches agree bitwise.
-        inproc = MCTSPlacer(self._fresh_env(env), net, reward_fn, cfg).run()
-        assert pooled.assignment == inproc.assignment
-        assert pooled.wirelength == inproc.wirelength
-
     def test_checkpoint_resume_is_bitwise_with_pruning(self, setup):
         """Heap + calibration pairs round-trip through a snapshot: a
         resumed pruned search finishes exactly like an uninterrupted one."""

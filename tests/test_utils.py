@@ -29,6 +29,16 @@ class TestReadJsonl:
         )
         assert read_jsonl(str(path)) == [{"a": 1}, {"b": 2}]
 
+    def test_flipped_high_bit_drops_only_that_record(self, tmp_path):
+        """The writers emit pure ASCII, so a flipped bit 7 leaves a byte
+        that is not UTF-8: that one line is skipped, not raised on."""
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(json.dumps({"k": i}) + "\n" for i in range(3)))
+        data = bytearray(path.read_bytes())
+        data[2] ^= 0x80  # inside the first record
+        path.write_bytes(bytes(data))
+        assert read_jsonl(str(path)) == [{"k": 1}, {"k": 2}]
+
 
 class TestRng:
     def test_seed_deterministic(self):
