@@ -17,6 +17,10 @@ Adaptations from the paper (documented in DESIGN.md):
   information through a simpler (still learnable downstream) channel;
 - paper scale is ζ=16, 128 channels, 10 ResBlocks (``NetworkConfig.paper()``);
   the default is CPU-sized.
+
+The layers above define the math; the passes run through a per-shape
+execution plan (:class:`_Plan`) that issues the same numpy operations
+without the per-layer interpreter overhead.
 """
 
 from __future__ import annotations
@@ -35,9 +39,11 @@ from repro.nn.layers import (
     Layer,
     Linear,
     Parameter,
+    Program,
     ReLU,
     Sequential,
 )
+from repro.nn.serialization import _batchnorms
 from repro.utils.rng import ensure_rng
 
 
@@ -153,36 +159,45 @@ class PolicyValueNet(Layer):
         return x
 
     # -- forward / backward ---------------------------------------------------------
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (logits (N, ζ²), value (N,)).
+    #: execution plans (:class:`_Plan`) of the shapes in use: the last
+    #: forward_eval input and the last training batch
+    _eval_plan: "_Plan | None" = None
+    _train_plan: "_Plan | None" = None
 
-        The value head is linear by default (``config.value_tanh`` enables a
-        bounded tanh variant for ablation).
+    def __getstate__(self) -> dict:
+        # Plans hold views of this network's arrays; a copy builds its own.
+        return {**self.__dict__, "_eval_plan": None, "_train_plan": None, "_cache": None}
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (logits (N, ζ²), value (N,)), keeping what
+        :meth:`backward` needs.
+
+        BN layers normalize with batch moments in training mode and with
+        their running statistics in eval mode.  The value head is linear by
+        default (``config.value_tanh`` enables a bounded tanh variant for
+        ablation).
         """
-        trunk_out = self.trunk(x)
-        logits = self.policy_head(trunk_out)
-        value_in = np.concatenate([trunk_out, x[:, 0:1], x[:, 2:3]], axis=1)
-        v_feat = self.value_conv(value_in)
-        v_raw = self.value_mlp(v_feat)[:, 0]
-        v = np.tanh(v_raw) if self.config.value_tanh else v_raw
-        self._cache = (x.shape, v)
+        plan = self._train_plan
+        if plan is None or plan.key != (x.shape, x.dtype):
+            self._train_plan = self._cache = None  # free it before the next
+            plan = self._train_plan = _Plan(self, x.shape, x.dtype, backprop=True)
+        logits, v = plan.run(x)
+        self._cache = (plan, v)
         return logits, v
 
-    def backward(
-        self, dlogits: np.ndarray, dvalue: np.ndarray
-    ) -> np.ndarray:
-        """Backprop both heads; *dvalue* has shape (N,)."""
-        x_shape, v = self._cache
+    def backward(self, dlogits: np.ndarray, dvalue: np.ndarray) -> None:
+        """Accumulate every parameter gradient of the last :meth:`forward`
+        from both heads; *dvalue* has shape (N,).
+
+        The gradient with respect to the input planes is not computed: no
+        caller needs it.
+        """
+        if self._cache is None:
+            raise RuntimeError("backward() needs a forward() first")
+        plan, v = self._cache
         if self.config.value_tanh:
-            dv_raw = dvalue * (1.0 - v**2)  # through tanh
-        else:
-            dv_raw = dvalue
-        d_vfeat = self.value_mlp.backward(dv_raw[:, None])
-        d_value_in = self.value_conv.backward(d_vfeat)
-        ch = self.config.channels
-        d_trunk_from_value = d_value_in[:, :ch]
-        d_trunk_from_policy = self.policy_head.backward(dlogits)
-        return self.trunk.backward(d_trunk_from_policy + d_trunk_from_value)
+            dvalue = dvalue * (1.0 - v**2)  # through tanh
+        plan.backward(dlogits, dvalue)
 
     # -- convenience -------------------------------------------------------------
     def evaluate(
@@ -190,7 +205,7 @@ class PolicyValueNet(Layer):
     ) -> tuple[np.ndarray, float]:
         """Inference for one state: (masked probabilities (ζ²,), value).
 
-        Uses eval-mode batch-norm statistics and restores the previous mode.
+        Uses eval-mode batch-norm statistics (:meth:`forward_eval`).
         Delegates to :meth:`evaluate_batch` with B=1, so the single-state
         and batched paths cannot drift apart.
         """
@@ -205,8 +220,7 @@ class PolicyValueNet(Layer):
         across the batch instead of re-dispatching per state.  Each row's
         policy is softmaxed under that state's availability mask
         (``s_a > 0``; an all-masked row falls back to the plain softmax,
-        matching the single-state path).  The previous train/eval mode is
-        restored on exit.
+        matching the single-state path).
         """
         from repro.nn.functional import masked_softmax
 
@@ -229,15 +243,13 @@ class PolicyValueNet(Layer):
         return masks
 
     def forward_eval(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One eval-mode forward, restoring the previous train/eval mode."""
-        was_training = self.training
-        if was_training:  # avoid two full layer-tree walks per call when
-            self.eval()  # the network already sits in eval mode
-        try:
-            return self.forward(x)
-        finally:
-            if was_training:
-                self.train(True)
+        """One eval-mode forward: BN layers use their running statistics,
+        whatever the network's train/eval mode, which stays untouched."""
+        plan = self._eval_plan
+        if plan is None or plan.key != (x.shape, x.dtype):
+            self._eval_plan = None  # free it before the next
+            plan = self._eval_plan = _Plan(self, x.shape, x.dtype, backprop=False)
+        return plan.run(x)
 
     def forward_eval_tiled(
         self, x: np.ndarray, tile: int
@@ -262,22 +274,235 @@ class PolicyValueNet(Layer):
             zeta = self.config.zeta
             return np.zeros((0, zeta * zeta), dtype=x.dtype), np.zeros(0)
         out_logits, out_v = [], []
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            for start in range(0, n, tile):
-                chunk = x[start : start + tile]
-                rows = len(chunk)
-                if rows < tile:
-                    pad = np.zeros(
-                        (tile - rows,) + chunk.shape[1:], dtype=chunk.dtype
-                    )
-                    chunk = np.concatenate([chunk, pad], axis=0)
-                logits, v = self.forward(chunk)
-                out_logits.append(logits[:rows])
-                out_v.append(v[:rows])
-        finally:
-            if was_training:
-                self.train(True)
+        for start in range(0, n, tile):
+            chunk = x[start : start + tile]
+            rows = len(chunk)
+            if rows < tile:
+                pad = np.zeros((tile - rows,) + chunk.shape[1:], dtype=chunk.dtype)
+                chunk = np.concatenate([chunk, pad], axis=0)
+            logits, v = self.forward_eval(chunk)
+            out_logits.append(logits[:rows])
+            out_v.append(v[:rows])
         return np.concatenate(out_logits), np.concatenate(out_v)
+
+
+class _Plan:
+    """The network's passes for one input shape and dtype, built once.
+
+    Every activation lives in a buffer allocated here, and each pass is a
+    :class:`~repro.nn.layers.Program` of the layers' ``emit_*`` calls:
+    the same floating-point operations, in the same order, on operands of
+    the same dtype and memory layout as the layers' own
+    ``forward``/``backward``, so results are byte-identical (the tests
+    hold the two side by side).  What a plan saves is the interpreter
+    work around them:
+
+    - each 3×3 conv reads a zero-bordered buffer through tap windows taken
+      once, and the ReLU before it writes straight into that buffer;
+    - the 1×1 head convs read the trunk output in place, which also is the
+      value head's input (trunk ++ s_p ++ t, no concatenation);
+    - the backward's col2im uses the padded-width layout
+      (:func:`~repro.nn.functional.col2im_padded`) and skips the gradient
+      of the input planes.
+
+    An eval plan (``backprop=False``) normalizes with the BN running
+    statistics and shares its scratch between layers.  A training plan
+    keeps each layer's columns, normalized activations and ReLU masks for
+    :meth:`backward`, and normalizes the way each BN layer's mode says.
+    """
+
+    def __init__(self, net: PolicyValueNet, shape: tuple, dtype, backprop: bool) -> None:
+        n, planes, h, w = shape
+        c, s = net.config.channels, h * w
+        act = np.result_type(dtype, net.dtype)
+        self.key = (shape, dtype)
+        self.net, self.backprop, self.dims = net, backprop, (n, c, h, w)
+        self.act = act
+        #: what each layer's backward reads, by layer
+        self.saved: dict[Layer, object] = {}
+        self.bwd: Program | None = None
+        prog = self.fwd = Program()
+        if not backprop:
+            self._inv_std = self._emit_inv_std(prog, net)
+
+        stem, stem_bn, stem_relu, tower = net.trunk.layers
+        pconv, pbn, prelu, _, self.policy_fc = net.policy_head.layers
+        vconv, vbn, vrelu, _ = net.value_conv.layers
+        fc1, relu1, fc2, relu2, self.value_fc = net.value_mlp.layers
+
+        # Inputs of the 3×3 convs: zero-bordered buffers whose border is
+        # never written.  a holds a block's input and output, b the
+        # activation between its two convs.
+        x_pad = np.zeros((n, planes, h + 2, w + 2), dtype)
+        a = np.zeros((n, c, h + 2, w + 2), act)
+        b = np.zeros((n, c, h + 2, w + 2), act)
+        # trunk output ++ s_p ++ t: the value conv's input; its first c
+        # channels are the policy conv's input
+        self.value_in = np.empty((n, c + 2, s), act)
+        self.x = x_pad[:, :, 1:-1, 1:-1]
+        self.side_planes = self.value_in[:, c:].reshape(n, 2, h, w)
+        trunk_out = self.value_in[:, :c]
+        y = np.empty((n, c, s), act)  # every trunk conv's output
+        y4 = y.reshape(n, c, h, w)
+
+        blocks = tower.blocks
+        last = trunk_out.reshape(n, c, h, w)
+        self._conv(stem, x_pad, y)
+        self._norm(stem_bn, y4)
+        self._relu(stem_relu, y4, _interior(a) if blocks else last)
+        for i, block in enumerate(blocks):
+            self._conv(block.conv1, a, y)
+            self._norm(block.bn1, y4)
+            self._relu(block.relu1, y4, _interior(b))
+            self._conv(block.conv2, b, y)
+            self._norm(block.bn2, y4)
+            prog.emit(np.add, y4, _interior(a), out=y4)  # skip connection
+            self._relu(block.relu_out, y4, last if i == len(blocks) - 1 else _interior(a))
+
+        self.policy = np.empty((n, 2, s), act)
+        p4 = self.policy.reshape(n, 2, h, w)
+        self._conv(pconv, trunk_out, self.policy)
+        self._norm(pbn, p4)
+        self._relu(prelu, p4, p4)
+        self.value = np.empty((n, 1, s), act)
+        v4 = self.value.reshape(n, 1, h, w)
+        self._conv(vconv, self.value_in, self.value)
+        self._norm(vbn, v4)
+        self._relu(vrelu, v4, v4)
+        self.hidden = np.empty((n, fc1.out_features), act)
+        fc1.emit_forward(prog, self.value.reshape(n, s), self.hidden)
+        self._relu(relu1, self.hidden, self.hidden)
+        self.hidden2 = np.empty((n, fc2.out_features), act)
+        fc2.emit_forward(prog, self.hidden, self.hidden2)
+        self._relu(relu2, self.hidden2, self.hidden2)
+
+    @staticmethod
+    def _emit_inv_std(prog: Program, net: PolicyValueNet) -> dict:
+        """``1 / sqrt(running_var + eps)`` of every BN layer, recomputed at
+        the start of each run in four calls over one concatenated array."""
+        bns = _batchnorms(net)
+        sizes = [bn.channels for bn in bns]
+        inv = np.empty(sum(sizes), net.dtype)
+        eps = np.concatenate([np.full(bn.channels, bn.eps, net.dtype) for bn in bns])
+        prog.emit(np.concatenate, [bn.running_var for bn in bns], out=inv)
+        prog.emit(np.add, inv, eps, out=inv)
+        prog.emit(np.sqrt, inv, out=inv)
+        prog.emit(np.divide, 1.0, inv, out=inv)
+        ends = np.cumsum(sizes)
+        return {bn: inv[end - size : end] for bn, size, end in zip(bns, sizes, ends)}
+
+    # -- forward --------------------------------------------------------------
+    def _conv(self, conv: Conv2D, src: np.ndarray, out: np.ndarray) -> None:
+        cols = None
+        if conv.kernel > 1:
+            n, c = src.shape[:2]
+            shape = (n, c * conv.kernel**2, out.shape[2])
+            if self.backprop:
+                cols = np.empty(shape, src.dtype)
+            else:
+                cols = self.fwd.scratch("cols", shape, src.dtype)
+        conv.emit_forward(self.fwd, src, out, cols)
+        self.saved[conv] = src if cols is None else cols
+
+    def _norm(self, bn: BatchNorm2D, y: np.ndarray) -> None:
+        if not self.backprop:
+            bn.emit_eval(self.fwd, y, self._inv_std[bn])
+            return
+        x_hat, cache = np.empty_like(y), {}
+        self.fwd.emit(bn.forward_into, y, x_hat, y, cache)
+        self.saved[bn] = (x_hat, cache)
+
+    def _relu(self, relu: ReLU, src: np.ndarray, out: np.ndarray) -> None:
+        if self.backprop:
+            mask = np.empty(src.shape, bool)
+        else:
+            mask = self.fwd.scratch("mask", src.shape, bool)
+        relu.emit_forward(self.fwd, src, mask, out)
+        self.saved[relu] = mask
+
+    def run(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.copyto(self.x, x)
+        np.copyto(self.side_planes, x[:, 0::2])  # s_p and the t-plane
+        self.fwd.run()
+        n, _, h, w = self.dims
+        # The last layer of each head writes fresh arrays: callers keep them.
+        fc = self.policy_fc
+        logits = self.policy.reshape(n, 2 * h * w) @ fc.weight.data.T
+        logits += fc.bias.data
+        fc = self.value_fc
+        v = self.hidden2 @ fc.weight.data.T
+        v += fc.bias.data
+        v = v[:, 0]
+        return logits, np.tanh(v) if self.net.config.value_tanh else v
+
+    # -- backward -------------------------------------------------------------
+    def backward(self, dlogits: np.ndarray, dvalue: np.ndarray) -> None:
+        """Backprop the last :meth:`run` (*dvalue* already through tanh).
+
+        The pass runs in the dtype of the incoming gradients and the
+        activations, whichever is wider: the dtype the layers' own
+        backward computes in when both gradients have one dtype at least
+        as wide as the activations' (as every trainer passes them).
+        """
+        dtype = np.result_type(dlogits, dvalue, self.act)
+        if self.bwd is None or self.dlogits.dtype != dtype:
+            self.bwd = None  # free it before the next
+            self._build_backward(dtype)
+        np.copyto(self.dlogits, dlogits)
+        np.copyto(self.dvalue, dvalue)
+        self.bwd.run()
+
+    def _build_backward(self, dtype) -> None:
+        net, saved = self.net, self.saved
+        n, c, h, w = self.dims
+        s = h * w
+        prog = Program()
+        stem, stem_bn, stem_relu, tower = net.trunk.layers
+        pconv, pbn, prelu, _, pfc = net.policy_head.layers
+        vconv, vbn, vrelu, _ = net.value_conv.layers
+        fc1, relu1, fc2, relu2, fc3 = net.value_mlp.layers
+
+        def norm(bn: BatchNorm2D, dy: np.ndarray) -> np.ndarray:
+            tmp = prog.scratch("bn.tmp", dy.shape, dtype)
+            out = prog.scratch("bn.out", dy.shape, dtype)
+            x_hat, cache = saved[bn]
+            prog.emit(bn.backward_into, dy, x_hat, cache, tmp, out)
+            return out
+
+        self.dlogits = np.empty((n, s), dtype)
+        self.dvalue = np.empty(n, dtype)
+        # value head
+        g2 = np.empty((n, fc2.out_features), dtype)
+        fc3.emit_backward(prog, self.dvalue[:, None], self.hidden2, g2)
+        relu2.emit_backward(prog, g2, saved[relu2], g2)
+        g1 = np.empty((n, fc1.out_features), dtype)
+        fc2.emit_backward(prog, g2, self.hidden, g1)
+        relu1.emit_backward(prog, g1, saved[relu1], g1)
+        gv = np.empty((n, 1, h, w), dtype)
+        fc1.emit_backward(prog, g1, self.value.reshape(n, s), gv.reshape(n, s))
+        vrelu.emit_backward(prog, gv, saved[vrelu], gv)
+        d_value_in = vconv.emit_backward(prog, norm(vbn, gv), saved[vconv])
+        # policy head
+        gp = np.empty((n, 2, h, w), dtype)
+        pfc.emit_backward(prog, self.dlogits, self.policy.reshape(n, 2 * s), gp.reshape(n, 2 * s))
+        prelu.emit_backward(prog, gp, saved[prelu], gp)
+        # (c input channels here, c + 2 for the value conv: distinct scratch)
+        d_trunk_out = pconv.emit_backward(prog, norm(pbn, gp), saved[pconv])
+        grad = np.empty((n, c, h, w), dtype)
+        prog.emit(np.add, d_trunk_out, d_value_in[:, :c], out=grad)
+        # trunk, last block first
+        between = np.empty((n, c, h, w), dtype)
+        for block in reversed(tower.blocks):
+            block.relu_out.emit_backward(prog, grad, saved[block.relu_out], grad)
+            dx = block.conv2.emit_backward(prog, norm(block.bn2, grad), saved[block.conv2])
+            block.relu1.emit_backward(prog, dx, saved[block.relu1], between)
+            dx = block.conv1.emit_backward(prog, norm(block.bn1, between), saved[block.conv1])
+            prog.emit(np.add, dx, grad, out=grad)  # skip connection
+        stem_relu.emit_backward(prog, grad, saved[stem_relu], grad)
+        stem.emit_backward(prog, norm(stem_bn, grad), saved[stem], input_grad=False)
+        self.bwd = prog
+
+
+def _interior(padded: np.ndarray) -> np.ndarray:
+    """The activation inside a 3×3 conv's zero-bordered input buffer."""
+    return padded[:, :, 1:-1, 1:-1]

@@ -38,9 +38,9 @@ from repro.gp.mixed_size import MixedSizePlacer
 from repro.grid.plan import GridPlan
 from repro.legalize.pipeline import IncrementalMacroLegalizer
 from repro.mcts.search import MCTSPlacer, SearchResult
-from repro.netlist.model import Design
+from repro.netlist.model import Design, NodeKind
 from repro.parallel import TerminalCache, environment_fingerprint
-from repro.runtime.errors import CalibrationError
+from repro.runtime.errors import CalibrationError, UsageError
 from repro.runtime.harness import RunContext
 from repro.utils.events import EventLog
 from repro.utils.rng import ensure_rng
@@ -117,11 +117,22 @@ class MCTSGuidedPlacer:
         return coarse
 
     def _coarsen(self, design: Design) -> CoarseNetlist:
+        """Grid partition + coarsening; a design with no movable macro
+        group has nothing for the agent to place and fails here."""
         cfg = self.config
         plan = GridPlan(design.region, zeta=cfg.zeta)
-        return coarsen_design(
+        coarse = coarsen_design(
             design, plan, gamma=cfg.gamma_params, phi=cfg.phi_params
         )
+        if coarse.n_macro_groups == 0:
+            macros = sum(1 for n in design.netlist if n.kind is NodeKind.MACRO)
+            reason = "every macro is preplaced" if macros else "it has no macros"
+            raise UsageError(
+                f"nothing to place in design {design.netlist.name!r}: {reason}",
+                design=design.netlist.name,
+                preplaced_macros=macros,
+            )
+        return coarse
 
     def build_environment(self, coarse: CoarseNetlist) -> MacroGroupPlacementEnv:
         return MacroGroupPlacementEnv(

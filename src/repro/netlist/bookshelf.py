@@ -22,6 +22,7 @@ Classification rules (matching common mixed-size practice):
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 
@@ -49,23 +50,35 @@ class BookshelfError(PlacementError, ValueError):
     """
 
 
+def _read_text(path: str, what: str = "Bookshelf file") -> str:
+    """The file's text; unreadable or non-UTF-8 input raises
+    :class:`BookshelfError` (the latter naming the line)."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise BookshelfError(f"cannot open {what}: {exc}", file=path) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise BookshelfError(
+            f"not UTF-8 text (byte {data[exc.start]:#04x})",
+            file=path, line=lineno,
+        ) from None
+
+
 def _content_lines(path: str) -> list[tuple[int, str]]:
     """(line_number, text) for the non-empty, non-comment lines of a file."""
     lines: list[tuple[int, str]] = []
-    try:
-        f = open(path)
-    except OSError as exc:
-        raise BookshelfError(
-            f"cannot open Bookshelf file: {exc}", file=path
-        ) from exc
-    with f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("UCLA"):
-                continue
-            lines.append((lineno, line))
+    # universal newlines, exactly as a text-mode read splits them
+    for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("UCLA"):
+            continue
+        lines.append((lineno, line))
     return lines
 
 
@@ -93,6 +106,7 @@ class _RawNode:
 
 def _parse_nodes(path: str) -> list[_RawNode]:
     nodes: list[_RawNode] = []
+    seen: set[str] = set()
     for lineno, line in _content_lines(path):
         if line.startswith("NumNodes") or line.startswith("NumTerminals"):
             continue
@@ -102,6 +116,12 @@ def _parse_nodes(path: str) -> list[_RawNode]:
                 "bad .nodes line: expected 'name width height [terminal]'",
                 file=path, line=lineno, text=line,
             )
+        if parts[0] in seen:
+            raise BookshelfError(
+                f"duplicate node name {parts[0]!r}",
+                file=path, line=lineno, text=line,
+            )
+        seen.add(parts[0])
         terminal = len(parts) > 3 and parts[3].lower().startswith("terminal")
         w = _parse_float(parts[1], path, lineno, line, "node width")
         h = _parse_float(parts[2], path, lineno, line, "node height")
@@ -109,7 +129,8 @@ def _parse_nodes(path: str) -> list[_RawNode]:
     return nodes
 
 
-def _parse_nets(path: str) -> list[Net]:
+def _parse_nets(path: str, nodes: set[str]) -> list[Net]:
+    """Nets whose pins all name one of *nodes*."""
     nets: list[Net] = []
     current: Net | None = None
     remaining = 0
@@ -146,6 +167,11 @@ def _parse_nets(path: str) -> list[Net]:
             )
         parts = line.split()
         node_name = parts[0]
+        if node_name not in nodes:
+            raise BookshelfError(
+                f"pin names unknown node {node_name!r}",
+                file=path, line=lineno, text=line,
+            )
         dx = dy = 0.0
         if ":" in parts:
             colon = parts.index(":")
@@ -207,11 +233,17 @@ def _parse_scl(path: str) -> _Rows:
         elif fields[0] == "subroworigin":
             # "SubrowOrigin : x NumSites : n" on one line
             for i, f in enumerate(fields):
+                if f not in ("subroworigin", "numsites"):
+                    continue
+                if i + 2 >= len(fields):
+                    raise BookshelfError(
+                        f"no value after {f!r}", file=path, line=lineno, text=line
+                    )
                 if f == "subroworigin":
                     subrow_origin = _parse_float(
                         fields[i + 2], path, lineno, line, "subrow origin"
                     )
-                if f == "numsites":
+                else:
                     num_sites = _parse_float(
                         fields[i + 2], path, lineno, line, "site count"
                     )
@@ -246,13 +278,7 @@ def _parse_scl(path: str) -> _Rows:
 def read_aux(aux_path: str) -> Design:
     """Read a full Bookshelf design via its ``.aux`` manifest."""
     base_dir = os.path.dirname(os.path.abspath(aux_path))
-    try:
-        with open(aux_path) as f:
-            content = f.read()
-    except OSError as exc:
-        raise BookshelfError(
-            f"cannot open .aux manifest: {exc}", file=aux_path
-        ) from exc
+    content = _read_text(aux_path, ".aux manifest")
     _, _, tail = content.partition(":")
     file_names = tail.split()
     if not file_names:
@@ -298,7 +324,7 @@ def read_design(nodes: str, nets: str, pl: str, scl: str, name: str = "design") 
             node = Cell(rn.name, rn.width, rn.height, x=x, y=y, fixed=fixed_in_pl)
         netlist.add_node(node)
 
-    for net in _parse_nets(nets):
+    for net in _parse_nets(nets, {rn.name for rn in raw_nodes}):
         netlist.add_net(net)
 
     return Design(netlist=netlist, region=rows.region)

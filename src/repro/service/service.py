@@ -441,6 +441,7 @@ class PlacementService:
         resume = os.path.exists(os.path.join(run_dir, "manifest.json"))
         started = time.perf_counter()
         heartbeat = self.supervisor.begin(job.id, attempt)
+        running = False
         try:
             name, design = job.spec.build_design()
             config = job.spec.build_config(
@@ -454,6 +455,7 @@ class PlacementService:
                 job.id, RUNNING, attempt=attempt, resume=resume,
                 design=name, cold=cold, worker=worker.pid,
             )
+            running = True
             self.write_metrics()
             reply = worker.run(
                 AttemptRequest(
@@ -470,6 +472,15 @@ class PlacementService:
                 heartbeat,
             )
         except Exception as exc:  # noqa: BLE001 — jobs must not kill slots
+            if not running:
+                # The attempt failed before it could start: its design or
+                # config cannot be built (an unknown circuit or knob, a
+                # malformed netlist) or its worker would not start.
+                # Journal it as started so the supervisor decides it like
+                # any failed attempt; a permanent kind ends FAILED now.
+                self.store.transition(
+                    job.id, RUNNING, attempt=attempt, resume=resume, cold=cold
+                )
             self._resolve_attempt_failure(
                 job, attempt, started, error_record(exc)
             )

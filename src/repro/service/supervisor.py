@@ -88,6 +88,8 @@ PERMANENT_KINDS = frozenset(
         # resubmits once pressure clears; the journaled job stays FAILED
         "ResourcePressure",
         "VerificationError",
+        # malformed Bookshelf input fails the same way on every attempt
+        "BookshelfError",
     }
 )
 

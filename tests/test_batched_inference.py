@@ -318,14 +318,21 @@ class TestDtypeSubstrate:
         np.testing.assert_allclose(l32, l64, rtol=1e-4, atol=1e-5)
         np.testing.assert_allclose(v32, v64, rtol=1e-3, atol=1e-4)
 
-    def test_float32_conv_scratch_reused_in_eval(self):
-        from repro.nn.layers import Conv2D
-
-        conv = Conv2D(2, 3, kernel=3, rng=0)
-        conv.eval()
-        x = np.random.default_rng(1).random((2, 2, 4, 4)).astype(np.float32)
-        conv(x)
-        [first] = conv._scratch.values()
-        conv(x)
-        [second] = conv._scratch.values()
-        assert np.shares_memory(first, second)  # same buffer, no realloc
+    def test_plan_buffers_reused_across_calls(self):
+        """A same-shape forward reruns the plan built by the first one, in
+        the same buffers; a new shape replaces it, so one plan per pass
+        is ever held."""
+        net = _net()
+        rng = np.random.default_rng(1)
+        x = rng.random((1, 3, 4, 4)).astype(np.float32)
+        net.forward_eval(x)
+        plan = net._eval_plan
+        again = rng.random((1, 3, 4, 4)).astype(np.float32)
+        net.forward_eval(again)
+        assert net._eval_plan is plan
+        assert np.array_equal(plan.x, again)  # written into the same buffer
+        train = net._train_plan
+        net.forward(rng.random((8, 3, 4, 4)).astype(np.float32))
+        assert net._train_plan is train  # the batch _net() trained on
+        net.forward_eval(rng.random((3, 3, 4, 4)).astype(np.float32))
+        assert net._eval_plan is not plan and net._eval_plan.key[0] == (3, 3, 4, 4)

@@ -3,10 +3,13 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.netlist.bookshelf import BookshelfError, read_aux, write_design
 from repro.netlist.hpwl import hpwl
 from repro.netlist.model import NodeKind
+from repro.runtime.errors import PlacementError
 
 
 class TestRoundTrip:
@@ -78,6 +81,81 @@ class TestMalformedInput:
         scl.write_text("UCLA scl 1.0\nNumRows : 0\n")
         with pytest.raises(BookshelfError, match="CoreRow"):
             read_aux(str(tmp_path / f"{placed_design.name}.aux"))
+
+
+    def _bundle(self, tmp_path, design, ext):
+        aux = write_design(design, str(tmp_path))
+        return aux, tmp_path / f"{design.name}{ext}"
+
+    def _raises_at(self, aux, path, line, match):
+        with pytest.raises(BookshelfError, match=match) as info:
+            read_aux(aux)
+        assert info.value.details["file"] == str(path)
+        assert info.value.details["line"] == line
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path, placed_design):
+        aux, nodes = self._bundle(tmp_path, placed_design, ".nodes")
+        lines = nodes.read_bytes().split(b"\n")
+        lines[4] = lines[4][:2] + b"\xff" + lines[4][3:]
+        nodes.write_bytes(b"\n".join(lines))
+        self._raises_at(aux, nodes, 5, "UTF-8")
+
+    def test_duplicate_node_names_its_line(self, tmp_path, placed_design):
+        aux, nodes = self._bundle(tmp_path, placed_design, ".nodes")
+        lines = nodes.read_text().splitlines()
+        first = next(i for i, l in enumerate(lines) if l.startswith("  "))
+        lines.insert(first + 3, lines[first])
+        nodes.write_text("\n".join(lines) + "\n")
+        self._raises_at(aux, nodes, first + 4, "duplicate node")
+
+    def test_pin_of_unknown_node_names_its_line(self, tmp_path, placed_design):
+        aux, nets = self._bundle(tmp_path, placed_design, ".nets")
+        lines = nets.read_text().splitlines()
+        pin = next(i for i, l in enumerate(lines) if ":" in l and not l.startswith(("Net", "Num")))
+        lines[pin] = "  no_such_node B : 0 0"
+        nets.write_text("\n".join(lines) + "\n")
+        self._raises_at(aux, nets, pin + 1, "unknown node")
+
+    def test_subrow_origin_without_value(self, tmp_path, placed_design):
+        aux, scl = self._bundle(tmp_path, placed_design, ".scl")
+        lines = scl.read_text().splitlines()
+        row = next(i for i, l in enumerate(lines) if "SubrowOrigin" in l)
+        lines[row] = "  SubrowOrigin : 0 NumSites :"
+        scl.write_text("\n".join(lines) + "\n")
+        self._raises_at(aux, scl, row + 1, "no value")
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        ext=st.sampled_from([".aux", ".nodes", ".nets", ".pl", ".scl"]),
+        op=st.sampled_from(["byte", "truncate", "delete", "duplicate"]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        byte=st.integers(0, 255),
+    )
+    def test_mutated_bundle_parses_or_fails_structured(
+        self, tmp_path_factory, placed_design, ext, op, where, byte
+    ):
+        """Any single mutation of a bundle -- a byte replaced, the file
+        truncated, a line deleted or duplicated -- either still parses or
+        raises a PlacementError naming the file (never a raw exception,
+        which the service would retry as transient)."""
+        aux, path = self._bundle(tmp_path_factory.mktemp("b"), placed_design, ext)
+        data = path.read_bytes()
+        if op in ("byte", "truncate"):
+            at = int(where * len(data))
+            data = data[:at] + bytes([byte]) + data[at + 1 :] if op == "byte" else data[:at]
+        else:
+            lines = data.split(b"\n")
+            at = int(where * len(lines))
+            lines[at:at + 1] = [] if op == "delete" else [lines[at]] * 2
+            data = b"\n".join(lines)
+        path.write_bytes(data)
+        try:
+            read_aux(aux)
+        except PlacementError as exc:
+            assert exc.details.get("file")
 
 
 class TestClassificationRules:

@@ -112,6 +112,52 @@ class TestDegenerateDesigns:
         assert result.hpwl > 0
         assert len(result.assignment) >= 1
 
+    @staticmethod
+    def _unplaceable(small_design, preplaced: bool) -> Design:
+        """*small_design* with every macro preplaced, or with none at all."""
+        import copy
+
+        from repro.netlist.model import NodeKind
+
+        if preplaced:
+            design = copy.deepcopy(small_design)
+            for node in design.netlist:
+                if node.kind is NodeKind.MACRO:
+                    node.fixed = True
+            return design
+        nl = Netlist("cells_only")
+        for node in small_design.netlist:
+            if node.kind is not NodeKind.MACRO:
+                nl.add_node(copy.deepcopy(node))
+        for net in small_design.netlist.nets:
+            pins = [p for p in net.pins if p.node in nl]
+            if len(pins) >= 2:
+                nl.add_net(Net(net.name, pins=pins))
+        return Design(netlist=nl, region=small_design.region)
+
+    @pytest.mark.parametrize("preplaced", [False, True])
+    def test_nothing_to_place_fails_fast(self, small_design, preplaced):
+        """No movable macro group: a permanent UsageError right after
+        coarsening, not an IndexError from calibration."""
+        from repro.core import MCTSGuidedPlacer, PlacerConfig
+        from repro.runtime.errors import UsageError
+
+        design = self._unplaceable(small_design, preplaced)
+        with pytest.raises(UsageError, match="every macro is preplaced"
+                           if preplaced else "has no macros") as info:
+            MCTSGuidedPlacer(PlacerConfig.fast()).place(design)
+        assert info.value.stage == "preprocess"
+        assert info.value.details["design"] == design.netlist.name
+
+    @pytest.mark.parametrize("preplaced", [False, True])
+    def test_nothing_to_place_exits_64(self, small_design, preplaced, tmp_path, capsys):
+        from repro.cli import main
+        from repro.netlist.bookshelf import write_design
+
+        aux = write_design(self._unplaceable(small_design, preplaced), str(tmp_path))
+        assert main(["place", "--aux", aux, "--preset", "fast"]) == 64
+        assert "nothing to place" in capsys.readouterr().err
+
     def test_macro_larger_than_grid_cell(self):
         """A macro spanning many grid cells still places legally."""
         from repro.coarsen import coarsen_design

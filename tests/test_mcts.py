@@ -56,6 +56,19 @@ class TestNodeStatistics:
         assert node.total_value[0] == pytest.approx(1.2)
         assert node.q_values()[0] == pytest.approx(0.6)
 
+    def test_selection_statistics_not_pickled(self):
+        """Search snapshots pickle the tree: the PUCT terms selection keeps
+        on a node must not change its bytes."""
+        import pickle
+
+        node = make_node([0.2, 0.5, 0.3], visits=[1, 0, 2], values=[0.5, 0.0, 0.1])
+        before = pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL)
+        node.select_child_index(1.05)
+        assert pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL) == before
+        node.record(1, 0.4)
+        restored = pickle.loads(pickle.dumps(node))
+        assert restored.puct_scores(1.05).tobytes() == node.puct_scores(1.05).tobytes()
+
     def test_child_for_creates_lazily(self):
         node = make_node([0.5, 0.5])
         child = node.child_for(1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.nn.blocks import ResBlock, ResTower
 from repro.nn.dtype import default_dtype
-from repro.nn.functional import col2im, im2col, masked_softmax, softmax
+from repro.nn.functional import col2im, col2im_padded, im2col, masked_softmax, softmax
 from repro.nn.layers import (
     BatchNorm2D,
     Conv2D,
@@ -77,15 +77,12 @@ def numeric_grad_check(net, x, n_param_probes=4, eps=1e-6, tol=1e-4):
     assert max_err < tol, f"gradient mismatch: {max_err:.2e}"
 
 
-def _reference_im2col(x, kernel, pad, out=None):
+def _reference_im2col(x, kernel, pad):
     """``im2col`` as ``np.pad`` plus one slice copy per kernel tap: the oracle."""
     n, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     shape = (n, c * kernel * kernel, h * w)
-    if out is not None and out.shape == shape and out.dtype == x.dtype:
-        cols = out.reshape(n, c, kernel, kernel, h, w)
-    else:
-        cols = np.empty((n, c, kernel, kernel, h, w), dtype=x.dtype)
+    cols = np.empty((n, c, kernel, kernel, h, w), dtype=x.dtype)
     for i in range(kernel):
         for j in range(kernel):
             cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
@@ -117,18 +114,34 @@ class TestFunctional:
         got = im2col(x, kernel, pad)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        # with a reusable scratch: written in place, same bytes
-        scratch = np.full_like(want, np.nan)
-        again = im2col(x, kernel, pad, out=scratch)
-        assert np.shares_memory(again, scratch)
-        assert again.tobytes() == want.tobytes()
-        # a mismatched scratch is ignored
-        wrong = np.zeros(want.shape, dtype=np.float16)
-        assert im2col(x, kernel, pad, out=wrong).tobytes() == want.tobytes()
 
     def test_im2col_non_contiguous_input(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 6, 8))[:, :, ::2, 1::2]
         assert im2col(x, 3, 1).tobytes() == _reference_im2col(x, 3, 1).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1, 1), (2, 3, 5, 7), (4, 16, 8, 8), (3, 2, 1, 9)]
+    )
+    def test_col2im_padded_matches_col2im_bytes(self, shape, kernel, dtype):
+        """The padded-width layout -- the column gemm over dy padded on the
+        right to width W+k−1, then one contiguous run per tap -- gives
+        col2im's bytes, gemm included."""
+        rng = np.random.default_rng(kernel)
+        n, c, h, w = shape
+        o, pad, wp = 4, kernel // 2, w + kernel - 1
+        weight = rng.normal(size=(o, c * kernel * kernel)).astype(dtype)
+        dy = rng.normal(size=(n, o, h, w)).astype(dtype)
+        dy[dy < -0.5] = -0.0
+        want = col2im(weight.T @ dy.reshape(n, o, h * w), shape, kernel, pad)
+        dy_pad = np.zeros((n, o, h, wp), dtype)
+        dy_pad[..., :w] = dy
+        cols = weight.T @ dy_pad.reshape(n, o, h * wp)
+        out = np.full((n, c, h + kernel - 1, wp), np.nan, dtype)
+        got = col2im_padded(cols, out, kernel)[:, :, pad : pad + h, pad : pad + w]
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_col2im_is_adjoint_of_im2col(self):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
@@ -384,3 +397,86 @@ class TestProperties:
         np.testing.assert_allclose(
             softmax(logits), softmax(logits + 123.0), rtol=1e-9
         )
+
+
+class TestPlanEmitters:
+    """Each layer's ``emit_*`` program against its own forward/backward."""
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_conv_matches_layer(self, kernel, bias):
+        from repro.nn.layers import Program
+
+        rng = np.random.default_rng(kernel + 2 * bias)
+        n, c, o, h, w = 3, 4, 5, 6, 7
+        conv, ref = (Conv2D(c, o, kernel=kernel, bias=bias, rng=1) for _ in range(2))
+        for layer in (conv, ref):
+            layer.weight.data[0] = -np.abs(layer.weight.data[0])  # −0.0 products
+        x = rng.normal(size=(n, c, h, w))
+        p = kernel // 2
+        src = np.zeros((n, c, h + 2 * p, w + 2 * p))
+        src[:, :, p : p + h, p : p + w] = x
+        if kernel == 1:
+            src = src.reshape(n, c, h * w)
+        cols = np.empty((n, c * kernel**2, h * w)) if kernel > 1 else None
+        out = np.empty((n, o, h * w))
+        fwd = Program()
+        conv.emit_forward(fwd, src, out, cols)
+        fwd.run()
+        assert out.reshape(n, o, h, w).tobytes() == ref.forward(x).tobytes()
+
+        dy = rng.normal(size=(n, o, h, w))
+        dy[dy < 0.3] = 0.0
+        dy[:, :, 0] = -0.0
+        bwd = Program()
+        dx = conv.emit_backward(bwd, dy, src if cols is None else cols)
+        bwd.run()
+        want = ref.backward(dy)
+        assert dx.tobytes() == want.tobytes()
+        for a, b in zip(conv.parameters(), ref.parameters()):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_matches_layer(self, training):
+        rng = np.random.default_rng(int(training))
+        bn, ref = BatchNorm2D(3), BatchNorm2D(3)
+        for layer in (bn, ref):
+            layer.running_mean[...] = [0.1, -0.2, 0.3]
+            layer.running_var[...] = [1.5, 0.5, 2.0]
+            layer.gamma.data[...] = [1.2, -0.7, 0.9]
+            layer.train(training)
+        x = rng.normal(size=(4, 3, 5, 5))
+        y, x_hat, cache = x.copy(), np.empty_like(x), {}
+        bn.forward_into(y, x_hat, y, cache)
+        assert y.tobytes() == ref.forward(x).tobytes()
+        assert bn.running_var.tobytes() == ref.running_var.tobytes()
+        dy = rng.normal(size=x.shape)
+        out = np.empty_like(dy)
+        bn.backward_into(dy, x_hat, cache, np.empty_like(dy), out)
+        assert out.tobytes() == ref.backward(dy).tobytes()
+        for a, b in zip(bn.parameters(), ref.parameters()):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+    def test_relu_and_linear_match_layer(self):
+        from repro.nn.layers import Program
+
+        rng = np.random.default_rng(3)
+        relu, fc, ref_fc = ReLU(), Linear(6, 4, rng=2), Linear(6, 4, rng=2)
+        x = rng.normal(size=(5, 6))
+        x[0] = -0.0
+        act, mask, out = np.empty_like(x), np.empty(x.shape, bool), np.empty((5, 4))
+        fwd = Program()
+        relu.emit_forward(fwd, x, mask, act)  # keeps −0.0 where x < 0
+        fc.emit_forward(fwd, act, out)
+        fwd.run()
+        ref_act = ReLU().forward(x)
+        assert act.tobytes() == ref_act.tobytes()
+        assert out.tobytes() == ref_fc.forward(ref_act).tobytes()
+        dy = rng.normal(size=(5, 4))
+        dx = np.empty((5, 6))
+        bwd = Program()
+        fc.emit_backward(bwd, dy, act, dx)
+        bwd.run()
+        assert dx.tobytes() == ref_fc.backward(dy).tobytes()
+        for a, b in zip(fc.parameters(), ref_fc.parameters()):
+            assert a.grad.tobytes() == b.grad.tobytes()

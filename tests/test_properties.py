@@ -144,6 +144,49 @@ class TestPUCTProperties:
             np.testing.assert_allclose(q[visited], mean_values)
         assert (q[~visited] == 0).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 24),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["record", "record", "select", "noise", "replace"]),
+                st.integers(0, 2**32 - 1),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_incremental_puct_equals_from_scratch(self, n, ops):
+        """Selection reads Q, 1 + N, ΣN and c·P kept in step with record():
+        after any run of records, root noise and array replacements,
+        select_child_index, puct_scores and q_values equal the from-scratch
+        Eq. 10–12 formulas byte for byte."""
+
+        def from_scratch(node, c):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                q = np.where(
+                    node.visit > 0, node.total_value / np.maximum(node.visit, 1), 0.0
+                )
+            sqrt_total = np.sqrt(max(node.visit.sum(), 1e-12))
+            return q, q + c * node.prior * sqrt_total / (1.0 + node.visit)
+
+        node = self._node(np.random.default_rng(n), n)
+        c = 1.05
+        for op, seed in ops + [("select", 0)]:
+            rng = np.random.default_rng(seed)
+            if op == "record":
+                node.record(int(rng.integers(0, n)), float(rng.normal()))
+            elif op == "noise":  # MCTSPlacer._apply_root_noise
+                node.prior = 0.75 * node.prior + 0.25 * rng.dirichlet(np.full(n, 0.3))
+            elif op == "replace":  # MCTSPlacer._attach, or a restored tree
+                node.visit = rng.integers(0, 20, n).astype(float)
+                node.total_value = rng.normal(size=n) * node.visit
+            else:
+                c = float(rng.choice([1.05, 1e-3, 4.0]))
+                q, scores = from_scratch(node, c)
+                assert node.select_child_index(c) == int(np.argmax(scores))
+                assert node.puct_scores(c).tobytes() == scores.tobytes()
+                assert node.q_values().tobytes() == q.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 16), st.integers(0, 10_000))
     def test_recording_increases_visit_mass(self, n, seed):

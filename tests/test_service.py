@@ -450,6 +450,51 @@ class TestWarmReuseAndBudgets:
         assert service.warm.hits == 2 and service.warm.misses == 1
 
 
+class TestUnbuildableJobs:
+    """A job whose design or config cannot be built fails like any other
+    attempt: once, through the supervisor, with a result file -- it must
+    not sit QUEUED forever and keep a draining daemon alive."""
+
+    def test_each_fails_once_and_drain_returns(self, aux_path, tmp_path):
+        import shutil
+
+        bad = tmp_path / "bad"
+        shutil.copytree(os.path.dirname(aux_path), bad)
+        nodes = next(bad.glob("*.nodes"))
+        lines = nodes.read_text().splitlines()
+        row = next(i for i, l in enumerate(lines) if l.startswith("  "))
+        name, _, height, *rest = lines[row].split()
+        lines[row] = " ".join(["  " + name, "1.5.0", height, *rest])
+        nodes.write_text("\n".join(lines) + "\n")
+
+        sdir = str(tmp_path / "svc")
+        jobs = {
+            "UsageError": submit_job(sdir, JobSpec(circuit="nosuch", preset="fast")),
+            "BookshelfError": submit_job(
+                sdir, _spec(str(bad / os.path.basename(aux_path)))
+            ),
+        }
+        knob = submit_job(sdir, _spec(aux_path, overrides=(("mcts.no_such_knob", 3),)))
+        good = submit_job(sdir, _spec(aux_path))
+        service = PlacementService(sdir, workers=1, poll_interval=0.01)
+        started = time.monotonic()
+        service.run(drain=True, max_seconds=60.0)
+        assert time.monotonic() - started < 60.0  # drained, not timed out
+
+        for kind, job_id in [*jobs.items(), ("UsageError", knob)]:
+            job = service.store.get(job_id)
+            assert job.state == FAILED and job.attempts == 1, kind
+            result = read_result(sdir, job_id)
+            assert result["state"] == FAILED and result["attempts"] == 1
+            assert result["error"]["kind"] == kind
+            records = [r for r in read_jsonl(service.store.path) if r.get("id") == job_id]
+            assert [r.get("state") for r in records if r.get("record") == "state"] == [
+                RUNNING, FAILED
+            ]
+        assert read_result(sdir, good)["state"] == DONE
+        assert service.metrics.counter("stale_attempts_dropped") == 0
+
+
 class TestRestartRecovery:
     def test_restart_resumes_running_job_bitwise(self, aux_path, tmp_path):
         sdir = str(tmp_path / "svc")

@@ -136,6 +136,7 @@ class TestBackoff:
         assert not classify_transient("UsageError")
         assert not classify_transient("VerificationError")
         assert not classify_transient("StageTimeoutError")
+        assert not classify_transient("BookshelfError")  # malformed input
 
 
 class TestResolveFailure:
