@@ -25,10 +25,10 @@ Subcommands:
   checksums, journals, optionally the final placement itself);
   ``--resources`` reports a service dir's disk/memory footprint and
   quota verdict instead.
-- ``chaos``     — run the fault-injection drill against a throwaway
-  service: every injected failure must end DONE-after-retry or
-  QUARANTINED, with DONE HPWLs bit-identical to the unfaulted baseline.
-  ``--fleet`` escalates to the multi-process shard-kill drill;
+- ``chaos``     — run the fault drill's single-daemon rows against a
+  throwaway service: every injected failure must end DONE-after-retry
+  or QUARANTINED, with DONE HPWLs bit-identical to an unfaulted
+  reference.  ``--fleet`` runs the multi-process shard-kill row;
   ``--governed`` runs a fleet inside a tight synthetic disk quota with
   injected ENOSPC.
 - ``fleet``     — sharded-fleet verbs over one shared service dir:
@@ -429,41 +429,22 @@ def cmd_fleet_serve(args) -> int:
         os.remove(paths.stop_file)
     except FileNotFoundError:
         pass
+    # Every option but the launcher's own --shards is fleet_common's, and
+    # each shard gets it unchanged (dest "max_queue" is "--max-queue").
+    forwarded = []
+    for dest, value in sorted(vars(args).items()):
+        if dest in ("command", "fleet_command", "func", "shards"):
+            continue
+        if value is None or value is False:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        forwarded += [flag] if value is True else [flag, str(value)]
     procs = []
     for i in range(args.shards):
         cmd = [
-            sys.executable, "-m", "repro", "fleet", "shard",
-            "--service-dir", args.service_dir,
+            sys.executable, "-m", "repro", "fleet", "shard", *forwarded,
             "--shard", f"shard-{i}",
-            "--lease-ttl", str(args.lease_ttl),
-            "--poll-interval", str(args.poll_interval),
-            "--workers", str(args.workers),
-            "--max-retries", str(args.max_retries),
-            "--backoff-base", str(args.backoff_base),
         ]
-        if args.drain:
-            cmd.append("--drain")
-        if args.max_seconds is not None:
-            cmd += ["--max-seconds", str(args.max_seconds)]
-        if args.no_verify:
-            cmd.append("--no-verify")
-        cmd += [
-            "--high-water", str(args.high_water),
-            "--low-water", str(args.low_water),
-            "--rejected-ttl", str(args.rejected_ttl),
-            "--rundir-projection-bytes", str(args.rundir_projection_bytes),
-            "--resource-sample-interval", str(args.resource_sample_interval),
-        ]
-        for flag, value in (
-            ("--disk-quota-bytes", args.disk_quota_bytes),
-            ("--mem-quota-bytes", args.mem_quota_bytes),
-            ("--retention-runs", args.retention_runs),
-            ("--warm-quota-bytes", args.warm_quota_bytes),
-            ("--terminal-cache-quota-bytes", args.terminal_cache_quota_bytes),
-            ("--journal-quota-bytes", args.journal_quota_bytes),
-        ):
-            if value is not None:
-                cmd += [flag, str(value)]
         procs.append(subprocess.Popen(cmd))
     print(f"fleet of {args.shards} shards serving {args.service_dir} "
           f"(lease_ttl={args.lease_ttl}s, drain={args.drain})")
@@ -695,58 +676,30 @@ def cmd_doctor(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    """Run the fault-injection drill; non-zero exit unless every gate holds."""
+    """Run the fault drill; non-zero exit unless every check holds."""
     import json
     import tempfile
 
     from repro.service.chaos import (
-        format_fleet_report,
-        format_governed_report,
+        FLEET_KILL,
+        GOVERNED,
+        SINGLE_DAEMON,
         format_report,
-        run_chaos_drill,
-        run_fleet_drill,
-        run_governed_drill,
+        run_drill,
     )
 
     if args.governed:
-        def drill(root):
-            return run_governed_drill(
-                root,
-                n_shards=args.shards,
-                n_jobs=args.jobs,
-                lease_ttl=args.lease_ttl,
-                max_seconds=args.max_seconds,
-            )
-
-        formatter = format_governed_report
+        rows = (GOVERNED,)
     elif args.fleet:
-        def drill(root):
-            return run_fleet_drill(
-                root,
-                n_shards=args.shards,
-                n_jobs=args.jobs,
-                n_kills=args.kills,
-                lease_ttl=args.lease_ttl,
-                max_seconds=args.max_seconds,
-            )
-
-        formatter = format_fleet_report
+        rows = (FLEET_KILL,)
     else:
-        def drill(root):
-            return run_chaos_drill(
-                root,
-                stall_seconds=args.stall_seconds,
-                max_seconds=args.max_seconds,
-            )
-
-        formatter = format_report
+        rows = SINGLE_DAEMON
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        report = drill(args.out)
+        report = run_drill(args.out, rows)
     else:
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            report = drill(tmp)
-    print(formatter(report))
+            report = run_drill(tmp, rows)
+    print(format_report(report))
     if args.report:
         with open(args.report, "w") as f:
             json.dump(report, f, indent=2, sort_keys=True)
@@ -1132,36 +1085,20 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="fault-injection drill over a throwaway service"
     )
     p_chaos.add_argument("--out", default=None,
-                         help="keep the drill's service dirs here "
+                         help="keep the drill's service dirs in this "
+                              "directory, which must be empty or absent "
                               "(default: a temp dir, removed afterwards)")
     p_chaos.add_argument("--report", default=None,
                          help="write the machine-readable drill report "
                               "(JSON) to this path")
-    p_chaos.add_argument("--stall-seconds", type=float, default=0.2,
-                         dest="stall_seconds",
-                         help="watchdog threshold used by the stall scenario")
-    p_chaos.add_argument("--max-seconds", type=float, default=60.0,
-                         dest="max_seconds",
-                         help="per-scenario wall-clock cap (the no-hang gate)")
     p_chaos.add_argument("--fleet", action="store_true",
-                         help="run the multi-process shard-kill drill "
-                              "instead of the single-daemon scenarios")
+                         help="run the multi-process shard-kill row "
+                              "instead of the single-daemon rows")
     p_chaos.add_argument("--governed", action="store_true",
-                         help="run the resource-pressure drill: a fleet "
+                         help="run the resource-pressure row: a fleet "
                               "inside a tight synthetic disk quota with "
-                              "injected ENOSPC — gates on GC keeping "
-                              "every answer bit-identical and zero "
-                              "daemon deaths")
-    p_chaos.add_argument("--shards", type=int, default=3,
-                         help="fleet drill: shard daemon processes")
-    p_chaos.add_argument("--jobs", type=int, default=6,
-                         help="fleet drill: jobs besides the poison job")
-    p_chaos.add_argument("--kills", type=int, default=2,
-                         help="fleet drill: whole-shard SIGKILLs")
-    p_chaos.add_argument("--lease-ttl", type=float, default=1.5,
-                         dest="lease_ttl",
-                         help="fleet drill: lease TTL (crash-detection "
-                              "latency)")
+                              "injected ENOSPC — every answer must stay "
+                              "bit-identical, with no daemon death")
     p_chaos.set_defaults(func=cmd_chaos)
 
     return parser

@@ -239,7 +239,7 @@ class MCTSPlacer:
 
     # -- two-tier terminal evaluation ------------------------------------------
     def _surrogate_score(self, key: tuple[int, ...]) -> float:
-        """Tier-1 incremental surrogate HPWL of a complete assignment."""
+        """Tier-1 surrogate HPWL of a complete assignment."""
         started = time.perf_counter()
         score = self.surrogate.score(key)
         self.seconds_surrogate += time.perf_counter() - started

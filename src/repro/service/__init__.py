@@ -20,7 +20,7 @@ Layers:
 - :mod:`repro.service.supervisor`— heartbeats, watchdog, retry, quarantine
 - :mod:`repro.service.service`   — the daemon: inbox, control, recovery
 - :mod:`repro.service.fleet`     — sharded fleet: leases, work stealing
-- :mod:`repro.service.chaos`     — fault-injection drill over the daemon
+- :mod:`repro.service.chaos`     — fault drills: one scenario table
 """
 
 from repro.service.jobs import (

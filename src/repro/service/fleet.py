@@ -48,10 +48,11 @@ no coordinator process and no lock that can be held across a crash:
   histograms combine) with fleet-wide job counts into
   ``fleet_metrics.json``.
 
-The shard-kill drill (:func:`repro.service.chaos.run_fleet_drill`)
-SIGKILLs whole shards mid-fleet and gates on: every job DONE with HPWL
-bit-identical to a single-daemon baseline, or QUARANTINED with a
-journaled reason — never lost, duplicated, or silently corrupted.
+The shard-kill drill (the ``fleet_kill`` row of
+:mod:`repro.service.chaos`) SIGKILLs whole shards mid-fleet and gates
+on: every job DONE with HPWL bit-identical to a single-daemon reference,
+or QUARANTINED with a journaled reason — never lost, duplicated, or
+silently corrupted.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ The exact terminal evaluation (legalize + cell place) dominates MCTS
 wall-clock.  This package provides the cheap tier:
 
 - :class:`GroupCentroidSurrogate` — group-centroid HPWL over the coarse
-  netlist, computed *incrementally* against a prefix stack so scoring a
-  terminal assignment that shares a prefix with the previous one only
-  touches the nets of the groups that moved;
+  netlist, with a precomputed linear cell response, so scoring a
+  terminal assignment costs one matvec and a bounding box per net;
 - :class:`SurrogateCalibration` — an online least-squares fit mapping
   surrogate wirelength to predicted exact wirelength, so pruned terminal
   leaves can still backpropagate a value on the exact reward scale;

@@ -1,4 +1,4 @@
-"""Incremental group-centroid HPWL over the coarse netlist.
+"""Group-centroid HPWL over the coarse netlist.
 
 The surrogate places every macro group at the center of the span
 rectangle its anchor implies (exactly :func:`repro.legalize.pipeline.span_rect`,
@@ -13,25 +13,14 @@ objective is linear in the boundary (macro + fixed group) positions:
 ``x_cells = M @ x_boundary + b``, where ``M`` solves the cell-block
 Laplacian once at construction (ridge-regularized so disconnected cell
 groups stay at their canonical centroids).  Scoring therefore costs one
-small matvec plus a bounding box per cell-touching net — and fidelity
-jumps from ~0.87 to ~0.93 Spearman against exact HPWL on the bench
-design, clearing the ≥ 0.9 gate the pruning scheme requires.
+small matvec plus a bounding box per net — and fidelity jumps from
+~0.87 to ~0.93 Spearman against exact HPWL on a cell-heavy design,
+clearing the ≥ 0.9 floor the pruning scheme requires (pinned by a test).
 
-Scoring is incremental where the model allows: a *prefix stack* of
-applied (group, anchor) moves maintains the contributions of nets that
-touch no cell group — scoring a new assignment pops back to the longest
-common prefix and re-pushes only the differing suffix.  Cell-touching
-nets depend on every macro position through ``M``, so their
-contributions (and the matvec) are recomputed per score; on macro-rich
-designs whose nets bypass cell clusters the stack still short-circuits
-the static part.
-
-Bitwise parity with :meth:`score_from_scratch` is guaranteed by
-construction — both paths assign coordinates from the same tables, run
-the same matvec on the same gathered vector, compute each net's
-contribution with the same expression, and total the same-ordered
-contribution array with one ``ndarray.sum()`` — and locked in by a
-property test (random single-group moves, exact float equality).
+Every score is computed from scratch.  A cell group's position depends
+on every macro group through ``M``, and on the service design (ibm01)
+every coarse net touches a cell group, so there is no per-net state a
+score could reuse from the previous one.
 """
 
 from __future__ import annotations
@@ -64,8 +53,8 @@ class GroupCentroidSurrogate:
         n_groups = len(groups)
 
         # Canonical centroids (fixed groups never move in the surrogate
-        # model; macro-group entries are overwritten per push and cell
-        # groups per matvec when the cell response is on).
+        # model; each score overwrites the macro-group entries of a copy,
+        # and the cell groups' when the cell response is on).
         canonical = getattr(coarse, "_canonical", None)
         if canonical is not None:
             centers = [(cx, cy) for (cx, cy, _bbox) in canonical[1]]
@@ -73,9 +62,6 @@ class GroupCentroidSurrogate:
             centers = [(g.cx, g.cy) for g in groups]
         self._gx = np.array([c[0] for c in centers], dtype=float)
         self._gy = np.array([c[1] for c in centers], dtype=float)
-        self._canonical_macro_xy = (
-            self._gx[:n_mg].copy(), self._gy[:n_mg].copy()
-        )
 
         # Anchor → span-rect center, tabulated per macro group through the
         # real span_rect so tier 1 and tier 2 agree bit-for-bit on where
@@ -105,37 +91,8 @@ class GroupCentroidSurrogate:
         ]
         #: the design has cell groups, so scoring runs the cell response
         self.cell_response = len(cell_ids) > 0
-        cell_set = set(cell_ids)
         if self.cell_response:
             self._compile_cell_response(n_groups, cell_ids)
-
-        #: nets free of cell groups are maintained incrementally by the
-        #: prefix stack; cell-touching nets are recomputed per score.
-        self._cell_nets = np.asarray(
-            [
-                j
-                for j, gids in enumerate(self._net_groups)
-                if any(int(g) in cell_set for g in gids)
-            ],
-            dtype=np.int64,
-        )
-        static = set(range(self.n_nets)) - set(int(j) for j in self._cell_nets)
-        nets_of_group: list[list[int]] = [[] for _ in range(n_groups)]
-        for j, gids in enumerate(self._net_groups):
-            if j not in static:
-                continue
-            for gi in gids:
-                nets_of_group[int(gi)].append(j)
-        self._nets_of_group = [
-            np.asarray(lst, dtype=np.int64) for lst in nets_of_group[:n_mg]
-        ]
-
-        #: prefix stack: (anchor, [(net, saved_contrib)...], old_x, old_y)
-        self._stack: list[tuple[int, list[tuple[int, float]], float, float]] = []
-        self._contribs = self._full_contribs(self._gx, self._gy)
-        self.n_scores = 0
-        self.n_net_updates = 0
-        self.n_moves_applied = 0
 
     def _compile_cell_response(self, n_groups: int, cell_ids: list[int]) -> None:
         """Solve the cell-block clique Laplacian once.
@@ -204,75 +161,14 @@ class GroupCentroidSurrogate:
             out[j] = self._contrib(j, gx, gy)
         return out
 
-    # -- prefix stack ----------------------------------------------------------
-    def _push(self, anchor: int) -> None:
-        i = len(self._stack)
-        old_x = float(self._gx[i])
-        old_y = float(self._gy[i])
-        self._gx[i] = self._anchor_cx[i, anchor]
-        self._gy[i] = self._anchor_cy[i, anchor]
-        saved: list[tuple[int, float]] = []
-        for j in self._nets_of_group[i]:
-            j = int(j)
-            saved.append((j, float(self._contribs[j])))
-            self._contribs[j] = self._contrib(j, self._gx, self._gy)
-        self.n_net_updates += len(saved)
-        self._stack.append((int(anchor), saved, old_x, old_y))
-
-    def _pop(self) -> None:
-        anchor, saved, old_x, old_y = self._stack.pop()
-        i = len(self._stack)
-        self._gx[i] = old_x
-        self._gy[i] = old_y
-        for j, contrib in reversed(saved):
-            self._contribs[j] = contrib
-
-    @property
-    def prefix_depth(self) -> int:
-        return len(self._stack)
-
-    def reset(self) -> None:
-        """Drop the prefix stack (coordinates rewind as entries pop)."""
-        while self._stack:
-            self._pop()
-
     # -- scoring ---------------------------------------------------------------
     def score(self, assignment) -> float:
-        """Surrogate HPWL of a *complete* assignment, incrementally.
+        """Surrogate HPWL of a *complete* assignment.
 
-        Reuses the longest common prefix with the previously scored
-        assignment for the cell-free nets; the cell response (one matvec)
-        and the cell-touching nets' contributions are recomputed per
-        score — they depend on every macro position through ``M``.
-        """
-        anchors = [int(a) for a in assignment]
-        if len(anchors) != self.n_macro_groups:
-            raise ValueError(
-                f"assignment covers {len(anchors)} groups, "
-                f"expected {self.n_macro_groups}"
-            )
-        shared = 0
-        while shared < len(self._stack) and self._stack[shared][0] == anchors[shared]:
-            shared += 1
-        while len(self._stack) > shared:
-            self._pop()
-        for anchor in anchors[shared:]:
-            self._push(anchor)
-        if self.cell_response:
-            self._apply_cell_response(self._gx, self._gy)
-            for j in self._cell_nets:
-                j = int(j)
-                self._contribs[j] = self._contrib(j, self._gx, self._gy)
-            self.n_net_updates += len(self._cell_nets)
-        self.n_moves_applied += self.n_macro_groups - shared
-        self.n_scores += 1
-        return float(self._contribs.sum())
-
-    def score_from_scratch(self, assignment) -> float:
-        """Reference scorer: fresh coordinates, every net recomputed.
-
-        The property tests gate :meth:`score` bitwise against this; the
-        incremental path must be an optimization, never an approximation.
+        Places every macro group at its anchor's span-rect center, runs
+        the cell response (one matvec) and totals every net's weighted
+        HPWL.  Nothing is cached between calls, so a score depends on
+        *assignment* alone.
         """
         anchors = [int(a) for a in assignment]
         if len(anchors) != self.n_macro_groups:
@@ -282,8 +178,6 @@ class GroupCentroidSurrogate:
             )
         gx = self._gx.copy()
         gy = self._gy.copy()
-        gx[: self.n_macro_groups] = self._canonical_macro_xy[0]
-        gy[: self.n_macro_groups] = self._canonical_macro_xy[1]
         for i, anchor in enumerate(anchors):
             gx[i] = self._anchor_cx[i, anchor]
             gy[i] = self._anchor_cy[i, anchor]

@@ -12,16 +12,18 @@ drill at reduced scale.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.parallel import TerminalCache
-from repro.service.chaos import run_fleet_drill
+from repro.service.chaos import FLEET_KILL, run_drill
 from repro.service.fleet import (
     FleetPaths,
     FleetShard,
@@ -407,16 +409,64 @@ class TestFleetShard:
 # -- the capstone: whole-shard SIGKILL drill ----------------------------------
 class TestFleetDrill:
     def test_shard_kill_drill_reduced_scale(self, tmp_path):
-        report = run_fleet_drill(
-            str(tmp_path),
-            n_shards=3,
-            n_jobs=2,
-            n_kills=1,
-            lease_ttl=1.0,
-            max_seconds=120.0,
-        )
-        failed = [c for c in report["checks"] if not c["ok"]]
+        row = replace(FLEET_KILL, jobs=2, kills=1, lease_ttl=1.0)
+        report = run_drill(str(tmp_path), (row,))
+        failed = [
+            c for s in report["scenarios"] for c in s["checks"] if not c["ok"]
+        ]
         assert report["ok"], f"failed checks: {failed}"
-        assert len(report["kills"]) == 1
-        states = {j["state"] for j in report["jobs"]}
+        fleet = report["scenarios"][-1]
+        assert fleet["name"] == "fleet_kill"
+        assert {c["name"]: c["ok"] for c in fleet["checks"]}["kills"]
+        states = {j["state"] for j in fleet["jobs"]}
         assert states == {"DONE", "QUARANTINED"}
+
+
+# -- `fleet serve` hands every option to its shards ---------------------------
+def _subparser(parser, *names):
+    for name in names:
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        parser = sub.choices[name]
+    return parser
+
+
+class TestFleetServeArgv:
+    def test_every_fleet_option_reaches_each_shard(self, tmp_path, monkeypatch):
+        """A non-default value for every option ``fleet serve`` shares with
+        ``fleet shard`` must reach each shard's argv unchanged."""
+        from repro import cli
+
+        argv = ["fleet", "serve", "--service-dir", str(tmp_path),
+                "--shards", "2"]
+        for action in _subparser(cli.build_parser(), "fleet", "serve")._actions:
+            if action.dest in ("help", "service_dir", "shards"):
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                argv.append(flag)
+            else:
+                value = action.type(3) + action.type(action.default or 1)
+                argv += [flag, str(value)]
+        launched = []
+
+        class Shard:
+            def __init__(self, cmd):
+                launched.append(cmd)
+
+            def wait(self):
+                return 0
+
+        monkeypatch.setattr(subprocess, "Popen", Shard)
+        assert cli.main(argv) == 0
+        served = vars(cli.build_parser().parse_args(argv))
+        assert len(launched) == 2
+        for i, cmd in enumerate(launched):
+            assert cmd[:5] == [sys.executable, "-m", "repro", "fleet", "shard"]
+            shard = vars(cli.build_parser().parse_args(cmd[3:]))
+            assert shard["shard"] == f"shard-{i}"
+            for dest, value in served.items():
+                if dest not in ("fleet_command", "func", "shards"):
+                    assert shard[dest] == value, dest

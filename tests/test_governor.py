@@ -7,7 +7,9 @@ service dirs with a fake clock; the drill layer submits ENOSPC-faulted
 jobs to a real daemon and asserts the documented contract: a transient
 full disk degrades (emergency GC + retry) and the job still finishes
 DONE, a persistent one quarantines the job with a structured
-``ResourceExhaustedError`` — and the daemon survives both.
+``ResourceExhaustedError`` — and the daemon survives both.  The last
+layer pins what collection must keep: an emergency GC loses no replay
+state or warm answer, and usage plateaus under a quota across rounds.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import copy
 import json
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +35,7 @@ from repro.runtime.resources import (
     process_rss_bytes,
     uninstall_guard,
 )
+from repro.service.chaos import DEFAULT_SPEC
 from repro.service.governor import ResourceGovernor, resource_report
 from repro.service.jobs import (
     DONE,
@@ -477,3 +481,84 @@ class TestServiceDegradation:
             assert service.store.get(followup).state == DONE
         finally:
             service.governor.uninstall()
+
+
+# ---------------------------------------------------------------------------
+# collection keeps every answer
+# ---------------------------------------------------------------------------
+
+
+def _drain(service_dir: str, **governed) -> PlacementService:
+    """Drain a one-worker daemon on *service_dir*, then drop its hooks."""
+    service = PlacementService(
+        service_dir, workers=1, poll_interval=0.02, backoff_base=0.05,
+        **governed,
+    )
+    try:
+        service.run(drain=True, max_seconds=150.0)
+    finally:
+        service.governor.uninstall()
+    return service
+
+
+def _ledger(store: JobStore) -> list[tuple]:
+    """The replayed journal, reduced to what collection must keep."""
+    return sorted(
+        (j.id, j.state, j.attempts, j.hpwl, j.warm_hit,
+         (j.error or {}).get("kind"))
+        for j in store.jobs()
+    )
+
+
+class TestCollectionKeepsAnswers:
+    def test_emergency_gc_keeps_the_ledger_and_warm_answers(self, tmp_path):
+        sdir = str(tmp_path / "svc")
+        for seed in (3, 4):
+            submit_job(sdir, replace(DEFAULT_SPEC, seed=seed))
+        service = _drain(sdir)
+        before = _ledger(service.store)
+        assert [row[1] for row in before] == [DONE, DONE]
+        hpwl = {j.spec.seed: j.hpwl for j in service.store.jobs()}
+
+        # the offline collector, as ``repro gc --emergency`` builds it
+        paths = ServicePaths(sdir).ensure()
+        governor = ResourceGovernor(
+            paths, JobStore(paths.journal).load(), ServiceMetrics(),
+            WarmArtifactCache(paths.warm), retention_runs=0,
+        )
+        summary = governor.gc(emergency=True)
+        assert summary["run_dirs_deleted"] == 2
+        assert _ledger(JobStore(paths.journal).load()) == before
+
+        again = submit_job(sdir, replace(DEFAULT_SPEC, seed=3))
+        job = _drain(sdir).store.get(again)
+        assert job.state == DONE and job.warm_hit
+        assert job.hpwl == hpwl[3]
+
+    def test_soak_footprint_plateaus_under_quota(self, tmp_path):
+        """Fresh-seed rounds under a quota sized from round one: growth
+        is collected, not accumulated."""
+        sdir = str(tmp_path / "soak")
+        seed0 = DEFAULT_SPEC.seed + 100
+        submit_job(sdir, replace(DEFAULT_SPEC, seed=seed0))
+        _drain(sdir)
+        round1 = dir_usage_bytes(sdir)
+        quota = int(round1 * 2.5)
+        governed = dict(
+            disk_quota_bytes=quota,
+            retention_runs=1,
+            warm_quota_bytes=int(
+                max(1, dir_usage_bytes(ServicePaths(sdir).warm)) * 1.5
+            ),
+            journal_quota_bytes=round1,
+            terminal_cache_quota_bytes=round1,
+            high_water=0.8,
+            low_water=0.5,
+            rundir_projection_bytes=max(1, round1 // 2),
+            resource_sample_interval=0.02,
+        )
+        for i in range(1, 4):
+            job_id = submit_job(sdir, replace(DEFAULT_SPEC, seed=seed0 + i))
+            service = _drain(sdir, **governed)
+            assert service.store.get(job_id).state == DONE, i
+            assert dir_usage_bytes(sdir) <= quota, i

@@ -6,7 +6,7 @@ pieces — backoff schedules, stall detection, checksum round-trips, the
 verifier's geometry checks — and one integration test runs the full
 chaos drill: every injected failure (checkpoint bit-rot, stage stall,
 warm-cache corruption, poison job) must end DONE-after-retry or
-QUARANTINED, with DONE HPWLs bit-identical to the unfaulted baseline.
+QUARANTINED, with DONE HPWLs bit-identical to the unfaulted reference.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.service import (
     ServiceMetrics,
     SupervisedBudget,
 )
+from repro.service.service import submit_job
 from repro.service.supervisor import JobSupervisor, classify_transient
 from repro.service.warm import WarmArtifactCache
 from repro.utils.events import read_jsonl
@@ -483,9 +484,9 @@ class TestVerificationColdRetry:
 
 class TestChaosDrill:
     def test_every_fault_heals_or_quarantines(self, tmp_path):
-        from repro.service.chaos import run_chaos_drill
+        from repro.service.chaos import SINGLE_DAEMON, run_drill
 
-        report = run_chaos_drill(str(tmp_path / "chaos"))
+        report = run_drill(str(tmp_path / "chaos"), SINGLE_DAEMON)
         failures = [
             f"{s['name']}: " + "; ".join(
                 c["name"] for c in s["checks"] if not c["ok"]
@@ -498,7 +499,29 @@ class TestChaosDrill:
         for name in ("checkpoint_corrupt", "stage_stall"):
             job = by_name[name]["jobs"][0]
             assert job["state"] == DONE and job["attempts"] == 2
-            assert job["hpwl"] == report["reference_hpwl"]
+            assert job["hpwl"] == report["reference"][str(job["seed"])]
         # the poison job exhausted its retries into quarantine
         poison = by_name["poison"]["jobs"][0]
         assert poison["state"] == QUARANTINED and poison["attempts"] == 3
+        # the common checks ran on every row, whatever its faults
+        for scenario in report["scenarios"]:
+            names = {c["name"] for c in scenario["checks"]}
+            assert {
+                "job0.one_terminal_record", "no_stray_jobs",
+                "daemons_survived",
+            } <= names, scenario["name"]
+
+    def test_a_used_out_dir_is_refused_before_any_daemon_starts(
+        self, tmp_path
+    ):
+        """An earlier drill's journal and warm cache would change what the
+        faults hit, so a second ``repro chaos --out`` there is a usage
+        error, not a FAILED drill of a healthy service."""
+        from repro.cli import main
+        from repro.service.chaos import DEFAULT_SPEC
+
+        out = tmp_path / "chaos"
+        submit_job(str(out / "baseline"), DEFAULT_SPEC)  # the earlier drill
+        assert main(["chaos", "--out", str(out)]) == 64
+        assert sorted(os.listdir(out)) == ["baseline"]
+        assert len(os.listdir(out / "baseline" / "inbox")) == 1
