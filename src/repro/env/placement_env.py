@@ -17,6 +17,7 @@ import numpy as np
 from repro.agent.state import EnvState, StateBuilder
 from repro.coarsen.coarse import CoarseNetlist
 from repro.gp.mixed_size import place_cells_with_fixed_macros
+from repro.gp.quadratic import CompiledQP
 from repro.legalize.pipeline import MacroLegalizer
 from repro.utils.rng import ensure_rng
 
@@ -50,6 +51,9 @@ class MacroGroupPlacementEnv:
         self.coarse = coarse
         self.legalizer = legalizer if legalizer is not None else MacroLegalizer()
         self.cell_place_iters = cell_place_iters
+        #: the design's pin table and cell-placement QP plans, compiled by
+        #: the first terminal evaluation and reused by every later one
+        self._cell_qp = CompiledQP()
         self.builder = StateBuilder(coarse)
         self._assignment: list[int] = []
 
@@ -96,7 +100,9 @@ class MacroGroupPlacementEnv:
         """
         self.legalizer.legalize(self.coarse, assignment)
         return place_cells_with_fixed_macros(
-            self.coarse.design, n_iterations=self.cell_place_iters
+            self.coarse.design,
+            n_iterations=self.cell_place_iters,
+            compiled=self._cell_qp,
         )
 
     # -- convenience rollouts -------------------------------------------------------

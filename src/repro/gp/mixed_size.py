@@ -11,7 +11,10 @@ Two entry points:
   (Sec. II-C): macros are fixed, cells are placed around them, and the
   measured HPWL is returned.  This is what turns a macro-group allocation
   into the wirelength the RL reward (Eq. 9) and the MCTS terminal
-  evaluation consume.
+  evaluation consume.  A caller that places the same design again passes
+  a :class:`~repro.gp.quadratic.CompiledQP` it keeps, so the design's pin
+  table, QP matrices and LU factors are built once (bitwise the same
+  result).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gp.quadratic import solve_quadratic_placement
+from repro.gp.quadratic import CompiledQP, solve_quadratic_placement
 from repro.gp.spreading import blocked_area_grid, spread_step
 from repro.netlist.hpwl import FlatNetlist
 from repro.netlist.model import Design, NodeKind, PlacementRegion
@@ -196,6 +199,7 @@ class MixedSizePlacer:
         movable_mask: np.ndarray,
         flat: FlatNetlist,
         blockers: list | None = None,
+        compiled: CompiledQP | None = None,
     ) -> int:
         region = design.region
         center = (region.x + region.width / 2.0, region.y + region.height / 2.0)
@@ -209,10 +213,15 @@ class MixedSizePlacer:
                 n for n in design.netlist if n.fixed and n.kind is not NodeKind.PAD
             ]
         blocked = blocked_area_grid(region, blockers, nb, nb)
+        plan = (
+            None if compiled is None
+            else compiled.plan(movable_mask, self.clique_threshold)
+        )
 
         # Initial pure-connectivity solve.
         solve_quadratic_placement(
-            flat, movable_mask, center, clique_threshold=self.clique_threshold
+            flat, movable_mask, center, clique_threshold=self.clique_threshold,
+            plan=plan,
         )
         _clamp_centers(flat, idx, region)
 
@@ -241,20 +250,31 @@ class MixedSizePlacer:
                 anchor_weight=np.full(len(idx), weight),
                 anchor_x=sx,
                 anchor_y=sy,
+                plan=plan,
             )
             _clamp_centers(flat, idx, region)
             weight *= self.anchor_growth
             iterations += 1
         return iterations
 
-    def place(self, design: Design, move_macros: bool = True) -> PlacementResult:
+    def place(
+        self,
+        design: Design,
+        move_macros: bool = True,
+        compiled: CompiledQP | None = None,
+    ) -> PlacementResult:
         """Place *design* in-place and return the measured result.
 
         With ``move_macros=False`` only standard cells move (macros must
-        already be fixed/placed); this is the configuration used as the
-        flow's final cell-placement step.
+        already be fixed/placed), and only the cells are written back to
+        the design; this is the configuration used as the flow's final
+        cell-placement step.  *compiled* reuses the design's pin table and
+        QP plans from an earlier call with the same *compiled*.
         """
-        flat = FlatNetlist(design.netlist)
+        if compiled is None:
+            flat = FlatNetlist(design.netlist)
+        else:
+            flat = compiled.flat(design.netlist)
         movable_mask = ~flat.fixed
         blockers = None
         if not move_macros:
@@ -263,13 +283,15 @@ class MixedSizePlacer:
                     movable_mask[i] = False
                     flat.fixed[i] = True
             blockers = list(design.netlist.macros)
-        iterations = self._run(design, movable_mask, flat, blockers=blockers)
-        flat.writeback()
+        iterations = self._run(
+            design, movable_mask, flat, blockers=blockers, compiled=compiled
+        )
+        flat.writeback(None if move_macros else np.flatnonzero(movable_mask))
 
         overlap = 0.0
         if move_macros:
             overlap = legalize_macros_greedy(design)
-            flat.refresh_from_model()
+            flat.reload()
             # Re-place cells around the now-legal macros.
             cell_mask = movable_mask.copy()
             for i, node in enumerate(design.netlist):
@@ -277,7 +299,9 @@ class MixedSizePlacer:
                     cell_mask[i] = False
                     flat.fixed[i] = True
             all_macros = list(design.netlist.macros)
-            iterations += self._run(design, cell_mask, flat, blockers=all_macros)
+            iterations += self._run(
+                design, cell_mask, flat, blockers=all_macros, compiled=compiled
+            )
             flat.writeback()
 
         return PlacementResult(
@@ -286,13 +310,16 @@ class MixedSizePlacer:
 
 
 def place_cells_with_fixed_macros(
-    design: Design, n_iterations: int = 4
+    design: Design, n_iterations: int = 4, compiled: CompiledQP | None = None
 ) -> float:
     """Place standard cells around the current (fixed) macros; return HPWL.
 
     This is the flow's Sec. II-C step: "After all the macros have been
     placed, we leverage [a] mixed-size placer to generate [the] full
     placement result, which also returns a measured wirelength value."
+    A caller that places cells of the same design again keeps a
+    *compiled* state and passes it every time (see
+    :meth:`MixedSizePlacer.place`).
     """
     placer = MixedSizePlacer(n_iterations=n_iterations)
-    return placer.place(design, move_macros=False).hpwl
+    return placer.place(design, move_macros=False, compiled=compiled).hpwl

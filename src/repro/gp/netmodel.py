@@ -12,12 +12,15 @@ multi-pin net must first be decomposed into two-point connections:
 
 The result is the (Laplacian) normal-equation system ``A x = b_x`` /
 ``A y = b_y`` over movable nodes (plus star nodes), with fixed-node terms
-folded into the right-hand side.
+folded into the right-hand side.  Only those right-hand sides depend on
+node positions: :func:`compile_quadratic_system` assembles everything
+else once, as a :class:`QuadraticPlan`, and :meth:`QuadraticPlan.system`
+gathers the right-hand sides from the current centers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +43,44 @@ class QuadraticSystem:
     by: np.ndarray
     movable: np.ndarray  # node indices of the first n_mov unknowns
     n_star: int
+    #: the solvers of ``A`` plus an anchor diagonal, shared with the plan
+    #: the system came from (see :func:`repro.gp.quadratic.solve_system`)
+    factors: dict = field(default_factory=dict)
+
+
+@dataclass
+class QuadraticPlan:
+    """The part of a :class:`QuadraticSystem` that positions do not change.
+
+    Compiled once per (pin table, movable mask, clique threshold) by
+    :func:`compile_quadratic_system`.  A fixed-pin pull adds
+    ``w_pull[k] * center[source[k]]`` to the right-hand side of unknown
+    ``target[k]``; :meth:`system` sums them in that order, the order the
+    from-scratch assembly sums them in.  ``factors`` keeps one solver per
+    anchor-weight vector, filled by the solves of every system built
+    from this plan; the callers that keep plans solve a fixed anchor
+    schedule, so it holds a handful.
+    """
+
+    A: sp.csr_matrix
+    movable: np.ndarray
+    n_star: int
+    target: np.ndarray
+    source: np.ndarray
+    w_pull: np.ndarray
+    factors: dict = field(default_factory=dict)
+
+    def system(self, flat: FlatNetlist) -> QuadraticSystem:
+        """The system under the current centers of *flat*'s nodes."""
+        n = self.A.shape[0]
+        bx = np.zeros(n)
+        by = np.zeros(n)
+        np.add.at(bx, self.target, self.w_pull * flat.cx[self.source])
+        np.add.at(by, self.target, self.w_pull * flat.cy[self.source])
+        return QuadraticSystem(
+            A=self.A, bx=bx, by=by, movable=self.movable, n_star=self.n_star,
+            factors=self.factors,
+        )
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -57,8 +98,24 @@ def build_quadratic_system(
 ) -> QuadraticSystem:
     """Assemble ``A x = b`` from *flat* for the nodes selected by *movable_mask*.
 
-    Nodes where ``movable_mask`` is False are treated as fixed at their
-    current centers.  Nets whose pins are all fixed contribute nothing.
+    A one-shot :func:`compile_quadratic_system` followed by
+    :meth:`QuadraticPlan.system`.
+    """
+    plan = compile_quadratic_system(flat, movable_mask, clique_threshold, min_weight)
+    return plan.system(flat)
+
+
+def compile_quadratic_system(
+    flat: FlatNetlist,
+    movable_mask: np.ndarray,
+    clique_threshold: int = 6,
+    min_weight: float = 1e-9,
+) -> QuadraticPlan:
+    """Compile the position-independent part of the system of *movable_mask*.
+
+    Nodes where ``movable_mask`` is False are fixed; a system built from
+    the plan pulls toward their centers at that time.  Nets whose pins
+    are all fixed contribute nothing.
     Nets of degree <= *clique_threshold* use the clique model, larger nets
     the star model.
 
@@ -143,9 +200,7 @@ def build_quadratic_system(
     pull = to_p | to_q
     target = np.where(to_p, p, q)[pull]
     source = np.where(to_p, node_q, node_p)[pull]
-    w_pull = w[pull]
-    bx = np.zeros(n)
-    by = np.zeros(n)
-    np.add.at(bx, target, w_pull * flat.cx[source])
-    np.add.at(by, target, w_pull * flat.cy[source])
-    return QuadraticSystem(A=A, bx=bx, by=by, movable=movable, n_star=n_star)
+    return QuadraticPlan(
+        A=A, movable=movable, n_star=n_star, target=target, source=source,
+        w_pull=w[pull],
+    )

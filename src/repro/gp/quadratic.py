@@ -6,64 +6,93 @@ positive *semi*-definite (connected components with no fixed pin float
 freely), so a small diagonal regularization anchored at the region center
 makes the solve unconditionally well-posed; anchor pseudo-nets (used by the
 spreading loop) enter the same way with per-node weights and targets.
+
+A caller that solves the same netlist's QPs over and over (terminal
+evaluation: the legalizer's two QP steps and the cell placement) keeps a
+:class:`CompiledQP`.  It holds the netlist's pin table and, per movable
+mask, a :class:`~repro.gp.netmodel.QuadraticPlan`: the assembled matrix,
+the right-hand-side gather arrays, and one LU factorization per
+anchor-weight vector.  A repeated solve then only reads positions,
+accumulates two right-hand sides and runs two triangular solves.  Every
+array it touches holds the bytes a from-scratch solve would build, so the
+results are bitwise identical.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.gp.netmodel import QuadraticSystem
+from repro.gp.netmodel import (
+    QuadraticPlan,
+    QuadraticSystem,
+    build_quadratic_system,
+    compile_quadratic_system,
+)
 from repro.netlist.hpwl import FlatNetlist
+from repro.netlist.model import Netlist
 
 
-class FactorizationCache:
-    """Memo of :func:`scipy.sparse.linalg.factorized` solvers by matrix content.
+class CompiledQP:
+    """One netlist's pin table and QP plans, kept by the caller that repeats
+    the solves.
 
-    The legalization pipeline solves the same Laplacian over and over: the
-    matrix depends only on connectivity, the movable mask, and the anchor
-    weights — none of which change between terminal evaluations — while
-    only the right-hand sides (fixed-node positions) vary.  Keying the
-    factorized solver on a digest of the exact CSC triplet arrays makes the
-    reuse *structurally* bitwise-safe: a hit returns the same LU solver
-    object that a fresh ``factorized(A)`` call would rebuild from identical
-    bytes, so the triangular solves produce identical floats.  Any change
-    to the matrix — different netlist, mask, or regularization — changes
-    the digest and misses.
+    :meth:`flat` compiles the :class:`FlatNetlist` on first sight of a
+    netlist and afterwards only reloads its node geometry, centers and
+    fixed flags.  Handed a different netlist object, it drops everything
+    compiled for the old one.  :meth:`plan` keeps one plan per (movable
+    mask, clique threshold) of the current netlist.
     """
 
-    def __init__(self, max_entries: int = 8) -> None:
-        self.max_entries = max_entries
-        self._entries: dict[tuple[tuple[int, int], str], object] = {}
-        self.hits = 0
-        self.misses = 0
+    def __init__(self) -> None:
+        self._netlist: Netlist | None = None
+        self._flat: FlatNetlist | None = None
+        self._plans: dict[tuple[bytes, int], QuadraticPlan] = {}
 
-    @staticmethod
-    def _digest(A_csc) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(A_csc.indptr.tobytes())
-        h.update(A_csc.indices.tobytes())
-        h.update(A_csc.data.tobytes())
-        return h.hexdigest()
+    def flat(self, netlist: Netlist) -> FlatNetlist:
+        """The pin table of *netlist*, reloaded from its object model."""
+        if netlist is self._netlist:
+            self._flat.reload()
+        else:
+            self._netlist, self._flat, self._plans = netlist, FlatNetlist(netlist), {}
+        return self._flat
 
-    def solver_for(self, A_csc):
-        """Return a solve callable for *A_csc*, factorizing on first sight."""
-        key = (A_csc.shape, self._digest(A_csc))
-        solver = self._entries.get(key)
-        if solver is not None:
-            self.hits += 1
-            return solver
-        self.misses += 1
-        solver = spla.factorized(A_csc)
-        if len(self._entries) >= self.max_entries:
-            # drop the oldest entry (insertion order); the pipeline cycles
-            # through a handful of matrices, so eviction is a formality
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = solver
-        return solver
+    def plan(self, movable_mask: np.ndarray, clique_threshold: int) -> QuadraticPlan:
+        """The plan of *movable_mask* over the netlist :meth:`flat` last saw."""
+        key = (movable_mask.tobytes(), clique_threshold)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = compile_quadratic_system(self._flat, movable_mask, clique_threshold)
+            self._plans[key] = plan
+        return plan
+
+    def stats(self) -> dict:
+        """How many plans and factorizations are held."""
+        return {
+            "plans": len(self._plans),
+            "factorizations": sum(len(p.factors) for p in self._plans.values()),
+        }
+
+
+def _solver(system: QuadraticSystem, w: np.ndarray):
+    """``b -> x`` solving ``(A + diag(w)) x = b``, kept per *w* in
+    ``system.factors``.
+
+    Up to 2000 unknowns the solver is an LU factorization; above, conjugate
+    gradients on the regularized matrix.
+    """
+    key = w.tobytes()
+    solve = system.factors.get(key)
+    if solve is None:
+        A = system.A + sp.diags(w)
+        if A.shape[0] <= 2000:
+            solve = spla.factorized(A.tocsc())
+        else:
+            def solve(b: np.ndarray, A=A) -> np.ndarray:
+                return spla.cg(A, b, rtol=1e-8, maxiter=2000)[0]
+        system.factors[key] = solve
+    return solve
 
 
 def solve_system(
@@ -73,7 +102,6 @@ def solve_system(
     anchor_x: np.ndarray | None = None,
     anchor_y: np.ndarray | None = None,
     regularization: float = 1e-6,
-    factor_cache: FactorizationCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve for unknown x/y positions.
 
@@ -84,9 +112,6 @@ def solve_system(
             unknown toward (anchor_x, anchor_y) — the spreading loop's handle.
         anchor_x/anchor_y: pseudo-net targets (default: die center).
         regularization: tiny diagonal term guaranteeing positive definiteness.
-        factor_cache: optional :class:`FactorizationCache`; repeated solves
-            against a byte-identical matrix reuse one LU factorization
-            (bitwise-identical results, the factorization cost amortized).
 
     Returns:
         (x, y) arrays over all unknowns (movables first, then star nodes).
@@ -98,21 +123,13 @@ def solve_system(
     w = np.broadcast_to(np.asarray(anchor_weight, dtype=float), (n,)).copy()
     w += regularization
 
-    A = system.A + sp.diags(w)
     bx = system.bx + w * ax
     by = system.by + w * ay
 
     if n == 0:
         return np.zeros(0), np.zeros(0)
-    if n <= 2000:
-        if factor_cache is not None:
-            solve = factor_cache.solver_for(A.tocsc())
-        else:
-            solve = spla.factorized(A.tocsc())
-        return solve(bx), solve(by)
-    x, _ = spla.cg(A, bx, rtol=1e-8, maxiter=2000)
-    y, _ = spla.cg(A, by, rtol=1e-8, maxiter=2000)
-    return x, y
+    solve = _solver(system, w)
+    return solve(bx), solve(by)
 
 
 def solve_quadratic_placement(
@@ -124,21 +141,25 @@ def solve_quadratic_placement(
     anchor_x: np.ndarray | None = None,
     anchor_y: np.ndarray | None = None,
     apply: bool = True,
-    factor_cache: FactorizationCache | None = None,
+    plan: QuadraticPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-shot quadratic placement of the masked nodes of *flat*.
 
     Builds the system against the *current* positions of fixed nodes and
     solves it.  When *apply* is True the new centers are written back into
     ``flat.cx/cy`` (the object model is untouched until
-    :meth:`FlatNetlist.writeback`).
+    :meth:`FlatNetlist.writeback`).  *plan*, compiled from *flat*'s pin
+    table for this *movable_mask* and *clique_threshold*
+    (:meth:`CompiledQP.plan`), replaces the assembly and keeps the
+    factorizations for the next call.
 
     Returns the (x, y) centers of the movable nodes, in ``movable_mask``
     order (star-node positions are internal and discarded).
     """
-    from repro.gp.netmodel import build_quadratic_system
-
-    system = build_quadratic_system(flat, movable_mask, clique_threshold)
+    if plan is None:
+        system = build_quadratic_system(flat, movable_mask, clique_threshold)
+    else:
+        system = plan.system(flat)
     n_mov = len(system.movable)
     n = system.A.shape[0]
 
@@ -175,7 +196,6 @@ def solve_quadratic_placement(
         anchor_weight=w,
         anchor_x=ax,
         anchor_y=ay,
-        factor_cache=factor_cache,
     )
     mx, my = x[:n_mov], y[:n_mov]
     if apply:

@@ -15,6 +15,9 @@ independent, exactly as the paper notes.
 If the LP is infeasible (the rectangles simply cannot fit in [lo, hi] under
 the sequence-pair order) or the solver fails, :func:`pack_longest_path`
 compacts the rectangles toward ``lo`` instead and the result is clamped.
+Most infeasible LPs are found before any solver runs: when the longest
+path of the constraint edges already overflows the span, the LP is
+reported infeasible without calling HiGHS (:func:`_overflows`).
 
 The LP goes straight to the HiGHS binding that scipy bundles, with the
 options ``linprog(method="highs")`` sets; ``linprog``'s own per-call input
@@ -42,6 +45,9 @@ except ImportError:  # a scipy build without the bundled binding
 
 #: ``linprog``'s acceptance tolerance for an optimal solution
 _CHECK_TOL = np.sqrt(1e-9) * 10
+#: the smallest overflow :func:`_overflows` reports; HiGHS accepts an
+#: overflow up to its primal feasibility tolerance (1e-7) as feasible
+_OVERFLOW_FLOOR = 1e-6
 
 if _highs is not None:
     #: the non-default options ``linprog(method="highs")`` passes
@@ -99,6 +105,50 @@ def pack_longest_path(
         if not changed:
             break
     return pos
+
+
+def _overflows(
+    sizes: np.ndarray, edges: list[tuple[int, int]], lo: float, hi: float
+) -> bool:
+    """Does the longest path of *edges* overflow the LP's upper bounds?
+
+    Each rectangle starts at its lower bound ``lo``, and in topological
+    order each edge ``(a, b)`` pushes ``b`` to at least ``p_a + size_a``.
+    These are the smallest positions the edges allow, so when one ends
+    past its upper bound (``hi - size``, or ``lo`` for a rectangle wider
+    than the span) the LP has no solution.  Only an overflow larger than
+    ``1e-9 * max(hi - lo, 1)`` and than HiGHS's feasibility tolerance
+    counts.  Edges with a cycle and non-finite input are left to the
+    solver.
+    """
+    n = len(sizes)
+    if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(sizes).all()):
+        return False
+    size = sizes.tolist()
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
+    for a, b in edges:
+        succ[a].append(b)
+        indegree[b] += 1
+    start = [lo] * n
+    ready = [i for i in range(n) if indegree[i] == 0]
+    done = 0
+    while ready:
+        a = ready.pop()
+        done += 1
+        end = start[a] + size[a]
+        for b in succ[a]:
+            if end > start[b]:
+                start[b] = end
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                ready.append(b)
+    if done < n:
+        return False  # a cycle: no topological order
+    upper = hi - sizes
+    upper = np.where(upper < lo, lo, upper)
+    overflow = float(np.max(np.asarray(start) - upper))
+    return overflow > max(1e-9 * max(hi - lo, 1.0), _OVERFLOW_FLOOR)
 
 
 def _lp_arrays(
@@ -260,18 +310,23 @@ def lp_solve_axis(
     Raises :class:`SolverInfeasibleError` when the LP is infeasible or the
     solver errors — use :func:`lp_legalize_axis` for the degrading wrapper
     that falls back to greedy packing instead.  The fault-injection site
-    ``lp.solve`` simulates solver failure here.
+    ``lp.solve`` simulates solver failure here.  An LP whose constraint
+    edges overflow the span (:func:`_overflows`) raises the error HiGHS
+    raises for an infeasible model, without calling it.
     """
     sizes = np.asarray(sizes, dtype=float)
     n = len(sizes)
     if n == 0:
         return np.zeros(0)
 
+    solver = "highs" if _highs is not None else "linprog"
     if faults.should_fire("lp.solve"):
         raise SolverInfeasibleError(
-            "injected LP solver failure",
-            solver="highs" if _highs is not None else "linprog",
-            status="injected",
+            "injected LP solver failure", solver=solver, status="injected"
+        )
+    if _overflows(sizes, edges, lo, hi):
+        raise SolverInfeasibleError(
+            "LP did not converge: Infeasible", solver=solver, status=2
         )
 
     solve = _solve_highs if _highs is not None else _solve_linprog

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.coarsen.coarse import CoarseNetlist
 from repro.gp.mixed_size import legalize_macros_greedy
-from repro.gp.quadratic import FactorizationCache, solve_quadratic_placement
+from repro.gp.quadratic import CompiledQP, solve_quadratic_placement
 from repro.legalize.lp_spread import AxisNet, lp_legalize_axis
 from repro.legalize.sequence_pair import extract_sequence_pair
 from repro.netlist.hpwl import FlatNetlist
@@ -90,12 +90,17 @@ class MacroLegalizer:
         self.qp_clique_threshold = qp_clique_threshold
         #: degradation events (solver fallbacks) are recorded here
         self.events = events if events is not None else EventLog()
-        #: optional :class:`~repro.gp.quadratic.FactorizationCache` threaded
-        #: into every QP solve; ``None`` here, installed by
-        #: :class:`IncrementalMacroLegalizer`
-        self.factor_cache: FactorizationCache | None = None
+        #: compiled QP state per QP step; ``None`` here (every call builds
+        #: from scratch), installed by :class:`IncrementalMacroLegalizer`
+        self._compiled: dict[str, CompiledQP] | None = None
 
     # -- solver guards ---------------------------------------------------------
+    def _pin_table(self, step: str, netlist) -> FlatNetlist:
+        """The :class:`FlatNetlist` QP step *step* solves over."""
+        if self._compiled is None:
+            return FlatNetlist(netlist)
+        return self._compiled[step].flat(netlist)
+
     def _guarded_qp(self, step: str, flat: FlatNetlist, movable, center) -> None:
         """QP solve that degrades to a no-op on solver failure.
 
@@ -109,10 +114,13 @@ class MacroLegalizer:
                 raise SolverInfeasibleError(
                     "injected QP solver failure", solver="qp", status="injected"
                 )
+            plan = None
+            if self._compiled is not None:
+                plan = self._compiled[step].plan(movable, self.qp_clique_threshold)
             solve_quadratic_placement(
                 flat, movable, center,
                 clique_threshold=self.qp_clique_threshold,
-                factor_cache=self.factor_cache,
+                plan=plan,
             )
         except PlacementError as exc:
             self.events.emit(
@@ -140,7 +148,7 @@ class MacroLegalizer:
             node = coarse_nl[coarse.group_node_name(i)]
             node.move_center_to(rect.cx, rect.cy)
             node.fixed = True
-        flat = FlatNetlist(coarse_nl)
+        flat = self._pin_table("cell_groups", coarse_nl)
         movable = ~flat.fixed
         region = coarse.design.region
         center = (region.x + region.width / 2.0, region.y + region.height / 2.0)
@@ -161,10 +169,11 @@ class MacroLegalizer:
             for name in g.members:
                 design.netlist[name].move_center_to(g.cx, g.cy)
 
-        flat = FlatNetlist(design.netlist)
-        movable = np.zeros(flat.n_nodes, dtype=bool)
-        for i, node in enumerate(design.netlist):
-            movable[i] = node.kind is NodeKind.MACRO and not node.fixed
+        flat = self._pin_table("macro_refine", design.netlist)
+        movable = np.array(
+            [node.kind is NodeKind.MACRO and not node.fixed for node in design.netlist],
+            dtype=bool,
+        )
         region = design.region
         center = (region.x + region.width / 2.0, region.y + region.height / 2.0)
         self._guarded_qp("macro_refine", flat, movable, center)
@@ -308,15 +317,17 @@ class MacroLegalizer:
 class IncrementalMacroLegalizer(MacroLegalizer):
     """Drop-in :class:`MacroLegalizer` that amortizes repeated structure.
 
-    Consecutive terminal evaluations re-solve near-identical problems; three
+    Consecutive terminal evaluations re-solve near-identical problems; these
     reuses cut the per-call cost while staying *bitwise-identical* to the
     from-scratch pipeline:
 
-    - **QP factorization cache** — the step-1 and step-2 Laplacians depend
-      only on connectivity and the movable mask, not on the assignment, so
-      one LU factorization (keyed on the exact matrix bytes) serves every
-      terminal evaluation; only the right-hand-side triangular solves run
-      per call.
+    - **Compiled QP steps** — each of the two QP steps keeps a
+      :class:`~repro.gp.quadratic.CompiledQP`: the pin table of the netlist
+      it solves over (the step-1 coarse netlist, the design), and for its
+      movable mask the assembled Laplacian, the right-hand-side gather
+      arrays and the LU factorization.  None of them depends on the
+      assignment, so a call only reloads positions, gathers two
+      right-hand sides and runs two triangular solves.
     - **Step-1 netlist reuse** — ``coarse.as_netlist()`` rebuilds the same
       object graph every call; one instance is kept and its node positions
       rewound to the first build's state before each solve.
@@ -327,20 +338,22 @@ class IncrementalMacroLegalizer(MacroLegalizer):
       additionally memoized against a digest of *all* its inputs (member
       positions, span rectangle, fixed pin positions).
 
-    The LP memo is keyed on full inputs rather than "the spans the changed
-    anchor touches" because the QP steps couple every group: a one-anchor
-    change perturbs all member positions in their last bits, so a
-    span-locality skip would not be bitwise-safe.  Memo hits therefore
-    come from genuinely repeated sub-problems; the factorization cache and
-    the precompiled topology carry the steady-state win.
+    Everything is tied to the coarse netlist last legalized, and dropped
+    when a different one arrives.  The LP memo is keyed on full inputs
+    rather than "the spans the changed anchor touches" because the QP
+    steps couple every group: a one-anchor change perturbs all member
+    positions in their last bits, so a span-locality skip would not be
+    bitwise-safe.  Memo hits therefore come from genuinely repeated
+    sub-problems; the compiled QP steps and the precompiled topology carry
+    the steady-state win.
 
     When a fault plan is installed (chaos drills) every reuse except the
-    factorization cache is bypassed so injected-fault arrival counts stay
+    compiled QP steps is bypassed so injected-fault arrival counts stay
     canonical.  With ``self_check=True`` each call is replayed through a
     pristine from-scratch pipeline and every node position compared
     bitwise; a mismatch keeps the from-scratch result, drops all caches,
-    and emits a ``degradation`` event (the equivalence gate the tests and
-    benchmarks run under).
+    and emits a ``degradation`` event (the equivalence gate the tests
+    run under).
     """
 
     def __init__(
@@ -358,15 +371,9 @@ class IncrementalMacroLegalizer(MacroLegalizer):
             events=events,
         )
         self.self_check = self_check
-        self.factor_cache = FactorizationCache()
         self._src: CoarseNetlist | None = None
         self._bypass = False
-        self._step1_nl = None
-        self._step1_positions: dict[str, tuple[float, float]] = {}
-        #: (member-name tuple, axis) → [(weight, movable_pins, fixed_refs)]
-        self._axis_topology: dict = {}
-        #: full-input digest → (new_x, new_y) of one group's LP legalization
-        self._region_memo: dict = {}
+        self._drop_caches()
         self._region_memo_limit = 4096
         self.n_region_memo_hits = 0
         self.n_region_memo_misses = 0
@@ -374,9 +381,10 @@ class IncrementalMacroLegalizer(MacroLegalizer):
         self.n_legalize_calls = 0
 
     def cache_stats(self) -> dict:
+        compiled = [c.stats() for c in self._compiled.values()]
         return {
-            "factor_hits": self.factor_cache.hits,
-            "factor_misses": self.factor_cache.misses,
+            "qp_plans": sum(c["plans"] for c in compiled),
+            "qp_factorizations": sum(c["factorizations"] for c in compiled),
             "region_memo_hits": self.n_region_memo_hits,
             "region_memo_misses": self.n_region_memo_misses,
             "axis_topologies": len(self._axis_topology),
@@ -385,11 +393,13 @@ class IncrementalMacroLegalizer(MacroLegalizer):
         }
 
     def _drop_caches(self) -> None:
-        self.factor_cache = FactorizationCache()
+        self._compiled = {"cell_groups": CompiledQP(), "macro_refine": CompiledQP()}
         self._step1_nl = None
-        self._step1_positions = {}
-        self._axis_topology = {}
-        self._region_memo = {}
+        self._step1_positions: dict[str, tuple[float, float]] = {}
+        #: (member-name tuple, axis) → [(weight, movable_pins, fixed_refs)]
+        self._axis_topology: dict = {}
+        #: full-input digest → (new_x, new_y) of one group's LP legalization
+        self._region_memo: dict = {}
 
     # -- step-1 netlist reuse --------------------------------------------------
     def _step1_netlist(self, coarse: CoarseNetlist):

@@ -58,19 +58,6 @@ class FlatNetlist:
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
         self.names = netlist.node_names
-        n = len(self.names)
-        self.width = np.empty(n)
-        self.height = np.empty(n)
-        self.cx = np.empty(n)
-        self.cy = np.empty(n)
-        self.fixed = np.zeros(n, dtype=bool)
-        for i, node in enumerate(netlist):
-            self.width[i] = node.width
-            self.height[i] = node.height
-            self.cx[i] = node.cx
-            self.cy[i] = node.cy
-            self.fixed[i] = node.fixed
-
         pin_node: list[int] = []
         pin_dx: list[float] = []
         pin_dy: list[float] = []
@@ -94,6 +81,24 @@ class FlatNetlist:
         self.net_weight = np.asarray(net_weight)
         # reduceat segment starts (net_ptr without the trailing sentinel)
         self._starts = self.net_ptr[:-1]
+        self.reload()
+
+    def reload(self) -> None:
+        """Re-read every node's size, center and ``fixed`` flag from the model.
+
+        The pin table (``pin_node``, ``pin_dx``, ``pin_dy``, ``net_ptr``,
+        ``net_weight``, ``kept_nets``) is compiled once, by the constructor.
+        A caller that places the same netlist again keeps this view and
+        reloads it instead of building a new one; reloading also undoes
+        any per-call edit of the node arrays, such as nodes marked fixed
+        for one placement.  The netlist's nets must not change meanwhile.
+        """
+        nodes = list(self.netlist)
+        self.width = np.array([node.width for node in nodes], dtype=float)
+        self.height = np.array([node.height for node in nodes], dtype=float)
+        self.cx = np.array([node.cx for node in nodes], dtype=float)
+        self.cy = np.array([node.cy for node in nodes], dtype=float)
+        self.fixed = np.array([node.fixed for node in nodes], dtype=bool)
 
     @property
     def n_nodes(self) -> int:
@@ -104,23 +109,20 @@ class FlatNetlist:
         return len(self._starts)
 
     # -- placement plumbing --------------------------------------------------
-    def refresh_from_model(self) -> None:
-        """Re-read node centers from the object model."""
-        for i, node in enumerate(self.netlist):
-            self.cx[i] = node.cx
-            self.cy[i] = node.cy
-
-    def writeback(self) -> None:
+    def writeback(self, indices: np.ndarray | None = None) -> None:
         """Push center coordinates back to the object model (as lower-left).
 
         Fixed nodes are skipped: nothing may move them, and re-deriving
         their lower-left from the center would perturb the last floating-
-        point bit.
+        point bit.  For the same reason a caller that moved only some
+        nodes passes their *indices*, and only those are written.
         """
-        for i, node in enumerate(self.netlist):
-            if node.fixed:
-                continue
-            node.move_center_to(float(self.cx[i]), float(self.cy[i]))
+        nodes = list(self.netlist)
+        cx, cy = self.cx.tolist(), self.cy.tolist()
+        for i in range(len(nodes)) if indices is None else indices.tolist():
+            node = nodes[i]
+            if not node.fixed:
+                node.move_center_to(cx[i], cy[i])
 
     def set_centers(self, indices: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> None:
         """Move the nodes at *indices* so their centers are (cx, cy)."""

@@ -402,6 +402,21 @@ class TestMixedSizePlacer:
             node = placed_design.netlist[name]
             assert (node.x, node.y) == (x, y)
 
+    def test_cells_only_mode_keeps_macro_bits(self, placed_design):
+        """Only the cells are written back: a macro whose lower-left does
+        not survive the trip through its center, ``(x + w/2) - w/2``,
+        keeps its exact bits too."""
+        rng = np.random.default_rng(3)
+        region = placed_design.region
+        macros = placed_design.netlist.movable_macros
+        for _ in range(5):
+            for m in macros:
+                m.x = float(rng.uniform(region.x, region.x_max - m.width))
+                m.y = float(rng.uniform(region.y, region.y_max - m.height))
+            before = [(m.x, m.y) for m in placed_design.netlist.macros]
+            place_cells_with_fixed_macros(placed_design, n_iterations=2)
+            assert [(m.x, m.y) for m in placed_design.netlist.macros] == before
+
     def test_place_cells_with_fixed_macros_returns_hpwl(self, placed_design):
         wl = place_cells_with_fixed_macros(placed_design, n_iterations=2)
         assert wl == pytest.approx(hpwl(placed_design.netlist), rel=1e-9)

@@ -99,7 +99,7 @@ class TestFlatNetlist:
         nl = chain_netlist([(0, 0), (10, 0)])
         flat = FlatNetlist(nl)
         nl["c0"].move_center_to(3.0, 4.0)
-        flat.refresh_from_model()
+        flat.reload()
         assert flat.cx[0] == pytest.approx(3.0)
         assert flat.cy[0] == pytest.approx(4.0)
 

@@ -394,6 +394,139 @@ class TestLPOracle:
             assert len(calls) == attempts and len(seen) == 1
 
 
+def _flags(args):
+    """Does the longest-path screen flag the LP *args*?"""
+    sizes, edges, lo, hi, _nets = args
+    return lp_spread._overflows(np.asarray(sizes, dtype=float), edges, lo, hi)
+
+
+def _highs_status(args):
+    """HiGHS's verdict on the LP *args*: ``"ok"`` or the raised status."""
+    sizes, edges, lo, hi, nets = args
+    arrays = lp_spread._lp_arrays(np.asarray(sizes, dtype=float), edges, lo, hi, nets)
+    try:
+        lp_spread._solve_highs(*arrays)
+    except SolverInfeasibleError as exc:
+        return exc.details["status"]
+    return "ok"
+
+
+class TestLongestPathScreen:
+    """An LP whose constraint edges overflow the span is reported infeasible
+    before HiGHS runs, with the error HiGHS raises for it."""
+
+    @pytest.fixture(autouse=True)
+    def _binding(self):
+        if lp_spread._highs is None:
+            pytest.skip("this scipy bundles no HiGHS binding")
+
+    def test_every_flagged_lp_is_infeasible_for_highs(self):
+        lps = (
+            list(_fixture_lps())
+            + list(TestLPOracle.HAND_BUILT.values())
+            + [_random_lp(seed) for seed in range(400)]
+        )
+        flagged = [args for args in lps if _flags(args)]
+        assert len(flagged) >= 20
+        for args in flagged:
+            assert _highs_status(args) == 2
+            with pytest.raises(SolverInfeasibleError) as screened:
+                lp_solve_axis(*args)
+            with pytest.raises(SolverInfeasibleError) as solved:
+                lp_spread._solve_highs(
+                    *lp_spread._lp_arrays(np.asarray(args[0], dtype=float), *args[1:])
+                )
+            assert str(screened.value) == str(solved.value)
+
+    def test_flagged_lp_skips_highs(self, monkeypatch):
+        calls = []
+        solve = lp_spread._solve_highs
+        monkeypatch.setattr(
+            lp_spread, "_solve_highs", lambda *a: calls.append(1) or solve(*a)
+        )
+        seen = []
+        lp_legalize_axis(
+            *TestLPOracle.HAND_BUILT["infeasible chain"], on_degrade=seen.append
+        )
+        assert calls == [] and len(seen) == 1
+        assert seen[0].details == {"solver": "highs", "status": 2}
+        lp_legalize_axis(np.array([5.0, 5.0]), [(0, 1)], 0.0, 12.0, [])
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "sizes, edges, lo, hi",
+        [
+            ([5.0, 5.0], [(0, 1), (1, 0)], 0.0, 8.0),  # a cycle
+            ([5.0, 5.0], [(0, 0), (0, 1)], 0.0, 8.0),  # a self-loop
+            ([np.nan, 5.0, 5.0], [(1, 2)], 0.0, 8.0),
+            ([5.0, 5.0], [(0, 1)], 0.0, np.inf),
+            ([5.0, 5.0], [(0, 1)], 0.0, 10.0 + 5e-7),  # exact fit
+            ([5.0, 5.0], [(0, 1)], 0.0, 10.0 - 5e-7),  # inside HiGHS's tolerance
+        ],
+    )
+    def test_not_flagged(self, sizes, edges, lo, hi):
+        assert not lp_spread._overflows(np.array(sizes), edges, lo, hi)
+
+    def test_edges_need_not_be_transitively_closed(self):
+        """A chain 0 -> 1 -> 2 overflows without the edge 0 -> 2."""
+        sizes = np.array([4.0, 4.0, 4.0])
+        assert lp_spread._overflows(sizes, [(1, 2), (0, 1)], 0.0, 11.0)
+        assert not lp_spread._overflows(sizes, [(1, 2), (0, 1)], 0.0, 12.0)
+
+
+@st.composite
+def _span_lps(draw):
+    """Random rectangles, the sequence pair of their positions, one axis of
+    it, a span every rectangle fits in alone, and random nets."""
+    n = draw(st.integers(1, 7))
+    coord = st.floats(0.0, 60.0)
+    size = st.floats(0.5, 15.0)
+    xs, ys = (np.array(draw(st.lists(coord, min_size=n, max_size=n))) for _ in "xy")
+    ws, hs = (np.array(draw(st.lists(size, min_size=n, max_size=n))) for _ in "wh")
+    h_edges, v_edges = extract_sequence_pair(xs, ys, ws, hs).relations()
+    sizes, edges = draw(st.sampled_from([(ws, h_edges), (hs, v_edges)]))
+    lo = draw(st.floats(-20.0, 20.0))
+    slack = draw(st.floats(0.0, 1.2))
+    hi = lo + sizes.max() + slack * (sizes.sum() - sizes.max() + 1.0)
+    nets = [
+        AxisNet(
+            weight=draw(st.floats(0.1, 5.0)),
+            pins=draw(
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.floats(0.0, 6.0)), max_size=3
+                )
+            ),
+            fixed_positions=draw(st.lists(st.floats(lo - 30.0, hi + 30.0), max_size=3)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return sizes, edges, lo, hi, nets
+
+
+class TestLPKeepsSpan:
+    """A feasible Eq. 3 LP keeps every macro inside its span; an infeasible
+    one is reported, never left silently out of span."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_span_lps())
+    def test_inside_span_or_reported(self, lp):
+        sizes, edges, lo, hi, nets = lp
+        tol = lp_spread._CHECK_TOL
+        reported = []
+        pos = lp_legalize_axis(sizes, edges, lo, hi, nets, on_degrade=reported.append)
+        if reported:
+            assert len(reported) == 1
+            assert (pos >= lo).all() and (pos <= np.maximum(hi - sizes, lo)).all()
+        else:
+            assert (pos >= lo - tol).all() and (pos <= hi - sizes + tol).all()
+            for a, b in edges:
+                assert pos[a] + sizes[a] <= pos[b] + tol
+        if _flags(lp):
+            assert reported
+            if lp_spread._highs is not None:
+                assert _highs_status(lp) == 2
+
+
 class TestSpanHelpers:
     def test_anchor_clamped(self, coarse_small):
         plan = coarse_small.plan

@@ -291,7 +291,7 @@ class TestIncrementalLegalizer:
         return {node.name: (node.x, node.y) for node in coarse.design.netlist}
 
     def test_bitwise_equivalent_to_from_scratch(self, coarse_small):
-        """Every cached reuse (LU factorization, step-1 netlist, axis-net
+        """Every cached reuse (compiled QP steps, step-1 netlist, axis-net
         topology, region memo) must reproduce from-scratch positions
         exactly — including on repeated assignments."""
         baseline_coarse = coarse_small
@@ -312,7 +312,10 @@ class TestIncrementalLegalizer:
             )
         stats = incremental.cache_stats()
         assert stats["legalize_calls"] == len(assignments)
-        assert stats["factor_hits"] > 0
+        # one plan and one LU factorization per QP step, compiled by the
+        # first call and reused by every later one
+        assert stats["qp_plans"] == 2
+        assert stats["qp_factorizations"] == 2
         assert stats["region_memo_hits"] > 0
 
     def test_self_check_finds_no_divergence(self, coarse_small):
