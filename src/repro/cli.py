@@ -19,24 +19,18 @@ Subcommands:
 - ``cancel``    — cancel a queued job (or request daemon shutdown).
 - ``result``    — fetch one job's result record, optionally waiting.
 - ``gc``        — run the resource governor's collector offline against
-  a service dir: retire old terminal run dirs (journal-summarized
-  first), evict/compact the caches, compact the journal.
+  a service dir no daemon is serving: retire old terminal run dirs
+  (journal-summarized first), evict/compact the caches, compact the
+  journal.
 - ``doctor``    — validate a run directory offline (manifest, artifact
   checksums, journals, optionally the final placement itself);
   ``--resources`` reports a service dir's disk/memory footprint and
   quota verdict instead.
-- ``chaos``     — run the fault drill's single-daemon rows against a
-  throwaway service: every injected failure must end DONE-after-retry
-  or QUARANTINED, with DONE HPWLs bit-identical to an unfaulted
-  reference.  ``--fleet`` runs the multi-process shard-kill row;
-  ``--governed`` runs a fleet inside a tight synthetic disk quota with
-  injected ENOSPC.
-- ``fleet``     — sharded-fleet verbs over one shared service dir:
-  ``fleet serve`` boots N crash-safe shard daemons (work is claimed by
-  lease; a SIGKILLed shard's jobs are stolen and resumed by peers),
-  ``fleet shard`` runs a single shard in the foreground, ``fleet
-  status`` shows jobs + leases + aggregated metrics, ``fleet drain``
-  asks every shard to exit after in-flight work.
+- ``chaos``     — run the fault drill against throwaway services: every
+  injected failure, and two SIGKILLs of a ``serve`` daemon, must end
+  DONE-after-retry or QUARANTINED, with DONE HPWLs bit-identical to an
+  unfaulted reference.  ``--governed`` runs a daemon inside a tight
+  synthetic disk quota with injected ENOSPC instead.
 - ``study``     — design-space-exploration studies: ``study run``
   expands a declarative sweep spec (JSON/TOML) into a warm-aware job
   DAG and drives it through the service (crash-safe; re-running resumes
@@ -221,21 +215,6 @@ def cmd_serve(args) -> int:
         max_retries=args.max_retries,
         backoff_base=args.backoff_base,
         verify_results=not args.no_verify,
-        **_governor_kwargs(args),
-    )
-    print(f"serving {args.service_dir} "
-          f"(workers={args.workers}, max_queue={args.max_queue}, "
-          f"drain={args.drain}, stall_seconds={args.stall_seconds}, "
-          f"max_retries={args.max_retries})")
-    snapshot = service.run(drain=args.drain, max_seconds=args.max_seconds)
-    jobs = snapshot["jobs"]
-    print("served: " + ", ".join(f"{k}={v}" for k, v in jobs.items()))
-    return 0
-
-
-def _governor_kwargs(args) -> dict:
-    """Resource-governance knobs shared by serve / fleet shard / gc."""
-    return dict(
         disk_quota_bytes=args.disk_quota_bytes,
         mem_quota_bytes=args.mem_quota_bytes,
         high_water=args.high_water,
@@ -248,6 +227,14 @@ def _governor_kwargs(args) -> dict:
         rundir_projection_bytes=args.rundir_projection_bytes,
         resource_sample_interval=args.resource_sample_interval,
     )
+    print(f"serving {args.service_dir} "
+          f"(workers={args.workers}, max_queue={args.max_queue}, "
+          f"drain={args.drain}, stall_seconds={args.stall_seconds}, "
+          f"max_retries={args.max_retries})")
+    snapshot = service.run(drain=args.drain, max_seconds=args.max_seconds)
+    jobs = snapshot["jobs"]
+    print("served: " + ", ".join(f"{k}={v}" for k, v in jobs.items()))
+    return 0
 
 
 def _parse_set(pairs: list[str] | None) -> tuple | None:
@@ -389,123 +376,6 @@ def cmd_result(args) -> int:
     return 0 if result["state"] == "DONE" else 1
 
 
-# -- sharded fleet -----------------------------------------------------------
-def cmd_fleet_shard(args) -> int:
-    """Run one fleet shard daemon in the foreground."""
-    from repro.service import FleetShard
-
-    shard = FleetShard(
-        args.service_dir,
-        shard=args.shard,
-        lease_ttl=args.lease_ttl,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        poll_interval=args.poll_interval,
-        stall_seconds=args.stall_seconds,
-        max_retries=args.max_retries,
-        backoff_base=args.backoff_base,
-        verify_results=not args.no_verify,
-        **_governor_kwargs(args),
-    )
-    print(f"shard {shard.shard} serving {args.service_dir} "
-          f"(lease_ttl={args.lease_ttl}s, drain={args.drain})")
-    snapshot = shard.run(drain=args.drain, max_seconds=args.max_seconds)
-    jobs = snapshot["jobs"]
-    print(f"shard {shard.shard} exiting: "
-          + ", ".join(f"{k}={v}" for k, v in jobs.items()))
-    return 0
-
-
-def cmd_fleet_serve(args) -> int:
-    """Boot N shard daemons over one shared service dir; wait for them."""
-    import subprocess
-
-    from repro.service import FleetPaths, write_fleet_metrics
-
-    paths = FleetPaths(args.service_dir).ensure()
-    # A stale stop file from a previous drain would make every new shard
-    # exit immediately; the launcher owns the stop file's lifecycle.
-    try:
-        os.remove(paths.stop_file)
-    except FileNotFoundError:
-        pass
-    # Every option but the launcher's own --shards is fleet_common's, and
-    # each shard gets it unchanged (dest "max_queue" is "--max-queue").
-    forwarded = []
-    for dest, value in sorted(vars(args).items()):
-        if dest in ("command", "fleet_command", "func", "shards"):
-            continue
-        if value is None or value is False:
-            continue
-        flag = "--" + dest.replace("_", "-")
-        forwarded += [flag] if value is True else [flag, str(value)]
-    procs = []
-    for i in range(args.shards):
-        cmd = [
-            sys.executable, "-m", "repro", "fleet", "shard", *forwarded,
-            "--shard", f"shard-{i}",
-        ]
-        procs.append(subprocess.Popen(cmd))
-    print(f"fleet of {args.shards} shards serving {args.service_dir} "
-          f"(lease_ttl={args.lease_ttl}s, drain={args.drain})")
-    codes = [p.wait() for p in procs]
-    try:
-        os.remove(paths.stop_file)
-    except FileNotFoundError:
-        pass
-    snapshot = write_fleet_metrics(paths)
-    print("fleet done: " + ", ".join(
-        f"{k}={v}" for k, v in snapshot["jobs"].items()
-    ))
-    return 0 if all(code == 0 for code in codes) else 1
-
-
-def cmd_fleet_status(args) -> int:
-    """Print the fleet-wide job table, live leases, and merged metrics."""
-    import json
-    import time as _time
-
-    from repro.service import FleetPaths, fleet_status, write_fleet_metrics
-
-    status = fleet_status(args.service_dir)
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    print(f"{'JOB':16s} {'STATE':12s} {'SHARD':14s} {'ATT':>3s}  HPWL")
-    for job in status["jobs"]:
-        hpwl = f"{job['hpwl']:.1f}" if job["hpwl"] is not None else "-"
-        print(f"{job['id']:16s} {job['state']:12s} "
-              f"{job['shard'] or '-':14s} {job['attempts']:3d}  {hpwl}")
-    print("jobs: " + ", ".join(
-        f"{k}={v}" for k, v in status["counts"].items()
-    ))
-    now = _time.time()
-    for lease in status["leases"]:
-        state = "EXPIRED" if lease["expired"] else (
-            f"{lease['expires'] - now:.1f}s left"
-        )
-        print(f"lease {lease['job_id']}: shard={lease['shard']} "
-              f"token={lease['token']} {state}")
-    metrics = write_fleet_metrics(FleetPaths(args.service_dir))
-    counters = metrics.get("counters", {})
-    print(f"fleet: shards_reporting={metrics['n_shards']} "
-          f"done={counters.get('jobs_done', 0)} "
-          f"reclaimed={counters.get('jobs_reclaimed', 0)} "
-          f"leases_lost={counters.get('leases_lost', 0)} "
-          f"stale_lease_drops={counters.get('stale_lease_drops', 0)}")
-    return 0
-
-
-def cmd_fleet_drain(args) -> int:
-    """Ask every shard to exit once its in-flight work finishes."""
-    from repro.service.service import request_stop
-
-    request_stop(args.service_dir)
-    print("fleet drain requested (shards exit after in-flight jobs; "
-          "the stop file stays until 'fleet serve' clears it)")
-    return 0
-
-
 # -- design-space-exploration studies ----------------------------------------
 def _load_study(args):
     from repro.study import Study, StudySpec
@@ -581,18 +451,21 @@ def cmd_gc(args) -> int:
     Without ``--emergency``, only the steps whose knobs are set act —
     e.g. ``--retention-runs 5`` retires old terminal run dirs and
     ``--journal-quota-bytes 0`` forces a journal compaction.  With
-    ``--emergency`` everything collectible is collected.  In a fleet,
-    stop the shards first (``repro fleet drain``) before compacting the
-    shared journal — the offline collector has no peers to fence.
+    ``--emergency`` everything collectible is collected.  Unless
+    ``--dry-run``, it takes the service dir's lock first, so it refuses
+    (exit 64) a dir a live daemon is serving: a compaction racing the
+    daemon's journal append would lose the record.
     """
     import json
 
     from repro.service import JobStore, ServicePaths
     from repro.service.governor import ResourceGovernor, resource_report
     from repro.service.metrics import ServiceMetrics
+    from repro.service.service import lock_service_dir
     from repro.service.warm import WarmArtifactCache
 
     paths = ServicePaths(args.service_dir).ensure()
+    lock = None if args.dry_run else lock_service_dir(paths.root)
     governor = ResourceGovernor(
         paths,
         JobStore(paths.journal).load(),
@@ -610,7 +483,11 @@ def cmd_gc(args) -> int:
         rundir_projection_bytes=args.rundir_projection_bytes,
         sample_interval=args.resource_sample_interval,
     )
-    summary = governor.gc(emergency=args.emergency, dry_run=args.dry_run)
+    try:
+        summary = governor.gc(emergency=args.emergency, dry_run=args.dry_run)
+    finally:
+        if lock is not None:
+            os.close(lock)
     report = resource_report(paths, disk_quota_bytes=args.disk_quota_bytes)
     if args.json:
         print(json.dumps({"gc": summary, "resources": report},
@@ -681,19 +558,14 @@ def cmd_chaos(args) -> int:
     import tempfile
 
     from repro.service.chaos import (
-        FLEET_KILL,
+        DAEMON_KILL,
         GOVERNED,
         SINGLE_DAEMON,
         format_report,
         run_drill,
     )
 
-    if args.governed:
-        rows = (GOVERNED,)
-    elif args.fleet:
-        rows = (FLEET_KILL,)
-    else:
-        rows = SINGLE_DAEMON
+    rows = (GOVERNED,) if args.governed else (*SINGLE_DAEMON, DAEMON_KILL)
     if args.out:
         report = run_drill(args.out, rows)
     else:
@@ -817,9 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--journal-quota-bytes", type=int, default=None,
                        dest="journal_quota_bytes",
                        help="compact jobs.jsonl once it exceeds this "
-                            "many bytes (single daemon / offline only; "
-                            "live fleets compact via 'repro gc' with "
-                            "the shards stopped)")
+                            "many bytes")
         p.add_argument("--rundir-projection-bytes", type=int,
                        default=4 << 20, dest="rundir_projection_bytes",
                        help="projected size of one run dir; dispatch "
@@ -911,73 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="poll up to this many seconds for the result")
     p_res.set_defaults(func=cmd_result)
 
-    p_fleet = sub.add_parser(
-        "fleet", help="sharded placement fleet over one shared service dir"
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-
-    def fleet_common(p: argparse.ArgumentParser) -> None:
-        service_dir(p)
-        p.add_argument("--lease-ttl", type=float, default=10.0,
-                       dest="lease_ttl",
-                       help="seconds before an unrefreshed job lease is "
-                            "stealable; the crash-detection latency "
-                            "(renewed every poll cycle)")
-        p.add_argument("--poll-interval", type=float, default=0.2,
-                       dest="poll_interval",
-                       help="seconds between poll cycles (also the lease "
-                            "renewal cadence)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="concurrent placement jobs per shard, each in "
-                            "its own worker process")
-        p.add_argument("--max-queue", type=int, default=64, dest="max_queue")
-        p.add_argument("--stall-seconds", type=float, default=None,
-                       dest="stall_seconds",
-                       help="per-shard watchdog threshold (see 'serve')")
-        p.add_argument("--max-retries", type=int, default=2,
-                       dest="max_retries")
-        p.add_argument("--backoff-base", type=float, default=0.5,
-                       dest="backoff_base")
-        p.add_argument("--no-verify", action="store_true", dest="no_verify")
-        p.add_argument("--drain", action="store_true",
-                       help="exit once every job is terminal and the "
-                            "shared inbox is empty")
-        p.add_argument("--max-seconds", type=float, default=None,
-                       dest="max_seconds")
-        governor_flags(p)
-
-    p_fshard = fleet_sub.add_parser(
-        "shard", help="run one shard daemon in the foreground"
-    )
-    fleet_common(p_fshard)
-    p_fshard.add_argument("--shard", default=None,
-                          help="shard id (stable id lets a replacement "
-                               "daemon supersede its dead predecessor's "
-                               "leases immediately; default: random)")
-    p_fshard.set_defaults(func=cmd_fleet_shard)
-
-    p_fserve = fleet_sub.add_parser(
-        "serve", help="boot N shard daemons and wait for them"
-    )
-    fleet_common(p_fserve)
-    p_fserve.add_argument("--shards", type=int, default=3,
-                          help="number of shard daemon processes")
-    p_fserve.set_defaults(func=cmd_fleet_serve)
-
-    p_fstatus = fleet_sub.add_parser(
-        "status", help="fleet-wide jobs, live leases, merged metrics"
-    )
-    service_dir(p_fstatus)
-    p_fstatus.add_argument("--json", action="store_true",
-                           help="dump the machine-readable status")
-    p_fstatus.set_defaults(func=cmd_fleet_status)
-
-    p_fdrain = fleet_sub.add_parser(
-        "drain", help="ask every shard to exit after in-flight work"
-    )
-    service_dir(p_fdrain)
-    p_fdrain.set_defaults(func=cmd_fleet_drain)
-
     p_study = sub.add_parser(
         "study",
         help="design-space-exploration studies over the service "
@@ -1002,9 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
     study_dir(p_srun)
     service_dir(p_srun)
     p_srun.add_argument("--serve", action="store_true",
-                        help="run an inline single-host daemon for the "
-                             "study's duration instead of requiring an "
-                             "external 'repro serve'/'repro fleet serve'")
+                        help="run an inline daemon for the study's "
+                             "duration instead of requiring an external "
+                             "'repro serve'")
     p_srun.add_argument("--workers", type=int, default=1,
                         help="inline daemon worker slots (with --serve)")
     p_srun.add_argument("--poll", type=float, default=0.25,
@@ -1091,14 +894,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--report", default=None,
                          help="write the machine-readable drill report "
                               "(JSON) to this path")
-    p_chaos.add_argument("--fleet", action="store_true",
-                         help="run the multi-process shard-kill row "
-                              "instead of the single-daemon rows")
     p_chaos.add_argument("--governed", action="store_true",
-                         help="run the resource-pressure row: a fleet "
-                              "inside a tight synthetic disk quota with "
-                              "injected ENOSPC — every answer must stay "
-                              "bit-identical, with no daemon death")
+                         help="run the resource-pressure row instead: a "
+                              "daemon inside a tight synthetic disk quota "
+                              "with injected ENOSPC — every answer must "
+                              "stay bit-identical, with no daemon death")
     p_chaos.set_defaults(func=cmd_chaos)
 
     return parser

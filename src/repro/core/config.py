@@ -76,8 +76,9 @@ class PlacerConfig:
     cell_place_iterations: int = 3
     #: explicit path for the cross-run terminal cache JSONL, overriding the
     #: per-run-dir default.  The placement service points every job at one
-    #: shared file so terminal HPWL results amortize across the fleet
-    #: (entries are fingerprint-keyed, so unrelated designs coexist).  An
+    #: shared file so terminal HPWL results amortize across its jobs and
+    #: attempt workers (entries are fingerprint-keyed, so unrelated
+    #: designs coexist).  An
     #: execution knob, not a result knob — excluded from the run-dir
     #: config fingerprint.
     terminal_cache_path: str | None = None

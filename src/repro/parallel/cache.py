@@ -16,14 +16,14 @@ stale file can never poison a run.  Loads tolerate a torn tail line (a
 kill mid-append), matching the event-log convention.
 
 The persisted file is safe to share across **concurrent writer
-processes** (a whole placement fleet appends to one file): every append
-is a single ``write`` syscall on an ``O_APPEND`` descriptor
+processes** (a service daemon's attempt workers all append to one file):
+every append is a single ``write`` syscall on an ``O_APPEND`` descriptor
 (:func:`repro.utils.events.append_jsonl`), so records from different
-shards interleave whole, never byte-wise.  Each record carries a sha256
+workers interleave whole, never byte-wise.  Each record carries a sha256
 of its own content, verified on load — a flipped bit (disk rot, an
 interleaved torn write) drops that one record instead of poisoning a
 search with a wrong wirelength.  Replays are last-writer-wins per key,
-which dedupes the benign case of two shards measuring (and appending)
+which dedupes the benign case of two workers measuring (and appending)
 the same assignment: both wrote the identical value, so either wins.
 """
 
@@ -154,7 +154,7 @@ class TerminalCache:
             "wirelength": wirelength,
             "sha": self._record_sha(self.fingerprint, key, wirelength),
         }
-        # Single-syscall append: fleet shards share this file.
+        # Single-syscall append: attempt workers share this file.
         append_jsonl(self.path, record)
 
     def _load(self, path: str) -> None:
@@ -172,7 +172,7 @@ class TerminalCache:
             ):
                 self.corrupt_entries += 1
                 continue  # bit rot / damaged record: drop it, keep the rest
-            # Last-writer-wins: concurrent shards may append the same key
+            # Last-writer-wins: concurrent workers may append the same key
             # (with identical values — evaluation is pure); later records
             # simply overwrite earlier ones.
             self._entries[key] = wirelength
@@ -187,11 +187,12 @@ class TerminalCache:
         content sha verifies; corrupt and superseded records are dropped
         and legacy records without a sha are rewritten with one.  The new
         file lands via tmp + ``os.replace``, so concurrent readers see
-        either the old or the new version, never a half-rewrite.  In a
-        fleet the caller must hold the GC lease: a peer's append racing
-        the rename can be lost (it re-appends on its next miss — a cache
-        entry is a pure accelerator), but two concurrent compactions
-        could drop each other's survivors.
+        either the old or the new version, never a half-rewrite.  An
+        attempt worker's append racing the rename can be lost (it
+        re-appends on its next miss — a cache entry is a pure
+        accelerator), but two concurrent compactions could drop each
+        other's survivors, so only the daemon's governor (or ``repro gc``
+        holding the service dir's lock) compacts the service's file.
 
         Returns ``{"kept", "dropped_corrupt", "dropped_superseded",
         "before_bytes", "after_bytes"}``.

@@ -19,7 +19,6 @@ Layers:
 - :mod:`repro.service.worker`    — attempt worker processes, one per slot
 - :mod:`repro.service.supervisor`— heartbeats, watchdog, retry, quarantine
 - :mod:`repro.service.service`   — the daemon: inbox, control, recovery
-- :mod:`repro.service.fleet`     — sharded fleet: leases, work stealing
 - :mod:`repro.service.chaos`     — fault drills: one scenario table
 """
 
@@ -36,14 +35,6 @@ from repro.service.jobs import (
     ServicePaths,
     resolve_design,
 )
-from repro.service.fleet import (
-    FleetPaths,
-    FleetShard,
-    Lease,
-    LeaseManager,
-    fleet_status,
-    write_fleet_metrics,
-)
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import JobRunContext, Scheduler
 from repro.service.service import PlacementService
@@ -57,12 +48,8 @@ __all__ = [
     "QUARANTINED",
     "QUEUED",
     "RUNNING",
-    "FleetPaths",
-    "FleetShard",
     "Heartbeat",
     "Job",
-    "Lease",
-    "LeaseManager",
     "JobRunContext",
     "JobSpec",
     "JobStore",
@@ -73,7 +60,5 @@ __all__ = [
     "ServicePaths",
     "SupervisedBudget",
     "WarmArtifactCache",
-    "fleet_status",
     "resolve_design",
-    "write_fleet_metrics",
 ]

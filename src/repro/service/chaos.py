@@ -6,16 +6,17 @@ places every seed a row expects DONE through one clean one-worker daemon
 — the ``reference`` pass: the HPWL every faulted run must reproduce bit
 for bit, and the footprint a governed row sizes its disk quota from.
 Then it runs each row in a fresh service dir, on one in-process daemon
-or on N ``repro fleet shard`` processes, and checks every job:
+or, for a row that kills its daemon, on a ``repro serve`` process that
+it SIGKILLs and restarts on the same dir, and checks every job:
 
 - the job is in the journal and terminal, and the journal holds exactly
-  one terminal state record for it (and none for a job nobody
-  submitted);
+  one terminal record for it — a terminal state record, or its entry in
+  a compaction snapshot — and none for a job nobody submitted;
 - a DONE job was verified in-flow, and its HPWL is bit-identical to its
   reference;
 - a QUARANTINED job carries the expected error kind and has one
   ``quarantine.jsonl`` record;
-- no daemon or shard died, other than the row's scheduled SIGKILLs;
+- no daemon died, other than the row's scheduled SIGKILLs;
 
 then the row's own expectations: attempts, warm hits, planned faults
 fired, counters moved, error kinds journalled, the disk quota held.
@@ -35,19 +36,20 @@ warm_corrupt        job A populates the warm cache and ``warm.corrupt``
                     injection, discards the entry, and runs cold to DONE
 poison              ``trainer.kill`` on every attempt → retries exhaust
                     and the job is QUARANTINED
-fleet_kill          3 shards drain 6 jobs and a poisoned one while 2 of
-                    them are SIGKILLed mid-flight and respawned under the
-                    same id (the replacement takes over the dead
-                    predecessor's leases)
-governed            3 shards inside a disk quota at 0.8 of the reference
+daemon_kill         a ``repro serve --workers 2`` process drains 6 jobs and
+                    a poisoned one while it is SIGKILLed twice with a job
+                    RUNNING and restarted on the same dir: each restart
+                    journals the dead daemon's RUNNING jobs back to QUEUED
+                    (``daemon_restart``) and resumes them from their
+                    run-dir checkpoints
+governed            a daemon inside a disk quota at 0.8 of the reference
                     footprint, keeping 1 run dir, with one transient and
                     one persistent ``disk.enospc`` job: only GC, load
                     shedding and ENOSPC degradation let it finish
 =================== ========================================================
 
-``repro chaos`` runs :data:`SINGLE_DAEMON` (CI ``chaos-smoke``),
-``--fleet`` runs :data:`FLEET_KILL` (``fleet-smoke``) and ``--governed``
-runs :data:`GOVERNED` (``gc-smoke``).
+``repro chaos`` runs :data:`SINGLE_DAEMON` and :data:`DAEMON_KILL` (CI
+``chaos-smoke``) and ``--governed`` runs :data:`GOVERNED` (``gc-smoke``).
 """
 
 from __future__ import annotations
@@ -65,13 +67,14 @@ from repro.runtime import faults
 from repro.runtime.errors import UsageError
 from repro.runtime.faults import Fault, FaultPlan
 from repro.runtime.resources import dir_usage_bytes
-from repro.service.fleet import FleetPaths
 from repro.service.jobs import (
     DONE,
     QUARANTINED,
+    RUNNING,
     TERMINAL_STATES,
     JobSpec,
     JobStore,
+    ServicePaths,
 )
 from repro.service.service import PlacementService, read_result, submit_job
 from repro.utils.events import read_jsonl
@@ -81,10 +84,10 @@ from repro.utils.events import read_jsonl
 DEFAULT_SPEC = JobSpec(
     circuit="ibm01", scale=0.004, macro_scale=0.04, preset="fast", seed=3
 )
-#: wall-clock cap on every daemon and shard (the no-hang gate)
+#: wall-clock cap on every daemon (the no-hang gate)
 MAX_SECONDS = 60.0
-#: shard poll cycle (and lease renewal cadence)
-SHARD_POLL = 0.05
+#: poll cycle of a daemon process, and of the drill watching its journal
+POLL = 0.05
 
 
 @dataclass(frozen=True)
@@ -116,17 +119,15 @@ class Scenario:
     #: further jobs, each with its own faults and expected outcome
     extra: tuple[DrillJob, ...] = ()
     #: daemon-wide fault plan as ``(site, at, count)`` triples; its
-    #: arrivals count across attempts (in-process daemon only: a shard
+    #: arrivals count across attempts (in-process daemon only: a killed
     #: row's ``fired.*`` checks fail if it sets one)
     faults: tuple = ()
     #: ``(name, value)`` daemon settings: ``PlacementService`` keywords,
-    #: handed to shards as the ``fleet shard`` flags of the same name
+    #: handed to a ``repro serve`` process as the flags of the same name
     settings: tuple = ()
-    #: 0: one in-process daemon; N: N ``repro fleet shard`` processes
-    shards: int = 0
-    lease_ttl: float = 1.5
-    #: whole-shard SIGKILLs while work is in flight; each victim is
-    #: respawned under its shard id
+    #: 0: one in-process daemon; N: a ``repro serve`` process SIGKILLed
+    #: N times while the journal shows a job RUNNING, each time
+    #: restarted on the same dir
     kills: int = 0
     #: disk quota as a fraction of the reference pass's footprint
     quota_frac: float | None = None
@@ -171,8 +172,8 @@ SINGLE_DAEMON = (
     ),
 )
 
-FLEET_KILL = Scenario(
-    "fleet_kill", jobs=6, attempts=None, shards=3, kills=2,
+DAEMON_KILL = Scenario(
+    "daemon_kill", jobs=6, attempts=None, kills=2,
     extra=(
         DrillJob(seed=6, faults=(("trainer.kill", 1, None),),
                  state=QUARANTINED, error="FaultInjected"),
@@ -180,12 +181,12 @@ FLEET_KILL = Scenario(
 )
 
 GOVERNED = Scenario(
-    "governed", jobs=6, attempts=None, shards=3, quota_frac=0.8,
+    "governed", jobs=6, attempts=None, quota_frac=0.8,
     settings=(("high_water", 0.85), ("low_water", 0.6), ("retention_runs", 1)),
     extra=(
         # the first guarded write fails once: emergency GC + retry absorb it
         DrillJob(faults=(("disk.enospc", 1, 1),)),
-        # every write fails, even after GC: attempts exhaust, shard lives on
+        # every write fails, even after GC: attempts exhaust, daemon lives on
         DrillJob(seed=6, faults=(("disk.enospc", 1, None),),
                  state=QUARANTINED, error="ResourceExhaustedError"),
     ),
@@ -224,18 +225,18 @@ def run_drill(root: str, rows: tuple[Scenario, ...]) -> dict:
                 # one run dir's cost, not footprint / jobs: the warm cache
                 # and results are a floor the row pays once
                 rundir_projection_bytes=max(1, runs_per_job),
-                resource_sample_interval=SHARD_POLL,
+                resource_sample_interval=POLL,
             )
         run = _run(service_dir, row, settings)
         if row is probe:
-            store = JobStore(FleetPaths(service_dir).journal).load()
+            store = JobStore(ServicePaths(service_dir).journal).load()
             report["reference"] = {
                 str(job.spec.seed): job.hpwl
                 for job in store.jobs() if job.state == DONE
             }
             footprint = dir_usage_bytes(service_dir)
             runs_per_job = dir_usage_bytes(
-                FleetPaths(service_dir).runs
+                ServicePaths(service_dir).runs
             ) // max(1, len(offsets))
         scenario = _judge(service_dir, row, run, report["reference"], quota)
         report["scenarios"].append(scenario)
@@ -246,7 +247,7 @@ def run_drill(root: str, rows: tuple[Scenario, ...]) -> dict:
 
 
 def _run(service_dir: str, row: Scenario, settings: dict) -> dict:
-    """Submit *row*'s jobs and drain its daemon or shards."""
+    """Submit *row*'s jobs and drain its daemon."""
     submitted = [
         (
             submit_job(service_dir, replace(
@@ -262,8 +263,8 @@ def _run(service_dir: str, row: Scenario, settings: dict) -> dict:
         *(Fault(site, at=at, count=count) for site, at, count in row.faults)
     )
     started = time.perf_counter()
-    if row.shards:
-        deaths, kills = _run_shards(service_dir, row, settings, len(submitted))
+    if row.kills:
+        deaths, kills = _serve_with_kills(service_dir, row, settings)
     else:
         deaths, kills = _serve(service_dir, settings, plan), []
     return {
@@ -280,13 +281,18 @@ def _judge(
     quota: int | None,
 ) -> dict:
     """The common checks on every job, then the row's own; the entry."""
-    paths = FleetPaths(service_dir)
+    paths = ServicePaths(service_dir)
     submitted = run["submitted"]
     store = JobStore(paths.journal).load()
     journal = read_jsonl(paths.journal)
+    # A job's terminal record is its terminal state record or, once the
+    # governor compacted the journal, its entry in the snapshot record.
     terminal = Counter(
-        r.get("id") for r in journal
-        if r.get("record") == "state" and r.get("state") in TERMINAL_STATES
+        entry.get("id")
+        for r in journal
+        for entry in (r.get("jobs", ()) if r.get("record") == "snapshot"
+                      else (r,) if r.get("record") == "state" else ())
+        if entry.get("state") in TERMINAL_STATES
     )
     quarantined = Counter(
         q.get("id") for q in read_jsonl(paths.quarantine) if q.get("error")
@@ -303,11 +309,11 @@ def _judge(
         jobs.append({
             "id": job.id, "seed": job.spec.seed, "state": job.state,
             "attempts": job.attempts, "hpwl": job.hpwl, "error": kind,
-            "warm_hit": job.warm_hit, "shard": job.shard,
+            "warm_hit": job.warm_hit,
         })
         _check(checks, f"{label}.terminal", job.terminal, job.state)
         _check(checks, f"{label}.one_terminal_record", terminal[job_id] == 1,
-               f"{terminal[job_id]} terminal state records")
+               f"{terminal[job_id]} terminal records")
         _check(checks, f"{label}.state", job.state == want.state,
                f"{job.state} (want {want.state}) error={kind}")
         if want.state == DONE:
@@ -334,15 +340,11 @@ def _judge(
     _check(checks, "no_stray_jobs", not stray, ",".join(sorted(stray)))
     _check(checks, "daemons_survived", not run["deaths"],
            "; ".join(run["deaths"]))
-    metrics_path = paths.fleet_metrics if row.shards else paths.metrics
     metrics = None
-    if os.path.exists(metrics_path):
-        with open(metrics_path) as f:
+    if os.path.exists(paths.metrics):
+        with open(paths.metrics) as f:
             metrics = json.load(f)
-    _check(checks, "metrics_written",
-           metrics is not None
-           and (not row.shards or metrics.get("n_shards", 0) >= 1),
-           metrics_path)
+    _check(checks, "metrics_written", metrics is not None, paths.metrics)
 
     # -- the row's own expectations ------------------------------------------
     for fault in run["plan"].faults:
@@ -353,6 +355,16 @@ def _judge(
     if row.kills:
         _check(checks, "kills", len(run["kills"]) == row.kills,
                f"{len(run['kills'])}/{row.kills}: {run['kills']}")
+    for k, kill in enumerate(run["kills"]):
+        # the restart after this kill requeued every job it left RUNNING
+        requeued = {
+            r.get("id") for r in journal[kill["journal_records"]:]
+            if r.get("record") == "state"
+            and r.get("reason") == "daemon_restart"
+        }
+        missing = sorted(set(kill["running"]) - requeued)
+        _check(checks, f"kill{k}.daemon_restart", not missing,
+               f"RUNNING at the kill without a daemon_restart: {missing}")
     counters = dict((metrics or {}).get("counters", {}))
     counters["warm_corruptions"] = sum(
         entry.get("corruptions", 0)
@@ -400,12 +412,19 @@ def _serve(service_dir: str, settings: dict, plan: FaultPlan) -> list[str]:
     return []
 
 
-def _run_shards(
-    service_dir: str, row: Scenario, settings: dict, total: int,
+def _serve_with_kills(
+    service_dir: str, row: Scenario, settings: dict,
 ) -> tuple[list[str], list[dict]]:
-    """Drain *row*'s shard processes, SIGKILLing as scheduled; the
-    deaths and the kills."""
-    paths = FleetPaths(service_dir).ensure()
+    """Drain *row*'s jobs on a ``repro serve --workers 2`` process,
+    SIGKILLing it *row.kills* times while the journal shows a job RUNNING
+    and restarting it on the same dir; the deaths and the kills.  Two
+    workers, so a kill usually catches two attempts in flight.
+
+    A kill counts once the dead daemon's journal holds a RUNNING job
+    that the restart must requeue; a kill that finds none (the job
+    finished first) is retried on a later RUNNING job.
+    """
+    paths = ServicePaths(service_dir)
     src = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
@@ -413,69 +432,61 @@ def _run_shards(
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    flags = [
-        arg for name, value in settings.items()
-        for arg in ("--" + name.replace("_", "-"), str(value))
+    argv = [
+        sys.executable, "-m", "repro", "serve", "--service-dir", service_dir,
+        "--workers", "2", "--poll-interval", str(POLL),
+        "--backoff-base", "0.05", "--drain", "--max-seconds", str(MAX_SECONDS),
+        *(arg for name, value in settings.items()
+          for arg in ("--" + name.replace("_", "-"), str(value))),
     ]
 
-    def spawn(shard: str) -> subprocess.Popen:
+    def spawn() -> subprocess.Popen:
         return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "fleet", "shard",
-                "--service-dir", service_dir, "--shard", shard,
-                "--lease-ttl", str(row.lease_ttl),
-                "--poll-interval", str(SHARD_POLL), "--backoff-base", "0.05",
-                "--drain", "--max-seconds", str(MAX_SECONDS), *flags,
-            ],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            argv, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
 
-    procs = {f"shard-{i}": spawn(f"shard-{i}") for i in range(row.shards)}
+    proc = spawn()
     kills: list[dict] = []
-    store = JobStore(paths.journal)
+    # journal records written before the current daemon started: a
+    # RUNNING record past this mark is one of its own attempts
+    mark = 0
     deadline = time.monotonic() + MAX_SECONDS
-    last_kill = 0.0
     try:
-        while time.monotonic() < deadline:
-            counts = store.load().counts()
-            n_terminal = sum(counts[s] for s in TERMINAL_STATES)
-            if n_terminal >= total:
-                break
-            # Kill once work is demonstrably in flight, spaced so the
-            # fleet has absorbed the previous loss before the next.
-            in_flight = counts["RUNNING"] > 0 or n_terminal > len(kills)
-            if (
-                len(kills) < row.kills
-                and in_flight
-                and time.monotonic() - last_kill >= 2.0 * SHARD_POLL
-            ):
-                victim = f"shard-{len(kills)}"
-                if procs[victim].poll() is None:
-                    procs[victim].kill()  # no cleanup, no lease release
-                    procs[victim].wait()
-                    kills.append(
-                        {"shard": victim, "terminal_before": n_terminal}
-                    )
-                    last_kill = time.monotonic()
-                    procs[victim] = spawn(victim)
-            time.sleep(5 * SHARD_POLL)
-        for proc in procs.values():
-            try:
-                # Shards exit at their own --max-seconds; the grace keeps
-                # one merely finishing its drain from counting as a death.
-                proc.wait(timeout=max(10.0, deadline - time.monotonic() + 10.0))
-            except subprocess.TimeoutExpired:
-                pass
-    finally:
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.kill()
+        while (len(kills) < row.kills and proc.poll() is None
+               and time.monotonic() < deadline):
+            started = {
+                r.get("id") for r in read_jsonl(paths.journal)[mark:]
+                if r.get("record") == "state" and r.get("state") == RUNNING
+            }
+            if started & _running(paths):
+                proc.kill()  # no cleanup: its workers die with it
                 proc.wait()
-    deaths = [
-        f"{name} exited {proc.returncode}"
-        for name, proc in procs.items() if proc.returncode != 0
+                running = sorted(_running(paths))
+                mark = len(read_jsonl(paths.journal))
+                if running:
+                    kills.append({"running": running, "journal_records": mark})
+                proc = spawn()
+            time.sleep(POLL)
+        try:
+            # the daemon exits at its own --max-seconds; the grace keeps
+            # one merely finishing its drain from counting as a death
+            proc.wait(timeout=max(10.0, deadline - time.monotonic() + 10.0))
+        except subprocess.TimeoutExpired:
+            pass
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    deaths = [] if proc.returncode == 0 else [
+        f"daemon exited {proc.returncode}"
     ]
     return deaths, kills
+
+
+def _running(paths: ServicePaths) -> set[str]:
+    """Ids of the jobs the journal shows RUNNING."""
+    return {job.id for job in JobStore(paths.journal).load().in_state(RUNNING)}
 
 
 def format_report(report: dict) -> str:

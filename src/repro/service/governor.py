@@ -1,6 +1,6 @@
 """Resource governance: pressure detection, quotas, and safe GC.
 
-The service can survive crashes, stalls, corruption, and shard kills —
+The service can survive crashes, stalls, corruption, and daemon kills —
 but without this module it cannot survive *success*: run dirs, the
 terminal cache, warm artifacts, journals, and the malformed-submission
 quarantine all grow without bound.  :class:`ResourceGovernor` is the
@@ -10,8 +10,7 @@ layer that turns "self-healing" into "runs indefinitely":
 (:func:`~repro.runtime.resources.dir_usage_bytes`), filesystem headroom,
 and the RSS of the daemon plus its attempt worker processes (where the
 jobs' memory lives) on a rate-limited schedule, publishing them as
-``resource_*`` gauges into ``metrics.json`` (and, through the shard
-metric files, ``fleet_metrics.json``).
+``resource_*`` gauges into ``metrics.json``.
 
 **Quotas + GC** — :meth:`gc` enforces the configured bounds with a
 *safe* collector: terminal run dirs beyond the retention count are
@@ -19,8 +18,9 @@ summarized into the journal (``record: gc``) before deletion and
 QUARANTINED run dirs are always kept (they are the triage evidence);
 the warm-artifact cache evicts LRU entries down to its byte quota; the
 terminal cache and the job journal are compacted via atomic rewrites
-(:meth:`TerminalCache.compact` / :meth:`JobStore.compact`), fleet-safe
-under the GC lease; ``inbox/.rejected/`` sidecars older than a TTL are
+(:meth:`TerminalCache.compact` / :meth:`JobStore.compact`) by the one
+process that may rewrite them — the daemon, or ``repro gc`` holding the
+service dir's lock; ``inbox/.rejected/`` sidecars older than a TTL are
 swept (with a ``rejected_pending`` gauge so the backlog is visible).
 
 **Load shedding** — above ``high_water`` (fraction of the disk quota,
@@ -51,9 +51,6 @@ from repro.runtime import faults, resources
 from repro.service.jobs import QUARANTINED, Job, JobStore, ServicePaths
 from repro.service.metrics import ServiceMetrics
 from repro.service.warm import WarmArtifactCache
-
-#: synthetic lease id serializing fleet-wide compaction passes
-GC_LEASE_ID = ".gc"
 
 
 def resource_report(
@@ -120,7 +117,7 @@ class ResourceGovernor:
     """Disk/memory monitor, quota collector, and load-shedding policy.
 
     Operates on the service's components (paths, store, metrics, warm
-    cache, optional fleet lease manager) rather than the service object,
+    cache) rather than the service object,
     so ``repro gc`` can run the identical collector offline.
     """
 
@@ -142,7 +139,6 @@ class ResourceGovernor:
         journal_quota_bytes: int | None = None,
         rundir_projection_bytes: int = 4 << 20,
         sample_interval: float = 1.0,
-        leases=None,
         worker_pids=None,
         clock=time.time,
     ) -> None:
@@ -161,7 +157,6 @@ class ResourceGovernor:
         self.journal_quota_bytes = journal_quota_bytes
         self.rundir_projection_bytes = int(rundir_projection_bytes)
         self.sample_interval = float(sample_interval)
-        self.leases = leases
         #: callable listing the pids of the live attempt workers
         self.worker_pids = worker_pids or (lambda: [])
         self._clock = clock
@@ -448,19 +443,14 @@ class ResourceGovernor:
             return {"would_compact": True, "bytes": size}
         from repro.parallel.cache import TerminalCache
 
-        def _compact() -> dict:
-            # compact() validates each record against its *own*
-            # fingerprint, so the instance fingerprint is irrelevant;
-            # constructing without a path skips the (pointless here)
-            # full in-memory load.
-            cache = TerminalCache("", path=None)
-            cache.path = path
-            result = cache.compact()
-            self.metrics.inc("gc_cache_compactions")
-            return result
-
-        out = self._with_gc_lease(_compact)
-        return out if out is not None else {"skipped": "lease_busy"}
+        # compact() validates each record against its *own* fingerprint,
+        # so the instance fingerprint is irrelevant; constructing without
+        # a path skips the (pointless here) full in-memory load.
+        cache = TerminalCache("", path=None)
+        cache.path = path
+        result = cache.compact()
+        self.metrics.inc("gc_cache_compactions")
+        return result
 
     def _gc_journal(self, emergency: bool, dry_run: bool) -> dict:
         try:
@@ -470,29 +460,8 @@ class ResourceGovernor:
         quota = self.journal_quota_bytes
         if not emergency and (quota is None or size <= quota):
             return {"skipped": "under_quota", "bytes": size}
-        if self.leases is not None:
-            # Fleet mode: peers append under job leases the GC lease does
-            # not exclude, and an append racing the rewrite's rename can
-            # lose a submit record.  The journal is compacted offline
-            # (``repro gc`` with the shards stopped) instead.
-            return {"skipped": "fleet_live", "bytes": size}
         if dry_run:
             return {"would_compact": True, "bytes": size}
         result = self.store.compact()
         self.metrics.inc("gc_journal_compactions")
         return result
-
-    def _with_gc_lease(self, fn):
-        """Run *fn* under the fleet GC lease (or directly, single-daemon).
-
-        Returns None when a peer holds the lease — this pass simply
-        skips the shared-file compaction and a later cycle retries.
-        """
-        if self.leases is None:
-            return fn()
-        if self.leases.acquire(GC_LEASE_ID) is None:
-            return None
-        try:
-            return fn()
-        finally:
-            self.leases.release(GC_LEASE_ID)

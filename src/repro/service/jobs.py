@@ -19,20 +19,21 @@ way :class:`~repro.runtime.checkpoint.RunDir` replays a run manifest.  A
 torn trailing line (daemon killed mid-append) is tolerated exactly like
 the event log and terminal cache (:func:`repro.utils.events.read_jsonl`).
 
-The journal supports **multiple concurrent writer processes** (a fleet
-of shard daemons sharing one directory, :mod:`repro.service.fleet`):
+One daemon writes the journal (it holds the service dir's lock, see
+:func:`repro.service.service.lock_service_dir`); its poll loop and slot
+threads append through one :class:`JobStore`:
 
 - every append is a single ``write`` syscall on an ``O_APPEND``
-  descriptor (:func:`repro.utils.events.append_jsonl`), so records from
-  different shards interleave whole, never byte-wise;
-- :meth:`JobStore.refresh` tails the journal incrementally, folding in
-  peers' records without re-reading the file — a shard's in-memory
-  table converges to the union of every writer's appends;
+  descriptor (:func:`repro.utils.events.append_jsonl`), so a kill
+  mid-append leaves at worst one torn tail line, and the next append
+  starts on a fresh line;
 - replay is *first-submit-wins* per job id and *first-terminal-wins*
   per job: once a job reaches a terminal state, later state records for
-  it (a fenced-out zombie shard's stale report) are counted and
-  dropped, which makes double-completion structurally impossible in the
-  replayed state.
+  it are counted and dropped, which makes double-completion
+  structurally impossible in the replayed state.
+
+Journals written by older versions replay unchanged: replay ignores the
+keys it does not read.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import uuid
 from dataclasses import asdict, dataclass, replace
 
 from repro.runtime.errors import UsageError
-from repro.utils.events import append_jsonl, read_jsonl
+from repro.utils.events import append_jsonl
 
 #: job lifecycle states
 QUEUED = "QUEUED"
@@ -117,10 +118,9 @@ class JobSpec:
     #: deterministic faults injected into every attempt of *this job
     #: only*: ``((site, at, count), ...)`` triples (count ``None`` =
     #: forever) building a :class:`~repro.runtime.faults.FaultPlan`
-    #: around the flow call.  A chaos-drill facility — it lets a fleet
-    #: drill poison one job in a mix without touching the shard
-    #: processes — meaningful on single-worker daemons (the plan is
-    #: process-global while the attempt runs).
+    #: around the flow call in the attempt's worker process.  A
+    #: chaos-drill facility — it lets a drill poison one job in a mix
+    #: without touching the daemon's own fault plan.
     faults: tuple | list | None = None
     #: dotted-path config overrides applied on top of the preset:
     #: ``((\"mcts.c_puct\", 2.5), ...)`` pairs, routed through
@@ -227,9 +227,6 @@ class Job:
     warm_hit: bool = False
     hpwl: float | None = None
     seconds: float | None = None
-    #: fleet shard that wrote the job's latest transition (None outside
-    #: fleet mode); purely observational
-    shard: str | None = None
 
     @property
     def terminal(self) -> bool:
@@ -248,7 +245,6 @@ class Job:
             "warm_hit": self.warm_hit,
             "hpwl": self.hpwl,
             "seconds": self.seconds,
-            "shard": self.shard,
             "error": self.error,
             "spec": self.spec.to_json(),
         }
@@ -290,8 +286,9 @@ class ServicePaths:
 
     @property
     def terminal_cache(self) -> str:
-        """One fleet-wide terminal cache file; entries are keyed by an
-        environment fingerprint, so jobs on different designs coexist."""
+        """One terminal cache file shared by every job and attempt
+        worker; entries are keyed by an environment fingerprint, so jobs
+        on different designs coexist."""
         return os.path.join(self.root, "terminal_cache.jsonl")
 
     @property
@@ -359,80 +356,49 @@ class JobStore:
         self._lock = threading.RLock()
         self._jobs: dict[str, Job] = {}
         self._seq = 0
-        #: byte offset up to which the journal has been folded in; refresh
-        #: resumes tailing here (only ever advanced past complete lines)
-        self._offset = 0
-        #: records dropped by the first-terminal-wins replay rule — a
-        #: nonzero count means a fenced-out writer tried to re-decide a
-        #: finished job (or replayed its own record, which is benign)
+        #: records dropped by the first-submit-wins / first-terminal-wins
+        #: replay rules; a nonzero count means some record tried to
+        #: re-admit a known job or re-decide a finished one
         self.stale_records = 0
-        #: extra keys merged into every record this store writes (a fleet
-        #: shard tags its appends with its shard id)
-        self.tag: dict = {}
 
     # -- journal ---------------------------------------------------------------
     def _append(self, record: dict) -> None:
-        # Single-syscall atomic append: fleet shards share this journal.
-        append_jsonl(self.path, {**self.tag, **record}, fsync=True)
+        append_jsonl(self.path, record, fsync=True)
 
     def load(self) -> "JobStore":
-        """Replay the whole journal from the top (daemon start, CLI)."""
+        """Replay the whole journal from the top (daemon start, CLI).
+
+        Only newline-terminated lines count: an unterminated tail is an
+        append that never completed.  A damaged line (torn JSON, or a
+        flipped high bit that is not UTF-8) is skipped, like
+        :func:`repro.utils.events.read_jsonl` does.
+        """
         with self._lock:
             self._jobs.clear()
             self._seq = 0
-            self._offset = 0
             self.stale_records = 0
-            self._tail()
+            try:
+                f = open(self.path, "rb")
+            except FileNotFoundError:
+                return self
+            with f:
+                for line in f:
+                    if not line.endswith(b"\n"):
+                        break
+                    try:
+                        record = json.loads(line.decode("utf-8"))
+                    except ValueError:
+                        continue
+                    if isinstance(record, dict):
+                        self._apply_record(record)
         return self
-
-    def refresh(self) -> "JobStore":
-        """Fold in records appended since the last load/refresh.
-
-        Tails the journal from the saved byte offset, so concurrent
-        writers' records (and this store's own, which re-apply as no-ops
-        under the replay rules) converge into the in-memory table without
-        re-reading the file.  Only newline-terminated lines advance the
-        offset — a torn tail is re-examined on the next refresh, by which
-        time the writer's atomic append has completed.
-        """
-        with self._lock:
-            self._tail()
-        return self
-
-    def _tail(self) -> None:
-        try:
-            f = open(self.path, "rb")
-        except FileNotFoundError:
-            return
-        with f:
-            f.seek(0, os.SEEK_END)
-            if f.tell() < self._offset:
-                # The journal shrank under us: a peer (or an offline
-                # ``repro gc``) compacted it into a snapshot + tail.
-                # Replay from the top — the first-submit-wins /
-                # first-terminal-wins rules make re-application of
-                # already-known records a counted no-op.
-                self._offset = 0
-            f.seek(self._offset)
-            for line in f:
-                if not line.endswith(b"\n"):
-                    break  # in-flight append; retry next refresh
-                self._offset = f.tell()
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except ValueError:
-                    # damaged line (skipped, like read_jsonl): torn JSON,
-                    # or a flipped high bit that is not UTF-8
-                    continue
-                if isinstance(record, dict):
-                    self._apply_record(record)
 
     def _apply_record(self, record: dict) -> None:
         kind = record.get("record")
         if kind == "submit":
             if record.get("id") in self._jobs:
-                # First submit wins: a re-read of our own append, or a
-                # redundant re-admission raced by a peer.
+                # First submit wins: a redundant re-admission of a job
+                # the journal already holds.
                 self.stale_records += 1
                 return
             try:
@@ -444,7 +410,6 @@ class JobStore:
                     state=record.get("state", QUEUED),
                     submitted_ts=float(record.get("ts", 0.0)),
                     error=record.get("error"),
-                    shard=record.get("shard"),
                 )
             except (KeyError, TypeError, ValueError):
                 return
@@ -456,9 +421,8 @@ class JobStore:
                 return
             if job.terminal:
                 # First terminal wins: a finished job's fate is sealed.
-                # Anything after — a zombie shard's late report, or this
-                # store re-reading its own terminal append — is dropped,
-                # so double-completion cannot exist in replayed state.
+                # Anything after is dropped, so double-completion cannot
+                # exist in replayed state.
                 self.stale_records += 1
                 return
             self._apply(job, record)
@@ -487,7 +451,6 @@ class JobStore:
                         warm_hit=bool(payload.get("warm_hit", False)),
                         hpwl=payload.get("hpwl"),
                         seconds=payload.get("seconds"),
-                        shard=payload.get("shard"),
                     )
                 except (KeyError, TypeError, ValueError):
                     continue
@@ -517,8 +480,6 @@ class JobStore:
             job.hpwl = record["hpwl"]
         if "seconds" in record:
             job.seconds = record["seconds"]
-        if "shard" in record:
-            job.shard = record["shard"]
         if job.terminal:
             job.finished_ts = float(record.get("ts", 0.0))
 
@@ -568,9 +529,9 @@ class JobStore:
             job = self._jobs[job_id]
             if job.terminal:
                 # First terminal wins, live edition: once a job finished
-                # (possibly decided by a peer shard and folded in via
-                # refresh), nothing re-decides it — the attempted record
-                # is neither applied nor journaled.
+                # (say a watchdog-abandoned attempt reports late), nothing
+                # re-decides it — the record is neither applied nor
+                # journaled.
                 self.stale_records += 1
                 return job
             record = {
@@ -599,7 +560,6 @@ class JobStore:
             "warm_hit": job.warm_hit,
             "hpwl": job.hpwl,
             "seconds": job.seconds,
-            "shard": job.shard,
             "spec": job.spec.to_json(),
         }
 
@@ -611,25 +571,22 @@ class JobStore:
         regenerated submit/state lines for the still-live jobs — instead
         of a million-line history.  The rewrite lands via tmp +
         ``os.replace`` and the reload path keeps its torn-tail tolerance
-        unchanged.  Concurrent *readers* detect the shrink (see
-        :meth:`_tail`) and replay from the top, which the replay rules
-        make idempotent; concurrent **writers** must be excluded by the
-        caller (the governor compacts under the fleet GC lease with no
-        live shard leases, or offline via ``repro gc``) — an append racing
-        the rename could otherwise be lost.
+        unchanged.  Concurrent readers see the old or the new file, never
+        a mix.  Other **writers** must be excluded by the caller — an
+        append racing the rename could be lost — which is why only the
+        daemon compacts its own journal, and an offline ``repro gc`` takes
+        the service dir's lock first.
 
         Returns ``{"before_bytes", "after_bytes", "jobs_folded",
         "jobs_live"}``.
         """
         with self._lock:
-            self._tail()  # fold any records appended since the last poll
             jobs = sorted(self._jobs.values(), key=lambda j: j.seq)
             terminal = [j for j in jobs if j.terminal]
             live = [j for j in jobs if not j.terminal]
             lines = [
                 json.dumps(
                     {
-                        **self.tag,
                         "record": "snapshot",
                         "ts": time.time(),
                         "seq": self._seq,
@@ -641,7 +598,6 @@ class JobStore:
             for job in live:
                 lines.append(json.dumps(
                     {
-                        **self.tag,
                         "record": "submit",
                         "id": job.id,
                         "ts": job.submitted_ts,
@@ -654,7 +610,6 @@ class JobStore:
                 ))
                 if job.state != QUEUED or job.attempts or job.error:
                     record = {
-                        **self.tag,
                         "record": "state",
                         "id": job.id,
                         "state": job.state,
@@ -665,8 +620,6 @@ class JobStore:
                         record["error"] = job.error
                     if job.warm_hit:
                         record["warm_hit"] = True
-                    if job.shard is not None:
-                        record["shard"] = job.shard
                     lines.append(json.dumps(record, sort_keys=True))
             before_bytes = 0
             if os.path.exists(self.path):
@@ -682,10 +635,9 @@ class JobStore:
                 os.replace(tmp, self.path)
 
             guarded_write("compact:jobs.jsonl", _rewrite)
-            self._offset = os.path.getsize(self.path)
             return {
                 "before_bytes": before_bytes,
-                "after_bytes": self._offset,
+                "after_bytes": os.path.getsize(self.path),
                 "jobs_folded": len(terminal),
                 "jobs_live": len(live),
             }

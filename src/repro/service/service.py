@@ -17,6 +17,12 @@ Protocol (everything under one ``--service-dir``):
   reaches a terminal state; ``jobs.jsonl`` carries every transition and
   ``metrics.json`` the latest metrics snapshot.
 
+One daemon serves a service dir: it holds an exclusive lock on
+``daemon.lock`` (:func:`lock_service_dir`) from before its recovery pass
+until :meth:`PlacementService.run` returns, and a second daemon (or an
+offline ``repro gc``) on the same dir fails with a ``UsageError``.  The
+daemon scales with ``workers=N``, not with more daemons.
+
 Each job runs in its own run dir under ``runs/<job_id>/`` with the full
 PR 1 checkpoint/resume machinery, so killing the daemon mid-job and
 restarting resumes RUNNING jobs from their checkpoints (the recovery
@@ -41,6 +47,7 @@ with a reason sidecar instead of being re-parsed forever.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
@@ -48,7 +55,7 @@ import time
 from dataclasses import replace
 
 from repro.runtime import faults
-from repro.runtime.errors import ResourceExhaustedError
+from repro.runtime.errors import ResourceExhaustedError, UsageError
 from repro.service.governor import ResourceGovernor
 from repro.service.jobs import (
     CANCELLED,
@@ -125,6 +132,33 @@ def wait_for_result(
         time.sleep(poll)
 
 
+def lock_service_dir(service_dir: str) -> int:
+    """Take the one-daemon-per-dir lock; returns its fd (close to release).
+
+    An exclusive POSIX record lock on ``<service_dir>/daemon.lock``.  The
+    kernel drops it when the holder dies, and forked attempt workers do
+    not inherit it, so a SIGKILLed daemon's replacement takes it at once.
+    The holder writes its pid into the file; a held lock raises
+    :class:`UsageError` naming that pid.  Closing *any* descriptor of the
+    file releases the lock, so the holder opens it nowhere else.
+    """
+    path = os.path.join(service_dir, "daemon.lock")
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.lockf(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        holder = os.pread(fd, 32, 0).decode(errors="replace").strip()
+        os.close(fd)
+        raise UsageError(
+            f"service dir {service_dir} is locked by pid {holder or '?'}: "
+            "one daemon per service dir (scale with --workers)",
+            service_dir=service_dir,
+        ) from None
+    os.ftruncate(fd, 0)
+    os.pwrite(fd, f"{os.getpid()}\n".encode(), 0)
+    return fd
+
+
 class PlacementService:
     """The daemon: admission, scheduling, warm reuse, metrics, recovery."""
 
@@ -140,7 +174,6 @@ class PlacementService:
         backoff_base: float = 0.5,
         verify_results: bool = True,
         reject_malformed_after: float = 5.0,
-        paths: ServicePaths | None = None,
         disk_quota_bytes: int | None = None,
         mem_quota_bytes: int | None = None,
         high_water: float = 0.9,
@@ -153,7 +186,9 @@ class PlacementService:
         rundir_projection_bytes: int = 4 << 20,
         resource_sample_interval: float = 1.0,
     ) -> None:
-        self.paths = (paths or ServicePaths(service_dir)).ensure()
+        self.paths = ServicePaths(service_dir).ensure()
+        # Held before _recover journals anything; released by run().
+        self._lock_fd: int | None = lock_service_dir(self.paths.root)
         self.store = JobStore(self.paths.journal).load()
         self.metrics = ServiceMetrics()
         self.warm = WarmArtifactCache(self.paths.warm)
@@ -182,8 +217,6 @@ class PlacementService:
         )
         # Resource governance: quotas default to None (inert monitoring),
         # so a service without explicit limits behaves exactly as before.
-        # A fleet shard constructs its LeaseManager before calling up, so
-        # the governor compacts shared files under the fleet GC lease.
         self.governor = ResourceGovernor(
             self.paths,
             self.store,
@@ -200,7 +233,6 @@ class PlacementService:
             journal_quota_bytes=journal_quota_bytes,
             rundir_projection_bytes=rundir_projection_bytes,
             sample_interval=resource_sample_interval,
-            leases=getattr(self, "leases", None),
             worker_pids=self.scheduler.worker_pids,
         ).install()
         # Pressure pauses *dispatch* (queued jobs requeue), never
@@ -284,8 +316,7 @@ class PlacementService:
     ) -> Job:
         """Journal one parsed submission: admit it QUEUED, or reject it
         FAILED with a structured backpressure error when the queue is
-        full.  Shared by the single-daemon inbox poll and the fleet
-        shard's claim-gated admission."""
+        full (or with ``RESOURCE_PRESSURE`` while the governor sheds)."""
         pressure = self.governor.admission_blocked()
         if pressure is not None:
             # Load shedding: above the high-water mark new work is
@@ -397,17 +428,6 @@ class PlacementService:
         job = self.store.get(job_id)
         return job is not None and job.state == QUEUED
 
-    def _still_owner(self, job_id: str) -> bool:
-        """Fencing hook: does this daemon still own *job_id*?
-
-        The single-daemon service owns everything it journals.  The
-        fleet shard overrides this with a lease check so an attempt
-        whose lease was stolen (after a stall or partition) cannot
-        journal transitions or publish artifacts for a job a peer now
-        owns — its late writes are dropped, counted, and harmless.
-        """
-        return True
-
     def _execute(self, job_id: str) -> None:
         """Run one job attempt; never raises (scheduler contract).
 
@@ -428,9 +448,6 @@ class PlacementService:
         from repro.service.worker import AttemptRequest
 
         job = self.store.get(job_id)
-        if not self._still_owner(job.id):
-            self.metrics.inc("stale_lease_drops")
-            return
         run_dir = self.paths.run_dir(job.id)
         attempt = job.attempts + 1
         cold = self.supervisor.is_cold(job.id)
@@ -503,15 +520,6 @@ class PlacementService:
             # this late result must not clobber that state.
             self.metrics.inc("stale_attempts_dropped")
             return
-        if not self._still_owner(job.id):
-            # The lease was stolen mid-attempt: a peer shard now owns
-            # this job and may already be re-running it from the shared
-            # run dir's checkpoints.  Both attempts compute byte-identical
-            # artifacts (the flow is deterministic and every run-dir
-            # write is an atomic rename), so the only thing to do is
-            # refuse to journal a transition the peer would also journal.
-            self.metrics.inc("stale_lease_drops")
-            return
         seconds = time.perf_counter() - started
         self.supervisor.clear_cold(job.id)
         try:
@@ -575,13 +583,10 @@ class PlacementService:
         if not self.supervisor.attempt_current(job.id, attempt):
             self.metrics.inc("stale_attempts_dropped")
             return
-        if not self._still_owner(job.id):
-            self.metrics.inc("stale_lease_drops")
-            return
         if error.get("kind") == "VerificationError":
             self.metrics.inc("verification_failures")
             # A wrong result on a run that reused anything — warm
-            # artifacts or the fleet terminal cache — gets exactly one
+            # artifacts or the shared terminal cache — gets exactly one
             # retry with all reuse disabled, in case the reused data
             # (not the job) was the poison.
             reused = warm_hit or os.path.exists(self.paths.terminal_cache)
@@ -647,37 +652,43 @@ class PlacementService:
         *drain* exits once the inbox is empty and every job is terminal
         (the batch mode CI and tests use); otherwise the daemon serves
         until ``control/stop`` appears or *max_seconds* elapses.  Returns
-        the final metrics snapshot.
+        the final metrics snapshot and releases the service dir's lock
+        (a later ``run`` on the same object takes it again).
         """
         started = time.monotonic()
-        self.scheduler.start()
+        if self._lock_fd is None:
+            self._lock_fd = lock_service_dir(self.paths.root)
         try:
-            while True:
-                try:
-                    self.poll()
-                except ResourceExhaustedError:
-                    # A poll cycle's durable write ran the disk dry even
-                    # after emergency GC.  The daemon stays up: shedding
-                    # is already engaged (the governor sampled en route),
-                    # and the next cycle retries once GC or the operator
-                    # frees space.
-                    self.metrics.inc("poll_cycles_shed")
-                if drain and self._drained():
-                    break
-                if self.stop_requested():
-                    break
-                if (max_seconds is not None
-                        and time.monotonic() - started >= max_seconds):
-                    break
-                time.sleep(self.poll_interval)
+            self.scheduler.start()
+            try:
+                while True:
+                    try:
+                        self.poll()
+                    except ResourceExhaustedError:
+                        # A poll cycle's durable write ran the disk dry
+                        # even after emergency GC.  The daemon stays up:
+                        # shedding is already engaged (the governor
+                        # sampled en route), and the next cycle retries
+                        # once GC or the operator frees space.
+                        self.metrics.inc("poll_cycles_shed")
+                    if drain and self._drained():
+                        break
+                    if self.stop_requested():
+                        break
+                    if (max_seconds is not None
+                            and time.monotonic() - started >= max_seconds):
+                        break
+                    time.sleep(self.poll_interval)
+            finally:
+                self.scheduler.stop()
+                self._clear_stop()
+            return self.write_metrics()
         finally:
-            self.scheduler.stop()
-            self._clear_stop()
-        return self.write_metrics()
+            os.close(self._lock_fd)
+            self._lock_fd = None
 
     def _clear_stop(self) -> None:
-        """Consume the stop file on exit (fleet shards leave it in
-        place so one shard's exit does not un-stop its peers)."""
+        """Consume the stop file on exit."""
         try:
             os.remove(self.paths.stop_file)
         except FileNotFoundError:

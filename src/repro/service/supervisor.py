@@ -279,16 +279,6 @@ class JobSupervisor:
             if hb is not None and hb.attempt == attempt:
                 del self._heartbeats[job_id]
 
-    def heartbeat(self, job_id: str):
-        """The live attempt's heartbeat (None when nothing is running).
-
-        A fleet shard that loses a job's lease cancels this heartbeat so
-        the disowned attempt unwinds at its next progress poll instead of
-        burning a worker on a job a peer now owns.
-        """
-        with self._lock:
-            return self._heartbeats.get(job_id)
-
     def attempt_current(self, job_id: str, attempt: int) -> bool:
         """Is *attempt* still the live attempt of *job_id*?  False once
         the watchdog force-abandoned it (its slot was already resolved)."""
@@ -374,7 +364,6 @@ class JobSupervisor:
             "error": error,
             "spec": job.spec.to_json(),
         }
-        # Single-syscall atomic append: a fleet's shards share this journal.
         append_jsonl(self.quarantine_path, record, fsync=True)
 
     def quarantined(self) -> list[dict]:

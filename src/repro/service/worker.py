@@ -5,18 +5,18 @@ legalization), so attempts on threads of one process share one GIL and a
 second scheduler thread buys nothing.  Every attempt therefore runs in a
 persistent worker process owned by its scheduler slot
 (:class:`AttemptWorker`).  The daemon keeps all state — journal,
-supervisor, fencing, warm publishing, result files, metrics — and the
-worker runs the attempt body (:func:`_attempt`): build the design, open
-the :class:`~repro.service.scheduler.JobRunContext` over the run dir,
-inject the warm artifacts, install the job's fault plan, and call
+supervisor, stale-attempt checks, warm publishing, result files,
+metrics — and the worker runs the attempt body (:func:`_attempt`):
+build the design, open the
+:class:`~repro.service.scheduler.JobRunContext` over the run dir, inject
+the warm artifacts, install the job's fault plan, and call
 ``MCTSGuidedPlacer.place``.
 
 One pipe per worker carries an attempt:
 
 - daemon to worker: ``attempt`` (an :class:`AttemptRequest`), ``cancel``
-  (the attempt's heartbeat was cancelled — by the watchdog, or by a
-  fleet shard that lost the job's lease — so the worker's next budget
-  poll raises ``StageStallError``), ``gc_done`` and ``stop``;
+  (the watchdog cancelled the attempt's heartbeat, so the worker's next
+  budget poll raises ``StageStallError``), ``gc_done`` and ``stop``;
 - worker to daemon: ``beat`` (event-log emissions and budget polls, at
   most ``1 / BEAT_INTERVAL`` a second, fed into the daemon-side
   :class:`~repro.service.supervisor.Heartbeat`), ``degradation`` and
@@ -26,9 +26,9 @@ One pipe per worker carries an attempt:
   into the daemon's plan, so arrival counts stay cumulative across
   attempts.
 
-Workers fork while the process is single-threaded (``repro serve`` and
-``fleet shard`` before the scheduler threads start: the child inherits
-the imported placer and starts in milliseconds) and spawn otherwise.
+Workers fork while the process is single-threaded (``repro serve``
+before the scheduler threads start: the child inherits the imported
+placer and starts in milliseconds) and spawn otherwise.
 They die with the daemon: ``PR_SET_PDEATHSIG`` on Linux, and a closed
 pipe ends an idle worker.  A worker that dies mid-attempt fails the
 attempt with kind ``WorkerDied`` (transient: the supervisor retries it)

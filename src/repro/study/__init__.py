@@ -4,7 +4,7 @@
 The study engine is the orchestration layer on top of the placement
 service (PRs 4–8): a declarative :class:`~repro.study.spec.StudySpec`
 expands into deterministic :class:`~repro.study.spec.StudyPoint`\\ s, a
-:class:`~repro.study.engine.Study` drives them through the service/fleet
+:class:`~repro.study.engine.Study` drives them through the service
 inbox grouped by pre-training fingerprint (one cold pre-train per unique
 fingerprint, warm reuse for the rest), and
 :func:`~repro.study.report.build_report` folds the results into a

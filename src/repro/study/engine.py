@@ -205,7 +205,7 @@ class Study:
 
         With ``serve=True`` an inline :class:`PlacementService` daemon is
         started in a thread (single-host convenience; CI's study-smoke
-        uses it); otherwise a daemon/fleet must already be serving
+        uses it); otherwise a daemon must already be serving
         *service_dir*.  *tick*, when given, is called once per loop with
         the study — the test harness uses it to stand in for a daemon.
 

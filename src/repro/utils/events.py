@@ -19,35 +19,43 @@ from dataclasses import dataclass, field
 def append_jsonl(path: str, record: dict, fsync: bool = False) -> None:
     """Append *record* as one JSONL line in a single ``write`` syscall.
 
-    This is the repo-wide convention for journals that may have
-    **concurrent writers in different processes** (the fleet-shared job
-    journal, terminal cache, and quarantine journal): the line is encoded
+    This is the repo-wide convention for JSONL files that may have
+    **concurrent writers in different processes** (the terminal cache,
+    which a daemon's attempt workers all append to): the line is encoded
     first and handed to one ``os.write`` on an ``O_APPEND`` descriptor,
     which POSIX serializes against other appends to the same file — two
     processes appending concurrently can interleave *records* but never
     *bytes within a record*.  Buffered ``f.write`` gives no such
-    guarantee (the stdlib may split one line across flushes).  A partial
-    write (ENOSPC, signal) leaves at worst a torn tail line, which
-    :func:`read_jsonl` already skips.
+    guarantee (the stdlib may split one line across flushes).
+
+    A partial write (a kill, ENOSPC) leaves a torn tail line that does
+    not end in a newline.  The next append sees that from the file's
+    last byte and starts its one ``write`` with a newline, so the torn
+    fragment becomes a dead line every reader skips and the new record
+    lands on a line of its own.  (When the unterminated tail was another
+    process's append still in flight, the extra newline leaves a blank
+    line, which readers skip as well.)
 
     Appends are routed through the ENOSPC guard
     (:func:`repro.runtime.resources.guarded_write`): a full disk emits a
     degradation, triggers an emergency GC pass, and retries once before
     failing the *attempt* with a retryable
-    :class:`~repro.runtime.errors.ResourceExhaustedError`.  A partial
-    append cut short by ENOSPC leaves a torn tail line, which every
-    reader already skips — the retried append then lands whole.
+    :class:`~repro.runtime.errors.ResourceExhaustedError`.
     """
     from repro.runtime.resources import guarded_write
 
     data = (json.dumps(record, sort_keys=True) + "\n").encode()
 
     def _append() -> None:
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            written = os.write(fd, data)
-            while written < len(data):  # pathological; finish the tail
-                written += os.write(fd, data[written:])
+            size = os.fstat(fd).st_size
+            line = data
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = b"\n" + data  # close off a torn tail first
+            written = os.write(fd, line)
+            while written < len(line):  # pathological; finish the tail
+                written += os.write(fd, line[written:])
             if fsync:
                 os.fsync(fd)
         finally:

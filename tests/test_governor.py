@@ -388,25 +388,6 @@ class TestGovernorPolicy:
         assert env.metrics.counter("gc_runs") >= 1
         assert dir_usage_bytes(env.paths.runs) == 0
 
-    def test_fleet_lease_gates_shared_file_compaction(self, tmp_path):
-        class BusyLeases:
-            def acquire(self, lease_id):
-                return None
-
-            def release(self, lease_id):
-                raise AssertionError("never acquired")
-
-        env = _Env(str(tmp_path / "svc"), terminal_cache_quota_bytes=1,
-                   journal_quota_bytes=0)
-        env.store.add(JobSpec(circuit="ibm01"))  # materialize the journal
-        env.governor.leases = BusyLeases()
-        with open(env.paths.terminal_cache, "w") as f:
-            f.write(json.dumps({"fingerprint": "fp", "assignment": [1],
-                                "wirelength": 1.0}) + "\n")
-        summary = env.governor.gc()
-        assert summary["terminal_cache"] == {"skipped": "lease_busy"}
-        assert summary["journal"]["skipped"] == "fleet_live"
-
     def test_resource_report_and_quota_verdict(self, tmp_path):
         env = _Env(str(tmp_path / "svc"))
         env.terminal_job(DONE, rundir_bytes=500)

@@ -27,11 +27,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MCTSGuidedPlacer
 from repro.netlist.bookshelf import read_aux, write_design
@@ -53,6 +56,7 @@ from repro.service import (
     ServicePaths,
     WarmArtifactCache,
 )
+from repro.service.jobs import STATES, TERMINAL_STATES
 from repro.service.service import (
     read_result,
     request_cancel,
@@ -215,6 +219,117 @@ class TestJobStore:
         job = store.add(JobSpec(circuit="ibm01"))
         with pytest.raises(UsageError):
             store.add(JobSpec(circuit="ibm01"), job_id=job.id)
+
+    def test_first_terminal_wins_in_replay_and_live(self, tmp_path):
+        path = str(tmp_path / "jobs.jsonl")
+        store = JobStore(path)
+        store.add(JobSpec(circuit="ibm01"), job_id="job-x")
+        store.transition("job-x", DONE, hpwl=123.0)
+        n_lines = len(open(path).readlines())
+        # Live: a late report (say from a watchdog-abandoned attempt)
+        # cannot re-decide the finished job: nothing is applied or
+        # journaled, and the stale counter moves.
+        late = store.transition("job-x", FAILED, error={"kind": "Late"})
+        assert late.state == DONE and late.hpwl == 123.0
+        assert store.stale_records == 1
+        assert len(open(path).readlines()) == n_lines
+        # Replay: a terminal record after the first one, and a second
+        # submit of a known id, are dropped the same way.
+        with open(path, "a") as f:
+            f.write(json.dumps({"record": "state", "id": "job-x",
+                                "state": FAILED, "ts": 1.0}) + "\n")
+            f.write(json.dumps({"record": "submit", "id": "job-x", "seq": 9,
+                                "spec": {"circuit": "ibm02"}}) + "\n")
+        replayed = JobStore(path).load()
+        job = replayed.get("job-x")
+        assert job.state == DONE and job.hpwl == 123.0
+        assert job.spec.circuit == "ibm01"
+        assert replayed.stale_records == 2
+
+    def test_transition_after_a_torn_tail_survives_reload(self, tmp_path):
+        """A daemon killed mid-append leaves a torn fragment; the
+        restarted daemon's next transition must not glue onto it."""
+        path = str(tmp_path / "jobs.jsonl")
+        store = JobStore(path)
+        job = store.add(JobSpec(circuit="ibm01"))
+        store.transition(job.id, RUNNING, attempt=1)
+        with open(path, "a") as f:
+            f.write('{"record": "state", "id": "%s", "sta' % job.id)
+
+        restarted = JobStore(path).load()
+        restarted.transition(job.id, DONE, hpwl=42.5)
+        replayed = JobStore(path).load()
+        assert replayed.get(job.id).state == DONE
+        assert replayed.get(job.id).hpwl == 42.5
+
+
+def _table(store: JobStore) -> list[dict]:
+    return [asdict(job) for job in store.jobs()]
+
+
+class TestJournalTornTailProperty:
+    """Replay of any journal cut at any byte (a kill mid-append, or a
+    crash of the disk under it) never raises, keeps exactly the complete
+    lines, and takes appends again."""
+
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 3)),
+            st.tuples(st.just("transition"), st.integers(0, 9),
+                      st.sampled_from(STATES)),
+            st.tuples(st.just("compact")),
+        ),
+        min_size=1, max_size=20,
+    )
+
+    @given(ops=OPS, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_replay_survives_any_torn_tail(self, ops, data):
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "jobs.jsonl")
+            store = JobStore(path)
+            ids = [store.add(JobSpec(circuit="ibm01")).id]
+            for i, op in enumerate(ops):
+                if op[0] == "add":
+                    ids.append(store.add(
+                        JobSpec(circuit="ibm01", seed=i), priority=op[1]
+                    ).id)
+                elif op[0] == "transition":
+                    store.transition(
+                        ids[op[1] % len(ids)], op[2], hpwl=float(i),
+                        error={"kind": "K", "at": i},
+                    )
+                elif op[0] == "compact":
+                    store.compact()
+            with open(path, "rb") as f:
+                raw = f.read()
+            # records carry wall-clock stamps, so the journal's length
+            # varies from run to run: draw in a fixed range, then fold
+            cut = data.draw(st.integers(0, 1 << 20), label="cut") % (
+                len(raw) + 1
+            )
+            with open(path, "wb") as f:
+                f.write(raw[:cut])
+            complete = os.path.join(root, "complete.jsonl")
+            with open(complete, "wb") as f:
+                f.write(raw[:raw.rfind(b"\n", 0, cut) + 1])
+
+            loaded = JobStore(path).load()
+            assert _table(loaded) == _table(JobStore(complete).load())
+
+            # The first append after the cut lands on a line of its own:
+            # a transition of a live job, else a new job and its first
+            # transition.
+            live = [j for j in loaded.jobs() if not j.terminal]
+            if live:
+                job_id = live[0].id
+            else:
+                job_id = loaded.add(JobSpec(circuit="ibm02")).id
+            loaded.transition(job_id, RUNNING, attempt=7)
+            reloaded = JobStore(path).load()
+            assert reloaded.get(job_id).state == RUNNING
+            assert reloaded.get(job_id).attempts == 7
+            assert _table(reloaded) == _table(loaded)
 
 
 class TestServiceMetrics:
@@ -558,6 +673,18 @@ class _HangOnce(Fault):
         return False
 
 
+def _repro_env() -> dict:
+    """Environment for a ``python -m repro`` child of this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["repro"].__file__
+    )))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def _journal_states(service, state: str) -> list[dict]:
     return [r for r in read_jsonl(service.store.path)
             if r.get("record") == "state" and r.get("state") == state]
@@ -686,17 +813,11 @@ class TestWorkerProcesses:
     def test_sigkilled_daemon_leaves_no_worker(self, aux_path, tmp_path):
         sdir = str(tmp_path / "svc")
         job_id = submit_job(sdir, _spec(aux_path, seed=15))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            sys.modules["repro"].__file__
-        )))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         daemon = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--service-dir", sdir,
              "--workers", "2", "--poll-interval", "0.02"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=_repro_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
         try:
             store = JobStore(ServicePaths(sdir).journal)
@@ -722,6 +843,184 @@ class TestWorkerProcesses:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait()
+
+
+def _terminal_records(journal: list[dict], job_id: str) -> list[dict]:
+    return [
+        r for r in journal
+        if r.get("id") == job_id and r.get("record") == "state"
+        and r.get("state") in TERMINAL_STATES
+    ]
+
+
+class TestOneDaemonPerDir:
+    def test_second_serve_on_a_live_dir_exits_64(self, aux_path, tmp_path):
+        """A second daemon on a live dir would requeue the first one's
+        RUNNING jobs and run every job again: it must exit 64 naming the
+        holder, and every job must end with one terminal record."""
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir)
+        ids = [submit_job(sdir, _spec(aux_path, seed=s)) for s in (31, 32)]
+        serve = [sys.executable, "-m", "repro", "serve", "--service-dir",
+                 sdir, "--workers", "1", "--poll-interval", "0.02"]
+        first = subprocess.Popen(
+            serve, env=_repro_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(paths.metrics):  # first poll done
+                assert first.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            second = subprocess.run(
+                [*serve, "--drain"], env=_repro_env(), capture_output=True,
+                text=True, timeout=120,
+            )
+            assert second.returncode == 64, second.stderr
+            assert f"pid {first.pid}" in second.stderr
+            store = JobStore(paths.journal)
+            while store.load().active():
+                assert first.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            request_stop(sdir)
+            assert first.wait(timeout=60) == 0
+        finally:
+            if first.poll() is None:
+                first.kill()
+                first.wait()
+        journal = read_jsonl(paths.journal)
+        for job_id in ids:
+            assert store.get(job_id).state == DONE
+            assert len(_terminal_records(journal, job_id)) == 1
+        assert not [r for r in journal if r.get("reason") == "daemon_restart"]
+
+    def test_lock_refuses_serve_and_gc_until_its_holder_dies(self, tmp_path):
+        from repro.cli import main
+
+        sdir = str(tmp_path / "svc")
+        ServicePaths(sdir).ensure()
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from repro.service.service import lock_service_dir\n"
+             "lock_service_dir(sys.argv[1])\n"
+             "print('locked', flush=True)\n"
+             "time.sleep(120)\n", sdir],
+            env=_repro_env(), stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert holder.stdout.readline().strip() == "locked"
+            with pytest.raises(UsageError, match=f"pid {holder.pid}"):
+                PlacementService(sdir, workers=1)
+            assert main(["gc", "--service-dir", sdir, "--emergency"]) == 64
+            assert main(["gc", "--service-dir", sdir, "--dry-run"]) == 0
+            holder.kill()  # SIGKILL: the kernel drops the lock
+            holder.wait()
+            assert main(["gc", "--service-dir", sdir, "--emergency"]) == 0
+            request_stop(sdir)
+            service = PlacementService(sdir, workers=1, poll_interval=0.01)
+            service.run()
+        finally:
+            if holder.poll() is None:
+                holder.kill()
+                holder.wait()
+            holder.stdout.close()
+
+
+class TestOldServiceDirs:
+    def test_fleet_written_dir_loads_and_drains(
+        self, aux_path, tmp_path, capsys
+    ):
+        """A service dir that a sharded fleet of an earlier version left
+        behind, written as literal journal lines: shard-tagged records,
+        lease tokens, a ``lease_reclaim`` transition, a snapshot whose
+        jobs carry a shard, a raced re-admission, a fenced zombie's late
+        report, and the fleet's leases/, shards/ and fleet_metrics.json.
+        It loads, ``repro status --json`` shows it without a ``shard``
+        key, and ``repro serve --drain`` finishes it."""
+        from repro.cli import main
+
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir).ensure()
+        orphan_spec = _spec(aux_path, seed=33)
+        spec = orphan_spec.to_json()
+        folded = {
+            "id": "job-folded", "priority": 0, "seq": 1, "state": DONE,
+            "ts": 1.0, "finished_ts": 2.0, "attempts": 1, "error": None,
+            "warm_hit": False, "hpwl": 11.5, "seconds": 0.5,
+            "shard": "shard-1", "spec": spec,
+        }
+        lines = [
+            {"record": "snapshot", "shard": "shard-0", "ts": 10.0, "seq": 1,
+             "jobs": [folded]},
+            {"record": "submit", "shard": "shard-0", "id": "job-reclaimed",
+             "ts": 11.0, "seq": 2, "priority": 1, "state": QUEUED,
+             "spec": spec},
+            {"record": "submit", "shard": "shard-2", "id": "job-reclaimed",
+             "ts": 11.5, "seq": 3, "priority": 0, "state": QUEUED,
+             "spec": spec},
+            {"record": "state", "shard": "shard-0", "id": "job-reclaimed",
+             "state": RUNNING, "ts": 12.0, "attempt": 1, "resume": False,
+             "cold": False, "worker": 4242},
+            {"record": "state", "shard": "shard-1", "id": "job-reclaimed",
+             "state": QUEUED, "ts": 13.0, "reason": "lease_reclaim",
+             "token": 2},
+            {"record": "state", "shard": "shard-1", "id": "job-reclaimed",
+             "state": RUNNING, "ts": 14.0, "attempt": 2, "resume": True,
+             "cold": False, "worker": 4343},
+            {"record": "state", "shard": "shard-1", "id": "job-reclaimed",
+             "state": DONE, "ts": 15.0, "hpwl": 12.5, "warm_hit": False,
+             "seconds": 1.0, "error": None},
+            {"record": "state", "shard": "shard-0", "id": "job-reclaimed",
+             "state": FAILED, "ts": 15.5, "error": {"kind": "Zombie"}},
+            {"record": "submit", "shard": "shard-2", "id": "job-orphan",
+             "ts": 16.0, "seq": 4, "priority": 0, "state": QUEUED,
+             "spec": spec},
+            {"record": "state", "shard": "shard-2", "id": "job-orphan",
+             "state": RUNNING, "ts": 17.0, "attempt": 1, "resume": False,
+             "cold": False, "worker": 4444, "token": 1},
+        ]
+        with open(paths.journal, "w") as f:
+            f.write("".join(json.dumps(r) + "\n" for r in lines))
+        os.makedirs(os.path.join(sdir, "leases"))
+        with open(os.path.join(sdir, "leases", "job-orphan.lease"), "w") as f:
+            json.dump({"job_id": "job-orphan", "shard": "shard-2",
+                       "token": 1, "nonce": "ab12", "expires": 18.0}, f)
+        os.makedirs(os.path.join(sdir, "shards"))
+        with open(os.path.join(sdir, "shards", "shard-2.json"), "w") as f:
+            json.dump({"shard": "shard-2", "counters": {}}, f)
+        with open(os.path.join(sdir, "fleet_metrics.json"), "w") as f:
+            json.dump({"n_shards": 3, "counters": {"jobs_done": 2}}, f)
+
+        def table(store):
+            return {j.id: (j.state, j.attempts, j.hpwl, j.priority)
+                    for j in store.jobs()}
+
+        store = JobStore(paths.journal).load()
+        assert table(store) == {
+            "job-folded": (DONE, 1, 11.5, 0),
+            "job-reclaimed": (DONE, 2, 12.5, 1),
+            "job-orphan": (RUNNING, 1, None, 0),
+        }
+        assert store.stale_records == 2  # the raced submit, the zombie
+        assert main(["status", "--service-dir", sdir, "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert {j["id"] for j in status["jobs"]} == set(table(store))
+        assert not [j for j in status["jobs"] if "shard" in j]
+
+        assert main(["serve", "--service-dir", sdir, "--workers", "1",
+                     "--drain"]) == 0
+        reference = MCTSGuidedPlacer(orphan_spec.build_config()).place(
+            read_aux(aux_path)
+        )
+        drained = JobStore(paths.journal).load()
+        assert table(drained) == {
+            **table(store), "job-orphan": (DONE, 2, reference.hpwl, 0),
+        }
+        journal = read_jsonl(paths.journal)
+        assert [r["id"] for r in journal
+                if r.get("reason") == "daemon_restart"] == ["job-orphan"]
+        assert len(_terminal_records(journal, "job-orphan")) == 1
 
 
 class TestCLIService:

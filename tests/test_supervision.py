@@ -15,6 +15,7 @@ import json
 import os
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -510,6 +511,25 @@ class TestChaosDrill:
                 "job0.one_terminal_record", "no_stray_jobs",
                 "daemons_survived",
             } <= names, scenario["name"]
+
+    def test_daemon_kill_drill_reduced_scale(self, tmp_path):
+        """The ``daemon_kill`` row at reduced scale: a real ``repro
+        serve`` process SIGKILLed with a job RUNNING and restarted on the
+        same dir; the restart requeues it (``daemon_restart``) and the
+        common checks hold."""
+        from repro.service.chaos import DAEMON_KILL, run_drill
+
+        row = replace(DAEMON_KILL, jobs=2, kills=1)
+        report = run_drill(str(tmp_path / "chaos"), (row,))
+        failed = [
+            c for s in report["scenarios"] for c in s["checks"] if not c["ok"]
+        ]
+        assert report["ok"], f"failed checks: {failed}"
+        killed = report["scenarios"][-1]
+        assert killed["name"] == "daemon_kill"
+        checks = {c["name"]: c["ok"] for c in killed["checks"]}
+        assert checks["kills"] and checks["kill0.daemon_restart"]
+        assert {j["state"] for j in killed["jobs"]} == {DONE, QUARANTINED}
 
     def test_a_used_out_dir_is_refused_before_any_daemon_starts(
         self, tmp_path

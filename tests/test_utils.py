@@ -1,4 +1,5 @@
-"""Utility tests: RNG plumbing, stopwatch, tolerant JSONL reading."""
+"""Utility tests: RNG plumbing, stopwatch, JSONL appends and tolerant
+reading."""
 
 import json
 import time
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.events import read_jsonl
+from repro.utils.events import append_jsonl, read_jsonl
 from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.timer import Stopwatch, timed
 
@@ -38,6 +39,23 @@ class TestReadJsonl:
         data[2] ^= 0x80  # inside the first record
         path.write_bytes(bytes(data))
         assert read_jsonl(str(path)) == [{"k": 1}, {"k": 2}]
+
+
+class TestAppendJsonl:
+    def test_record_after_a_torn_tail_survives(self, tmp_path):
+        """A kill mid-append leaves a fragment with no newline; the next
+        append starts a fresh line instead of gluing onto it, and clean
+        appends add no blank line."""
+        path = tmp_path / "log.jsonl"
+        append_jsonl(str(path), {"a": 1})
+        with open(path, "a") as f:
+            f.write('{"a": 2, "tor')  # killed mid-append
+        append_jsonl(str(path), {"a": 3})
+        append_jsonl(str(path), {"a": 4})
+        assert read_jsonl(str(path)) == [{"a": 1}, {"a": 3}, {"a": 4}]
+        assert path.read_text() == (
+            '{"a": 1}\n{"a": 2, "tor\n{"a": 3}\n{"a": 4}\n'
+        )
 
 
 class TestRng:
