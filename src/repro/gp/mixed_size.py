@@ -19,6 +19,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,10 +72,36 @@ def _total_overlap(rects: list[tuple[float, float, float, float]]) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=64)
 def _unit_circle(n_angles: int) -> np.ndarray:
-    """Rows ``cos``/``sin`` of ``2π·a / n_angles`` per ``a``, via :mod:`math`."""
+    """Rows ``cos``/``sin`` of ``2π·a / n_angles`` per ``a``, via :mod:`math`
+    (shared between calls, so read-only)."""
     theta = [2.0 * math.pi * a / n_angles for a in range(n_angles)]
-    return np.array([[math.cos(t) for t in theta], [math.sin(t) for t in theta]])
+    circle = np.array([[math.cos(t) for t in theta], [math.sin(t) for t in theta]])
+    circle.flags.writeable = False
+    return circle
+
+
+#: first ring of each group of spiral rings tested in one broadcast: two
+#: rings at a time up to ring 8, then four, then the rest (the last group
+#: runs to ``max_radius_steps``).  Most macros settle in the first rings,
+#: and a group costs a test of all its rings, so the early groups are small.
+_RING_CHUNK_STARTS = (1, 3, 5, 7, 9, 13, 17)
+
+
+class _RingChunk:
+    """The candidate offsets of consecutive spiral rings, ring by ring:
+    ``(ring * step) * circle``, one flat array per axis, and the end of
+    each ring's run of candidates."""
+
+    def __init__(self, step: float, first: int, last: int) -> None:
+        offsets = [
+            (ring * step) * _unit_circle(max(8, ring * 8))
+            for ring in range(first, last + 1)
+        ]
+        self.dx = np.concatenate([o[0] for o in offsets])
+        self.dy = np.concatenate([o[1] for o in offsets])
+        self.ends = np.cumsum([o.shape[1] for o in offsets])
 
 
 def legalize_macros_greedy(design: Design, max_radius_steps: int = 24) -> float:
@@ -86,9 +113,13 @@ def legalize_macros_greedy(design: Design, max_radius_steps: int = 24) -> float:
     against preplaced or previously-legalized macros.  Returns the residual
     pairwise macro overlap (0.0 when legalization fully succeeded).
 
-    Each spiral ring is tested in one broadcast, every candidate against
-    every rectangle placed so far; the first candidate at the minimum
-    distance wins.
+    Ring 0 (the target itself) is one scalar test against the placed
+    rectangles, kept as one flat array per bound.  The later rings are
+    tested a few at a time (:data:`_RING_CHUNK_STARTS`), every candidate
+    against every rectangle placed so far, in one broadcast; the first
+    ring with a free candidate wins, and in it the first candidate at the
+    minimum distance.  That is the ring-by-ring scan, clamp, tie rules
+    and all.
     """
     region = design.region
     preplaced = design.netlist.preplaced_macros
@@ -100,49 +131,69 @@ def legalize_macros_greedy(design: Design, max_radius_steps: int = 24) -> float:
         min(min(m.width, m.height) for m in movable) / 2.0,
     )
 
-    # Placed rectangles as rows (x, y, x + w, y + h), preplaced first.
-    placed = np.empty((len(preplaced) + len(movable), 4))
+    # Placed rectangles [x0, x1) × [y0, y1), preplaced first.
+    n_rects = len(preplaced) + len(movable)
+    x0, y0, x1, y1 = (np.empty(n_rects) for _ in range(4))
     for k, m in enumerate(preplaced):
-        placed[k] = (m.x, m.y, m.x + m.width, m.y + m.height)
+        x0[k], y0[k], x1[k], y1[k] = m.x, m.y, m.x + m.width, m.y + m.height
     n_placed = len(preplaced)
-    region_lo = np.array([[region.x], [region.y]])
-    circles: list[np.ndarray] = []  # unit circle per ring, built on first use
+    starts = [ring for ring in _RING_CHUNK_STARTS if ring <= max_radius_steps]
+    bounds = list(zip(starts, [ring - 1 for ring in starts[1:]] + [max_radius_steps]))
+    chunks: list[_RingChunk] = []  # built on first use
 
     residual = False
+    lo_x, lo_y = float(region.x), float(region.y)
     for macro in movable:
         w, h = macro.width, macro.height
-        target = np.array([[macro.x], [macro.y]])
-        size = np.array([[w], [h]])
-        region_hi = np.array([[region.x_max - w], [region.y_max - h]])
-        placed_lo = placed[:n_placed, :2].T[:, None, :]
-        placed_hi = placed[:n_placed, 2:].T[:, None, :]
+        tx, ty = float(macro.x), float(macro.y)
+        hi_x, hi_y = float(region.x_max - w), float(region.y_max - h)
+        px0, py0, px1, py1 = x0[:n_placed], y0[:n_placed], x1[:n_placed], y1[:n_placed]
+        # ring 0; min(max(v, lo), hi) with Python's tie rules throughout
+        x = lo_x if lo_x > tx else tx
+        x = hi_x if hi_x < x else x
+        y = lo_y if lo_y > ty else ty
+        y = hi_y if hi_y < y else y
         best = None
-        for ring in range(max_radius_steps + 1):
-            if ring == 0:
-                xy = target
-            else:
-                if len(circles) < ring:
-                    circles.append(_unit_circle(max(8, ring * 8)))
-                xy = target + (ring * step) * circles[ring - 1]
-            # min(max(xy, lo), hi) with Python's tie rules
-            xy = np.where(region_lo > xy, region_lo, xy)
-            xy = np.where(region_hi < xy, region_hi, xy)
-            hit = (
-                (xy[:, :, None] < placed_hi) & (placed_lo < (xy + size)[:, :, None])
-            ).all(axis=0).any(axis=1)
-            free = np.flatnonzero(~hit)
-            if len(free):
-                dx, dy = xy[:, free] - target
-                best = xy[:, free[np.argmin(dx**2 + dy**2)]]
-                break
+        if not ((x < px1) & (px0 < x + w) & (y < py1) & (py0 < y + h)).any():
+            best = (x, y)
+        else:
+            for k, rings in enumerate(bounds):
+                if len(chunks) == k:
+                    chunks.append(_RingChunk(step, *rings))
+                chunk = chunks[k]
+                cx = tx + chunk.dx
+                cx = np.where(lo_x > cx, lo_x, cx)
+                cx = np.where(hi_x < cx, hi_x, cx)
+                cy = ty + chunk.dy
+                cy = np.where(lo_y > cy, lo_y, cy)
+                cy = np.where(hi_y < cy, hi_y, cy)
+                hit = (
+                    (cx[:, None] < px1)
+                    & (px0 < (cx + w)[:, None])
+                    & (cy[:, None] < py1)
+                    & (py0 < (cy + h)[:, None])
+                ).any(axis=1)
+                free = np.flatnonzero(~hit)
+                if len(free):
+                    # the free candidates of the first ring that has one
+                    ring_end = chunk.ends[
+                        np.searchsorted(chunk.ends, free[0], side="right")
+                    ]
+                    free = free[free < ring_end]
+                    dx = cx[free] - tx
+                    dy = cy[free] - ty
+                    pick = free[np.argmin(dx**2 + dy**2)]
+                    best = (float(cx[pick]), float(cy[pick]))
+                    break
         if best is None:
             # No free slot found: keep the clamped analytical position.
             macro.x = min(max(macro.x, region.x), max(region.x, region.x_max - w))
             macro.y = min(max(macro.y, region.y), max(region.y, region.y_max - h))
             residual = True
         else:
-            macro.x, macro.y = float(best[0]), float(best[1])
-        placed[n_placed] = (macro.x, macro.y, macro.x + w, macro.y + h)
+            macro.x, macro.y = best
+        x0[n_placed], y0[n_placed] = macro.x, macro.y
+        x1[n_placed], y1[n_placed] = macro.x + w, macro.y + h
         n_placed += 1
 
     if not residual:

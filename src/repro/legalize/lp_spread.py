@@ -22,7 +22,11 @@ reported infeasible without calling HiGHS (:func:`_overflows`).
 The LP goes straight to the HiGHS binding that scipy bundles, with the
 options ``linprog(method="highs")`` sets; ``linprog``'s own per-call input
 checks cost several times HiGHS's solve on these small LPs.  Where that
-binding cannot be imported, ``linprog`` solves the same arrays.
+binding cannot be imported, ``linprog`` solves the same arrays.  A caller
+that solves many LPs keeps an :class:`LPSolver`, which runs them all on
+one HiGHS instance, and, for nets it meets again, their
+:class:`CompiledNets`, which fills in only what changes between calls;
+both give the arrays and solutions of the per-call path byte for byte.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize as sopt
@@ -227,6 +232,101 @@ def _lp_arrays(
     return c, start, index, vals[order], rhs, lb, ub
 
 
+class CompiledNets:
+    """The net part of one axis's Eq. 3 LP, compiled into :func:`_lp_arrays`'s
+    layout once.
+
+    *nets* fixes the objective, the movable-pin entries with their offsets,
+    and how many fixed positions each net has; the positions' values are
+    ignored.  :meth:`lp_arrays` then takes the values of one call, in net
+    order, and fills in only the sequence-pair edge rows, the span bounds
+    and those values.
+    """
+
+    def __init__(self, n_rects: int, nets: list[AxisNet]) -> None:
+        n = self.n_rects = n_rects
+        self.n_vars = n + 2 * len(nets)
+        weight = np.array([net.weight for net in nets], dtype=float)
+        self.c = np.zeros(self.n_vars)
+        self.c[n::2] = weight  # +u
+        self.c[n + 1 :: 2] = -weight  # -l
+        items = [
+            (k, i, v)
+            for k, net in enumerate(nets)
+            for i, v in chain(net.pins, ((-1, 0.0) for _ in net.fixed_positions))
+        ]
+        net_of = np.array([k for k, _, _ in items], dtype=np.intp)
+        rect = np.array([i for _, i, _ in items], dtype=np.intp)
+        #: per item: the pin offset, or a fixed position's slot
+        self.value = np.array([v for _, _, v in items], dtype=float)
+        self.fixed_slots = np.flatnonzero(rect < 0)
+        u = n + 2 * net_of
+        # each item's entries as _lp_arrays lays them out, rows counted
+        # from the first item row
+        row = 2 * np.arange(len(items))
+        slot_rows = np.stack([row, row, row + 1, row + 1], axis=1)
+        slot_cols = np.stack([rect, u, u + 1, rect], axis=1)
+        keep = slot_cols >= 0
+        self.item_rows = slot_rows[keep]
+        self.item_cols = slot_cols[keep]
+        self.item_vals = np.broadcast_to(
+            np.array([1.0, -1.0, 1.0, -1.0]), keep.shape
+        )[keep]
+
+    def lp_arrays(
+        self,
+        sizes: np.ndarray,
+        edges: list[tuple[int, int]],
+        lo: float,
+        hi: float,
+        fixed: np.ndarray,
+    ) -> tuple[np.ndarray, ...]:
+        """:func:`_lp_arrays` of these nets with fixed positions *fixed*."""
+        n, n_vars = self.n_rects, self.n_vars
+        edge = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        n_edges = len(edge)
+        value = self.value.copy()
+        value[self.fixed_slots] = fixed
+
+        rhs = np.empty(n_edges + 2 * len(value))
+        rhs[:n_edges] = -sizes[edge[:, 0]]
+        rhs[n_edges::2] = -value
+        rhs[n_edges + 1 :: 2] = value
+
+        rows = np.concatenate([np.repeat(np.arange(n_edges), 2), self.item_rows + n_edges])
+        cols = np.concatenate([edge.ravel(), self.item_cols])
+        vals = np.concatenate([np.tile([1.0, -1.0], n_edges), self.item_vals])
+        order = np.argsort(cols, kind="stable")
+        start = np.zeros(n_vars + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n_vars), out=start[1:])
+        index = rows[order].astype(np.int32)
+
+        span = max(hi - lo, 1.0)
+        lb = np.full(n_vars, lo - 10 * span, dtype=float)
+        ub = np.full(n_vars, hi + 10 * span, dtype=float)
+        lb[:n] = lo
+        upper = hi - sizes
+        ub[:n] = np.where(upper < lo, lo, upper)
+        lb[np.isnan(lb)] = -np.inf
+        ub[np.isnan(ub)] = np.inf
+        return self.c.copy(), start, index, vals[order], rhs, lb, ub
+
+
+class BoundNets(NamedTuple):
+    """:class:`CompiledNets` with the fixed positions of one call, handed
+    to :func:`lp_solve_axis` in place of the :class:`AxisNet` list."""
+
+    nets: CompiledNets
+    fixed: np.ndarray
+
+
+def _new_highs():
+    """A HiGHS instance holding the options ``linprog(method="highs")`` sets."""
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS)
+    return highs
+
+
 def _solve_highs(c, start, index, value, rhs, lb, ub) -> np.ndarray:
     """Solve ``min c·x, A x <= rhs, lb <= x <= ub`` on a fresh HiGHS instance.
 
@@ -234,6 +334,35 @@ def _solve_highs(c, start, index, value, rhs, lb, ub) -> np.ndarray:
     minus its per-call input checks: the same options, the same model, the
     same acceptance test of an optimal solution, and its status codes.
     """
+    return _run_highs(_new_highs(), c, start, index, value, rhs, lb, ub)
+
+
+class LPSolver:
+    """Solves LPs one after another on one HiGHS instance.
+
+    The instance is created on first use; before each LP its model is
+    cleared (``clearModel``) and the new one passed.  Solutions, statuses
+    and errors are those of :func:`_solve_highs`'s fresh instance per LP,
+    byte for byte.  The instance can be neither pickled nor copied, so a
+    copy or an unpickled solver starts without one.
+    """
+
+    def __init__(self) -> None:
+        self._highs = None
+
+    def __getstate__(self) -> dict:
+        return {"_highs": None}
+
+    def __call__(self, c, start, index, value, rhs, lb, ub) -> np.ndarray:
+        if self._highs is None:
+            self._highs = _new_highs()
+        else:
+            self._highs.clearModel()
+        return _run_highs(self._highs, c, start, index, value, rhs, lb, ub)
+
+
+def _run_highs(highs, c, start, index, value, rhs, lb, ub) -> np.ndarray:
+    """:func:`_solve_highs` on *highs*, an instance with no model loaded."""
     if not (np.isfinite(c).all() and np.isfinite(rhs).all()):
         # linprog rejects these inputs before solving, as a retryable error
         raise SolverInfeasibleError(
@@ -253,8 +382,6 @@ def _solve_highs(c, start, index, value, rhs, lb, ub) -> np.ndarray:
     lp.a_matrix_.start_ = start
     lp.a_matrix_.index_ = index
     lp.a_matrix_.value_ = value
-    highs = _highs._Highs()
-    highs.passOptions(_OPTIONS)
     loaded = highs.passModel(lp) != _highs.HighsStatus.kError
     solved = loaded and highs.run() != _highs.HighsStatus.kError
     model_status = highs.getModelStatus() if loaded else _MODEL.kModelError
@@ -303,7 +430,8 @@ def lp_solve_axis(
     edges: list[tuple[int, int]],
     lo: float,
     hi: float,
-    nets: list[AxisNet],
+    nets: list[AxisNet] | BoundNets,
+    solver: LPSolver | None = None,
 ) -> np.ndarray:
     """Solve the Eq. 3 LP for one axis; returns lower-left coordinates.
 
@@ -312,25 +440,34 @@ def lp_solve_axis(
     that falls back to greedy packing instead.  The fault-injection site
     ``lp.solve`` simulates solver failure here.  An LP whose constraint
     edges overflow the span (:func:`_overflows`) raises the error HiGHS
-    raises for an infeasible model, without calling it.
+    raises for an infeasible model, without calling it.  *nets* may come
+    compiled (:class:`BoundNets`); *solver* runs the LP on its HiGHS
+    instance instead of a fresh one.
     """
     sizes = np.asarray(sizes, dtype=float)
     n = len(sizes)
     if n == 0:
         return np.zeros(0)
 
-    solver = "highs" if _highs is not None else "linprog"
+    name = "highs" if _highs is not None else "linprog"
     if faults.should_fire("lp.solve"):
         raise SolverInfeasibleError(
-            "injected LP solver failure", solver=solver, status="injected"
+            "injected LP solver failure", solver=name, status="injected"
         )
     if _overflows(sizes, edges, lo, hi):
         raise SolverInfeasibleError(
-            "LP did not converge: Infeasible", solver=solver, status=2
+            "LP did not converge: Infeasible", solver=name, status=2
         )
 
-    solve = _solve_highs if _highs is not None else _solve_linprog
-    return solve(*_lp_arrays(sizes, edges, lo, hi, nets))[:n]
+    if isinstance(nets, BoundNets):
+        arrays = nets.nets.lp_arrays(sizes, edges, lo, hi, nets.fixed)
+    else:
+        arrays = _lp_arrays(sizes, edges, lo, hi, nets)
+    if _highs is None:
+        solve = _solve_linprog
+    else:
+        solve = _solve_highs if solver is None else solver
+    return solve(*arrays)[:n]
 
 
 def lp_legalize_axis(
@@ -338,10 +475,11 @@ def lp_legalize_axis(
     edges: list[tuple[int, int]],
     lo: float,
     hi: float,
-    nets: list[AxisNet],
+    nets: list[AxisNet] | BoundNets,
     fallback_clamp: bool = True,
     max_attempts: int = 2,
     on_degrade=None,
+    solver: LPSolver | None = None,
 ) -> np.ndarray:
     """Retry-with-fallback wrapper around :func:`lp_solve_axis`.
 
@@ -353,6 +491,7 @@ def lp_legalize_axis(
     degradation event instead of crashing.  With *fallback_clamp* the
     packed positions are clamped into ``[lo, hi]`` (overlap may then
     remain — the caller decides how to handle residual overflow).
+    *nets* and *solver* are passed on to :func:`lp_solve_axis`.
     """
     sizes = np.asarray(sizes, dtype=float)
     if len(sizes) == 0:
@@ -360,7 +499,7 @@ def lp_legalize_axis(
     error: SolverInfeasibleError | None = None
     for _attempt in range(max(1, max_attempts)):
         try:
-            return lp_solve_axis(sizes, edges, lo, hi, nets)
+            return lp_solve_axis(sizes, edges, lo, hi, nets, solver)
         except SolverInfeasibleError as exc:
             error = exc
             if exc.details.get("status") != "error":

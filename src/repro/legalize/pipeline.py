@@ -27,7 +27,13 @@ import numpy as np
 from repro.coarsen.coarse import CoarseNetlist
 from repro.gp.mixed_size import legalize_macros_greedy
 from repro.gp.quadratic import CompiledQP, solve_quadratic_placement
-from repro.legalize.lp_spread import AxisNet, lp_legalize_axis
+from repro.legalize.lp_spread import (
+    AxisNet,
+    BoundNets,
+    CompiledNets,
+    LPSolver,
+    lp_legalize_axis,
+)
 from repro.legalize.sequence_pair import extract_sequence_pair
 from repro.netlist.hpwl import FlatNetlist
 from repro.netlist.model import NodeKind
@@ -93,6 +99,9 @@ class MacroLegalizer:
         #: compiled QP state per QP step; ``None`` here (every call builds
         #: from scratch), installed by :class:`IncrementalMacroLegalizer`
         self._compiled: dict[str, CompiledQP] | None = None
+        #: the HiGHS instance the LPs run on; ``None`` here (a fresh one
+        #: per LP), installed by :class:`IncrementalMacroLegalizer`
+        self._lp_solver: LPSolver | None = None
 
     # -- solver guards ---------------------------------------------------------
     def _pin_table(self, step: str, netlist) -> FlatNetlist:
@@ -237,18 +246,28 @@ class MacroLegalizer:
         ]
         if len(members) == 0:
             return
-        member_index = {m.name: k for k, m in enumerate(members)}
-        xs = np.array([m.x for m in members])
-        ys = np.array([m.y for m in members])
-        ws = np.array([m.width for m in members])
-        hs = np.array([m.height for m in members])
-
         if len(members) == 1:
             m = members[0]
             m.x = min(max(m.x, rect.x), max(rect.x, rect.x + rect.width - m.width))
             m.y = min(max(m.y, rect.y), max(rect.y, rect.y + rect.height - m.height))
             return
+        member_index = {m.name: k for k, m in enumerate(members)}
+        # the y nets' fixed pins belong to other nodes, which the x LP
+        # does not move, so both axes' nets can be read up front
+        self._solve_region(
+            group_index,
+            rect,
+            members,
+            self._axis_nets(coarse, member_index, "x"),
+            self._axis_nets(coarse, member_index, "y"),
+        )
 
+    def _solve_region(self, group_index, rect, members, x_nets, y_nets) -> None:
+        """Sequence pair of *members*, then the Eq. 3 LP along x and y."""
+        xs = np.array([m.x for m in members])
+        ys = np.array([m.y for m in members])
+        ws = np.array([m.width for m in members])
+        hs = np.array([m.height for m in members])
         sp_pair = extract_sequence_pair(xs, ys, ws, hs)
         h_edges, v_edges = sp_pair.relations()
 
@@ -262,18 +281,16 @@ class MacroLegalizer:
                 error=str(exc),
             )
 
-        x_nets = self._axis_nets(coarse, member_index, "x")
         new_x = lp_legalize_axis(
             ws, h_edges, rect.x, rect.x + rect.width, x_nets,
-            on_degrade=degrade("x"),
+            on_degrade=degrade("x"), solver=self._lp_solver,
         )
         for k, m in enumerate(members):
             m.x = float(new_x[k])
 
-        y_nets = self._axis_nets(coarse, member_index, "y")
         new_y = lp_legalize_axis(
             hs, v_edges, rect.y, rect.y + rect.height, y_nets,
-            on_degrade=degrade("y"),
+            on_degrade=degrade("y"), solver=self._lp_solver,
         )
         for k, m in enumerate(members):
             m.y = float(new_y[k])
@@ -290,28 +307,33 @@ class MacroLegalizer:
         (:meth:`CoarseNetlist.restore_canonical`), so the result is a pure
         function of *assignment*: bitwise-identical no matter what was
         legalized before.
+
+        The events a call emits (solver fallbacks) reach a file-backed log
+        in one append when the call returns or raises
+        (:meth:`EventLog.batch`).
         """
         if len(assignment) != coarse.n_macro_groups:
             raise ValueError(
                 f"assignment covers {len(assignment)} groups, "
                 f"expected {coarse.n_macro_groups}"
             )
-        coarse.restore_canonical()
-        rects = [
-            span_rect(coarse, i, int(flat_grid))
-            for i, flat_grid in enumerate(assignment)
-        ]
-        self._place_cell_groups(coarse, rects)
-        self._refine_macros(coarse, rects)
-        for i, rect in enumerate(rects):
-            self._legalize_region(coarse, i, rect)
-        if self.cleanup:
-            design = coarse.design
-            blockers = (
-                design.netlist.movable_macros + design.netlist.preplaced_macros
-            )
-            if any_pairwise_overlap(blockers):
-                legalize_macros_greedy(design)
+        with self.events.batch():
+            coarse.restore_canonical()
+            rects = [
+                span_rect(coarse, i, int(flat_grid))
+                for i, flat_grid in enumerate(assignment)
+            ]
+            self._place_cell_groups(coarse, rects)
+            self._refine_macros(coarse, rects)
+            for i, rect in enumerate(rects):
+                self._legalize_region(coarse, i, rect)
+            if self.cleanup:
+                design = coarse.design
+                blockers = (
+                    design.netlist.movable_macros + design.netlist.preplaced_macros
+                )
+                if any_pairwise_overlap(blockers):
+                    legalize_macros_greedy(design)
 
 
 class IncrementalMacroLegalizer(MacroLegalizer):
@@ -331,29 +353,32 @@ class IncrementalMacroLegalizer(MacroLegalizer):
     - **Step-1 netlist reuse** — ``coarse.as_netlist()`` rebuilds the same
       object graph every call; one instance is kept and its node positions
       rewound to the first build's state before each solve.
-    - **Axis-net topology precompile + per-group LP memo** — which nets
-      survive :meth:`MacroLegalizer._axis_nets`'s weight sort and
-      truncations is static, so the scan over all design nets compiles once
-      per (group, axis); the sequence-pair + LP result for a group is
-      additionally memoized against a digest of *all* its inputs (member
-      positions, span rectangle, fixed pin positions).
+    - **Compiled Eq. 3 LPs + per-group LP memo** — which nets survive
+      :meth:`MacroLegalizer._axis_nets`'s weight sort and truncations is
+      static, so the scan over all design nets runs once per (group,
+      axis), and their net part is compiled into the LP's arrays
+      (:class:`~repro.legalize.lp_spread.CompiledNets`); a call gathers
+      the fixed-pin positions and fills in only those, the sequence-pair
+      rows and the span bounds.  The sequence-pair + LP result for a group
+      is additionally memoized against a digest of *all* its inputs
+      (member positions, span rectangle, fixed pin positions).
+    - **One HiGHS instance** — every LP runs on the legalizer's own
+      :class:`~repro.legalize.lp_spread.LPSolver`, created on first use.
+      It is not shared between legalizers, and a copy or an unpickled
+      legalizer starts without one.
 
-    Everything is tied to the coarse netlist last legalized, and dropped
-    when a different one arrives.  The LP memo is keyed on full inputs
-    rather than "the spans the changed anchor touches" because the QP
-    steps couple every group: a one-anchor change perturbs all member
+    Everything else is tied to the coarse netlist last legalized, and
+    dropped when a different one arrives.  The LP memo is keyed on full
+    inputs rather than "the spans the changed anchor touches" because the
+    QP steps couple every group: a one-anchor change perturbs all member
     positions in their last bits, so a span-locality skip would not be
     bitwise-safe.  Memo hits therefore come from genuinely repeated
-    sub-problems; the compiled QP steps and the precompiled topology carry
-    the steady-state win.
+    sub-problems; the compiled steps carry the steady-state win.
 
-    When a fault plan is installed (chaos drills) every reuse except the
-    compiled QP steps is bypassed so injected-fault arrival counts stay
-    canonical.  With ``self_check=True`` each call is replayed through a
-    pristine from-scratch pipeline and every node position compared
-    bitwise; a mismatch keeps the from-scratch result, drops all caches,
-    and emits a ``degradation`` event (the equivalence gate the tests
-    run under).
+    When a fault plan is installed (chaos drills) the step-1 netlist
+    reuse, the compiled LPs and the memo are bypassed so injected-fault
+    arrival counts stay canonical.  The tests hold every node position to
+    :class:`MacroLegalizer`'s, byte for byte.
     """
 
     def __init__(
@@ -362,7 +387,6 @@ class IncrementalMacroLegalizer(MacroLegalizer):
         cleanup: bool = True,
         qp_clique_threshold: int = 6,
         events: EventLog | None = None,
-        self_check: bool = False,
     ) -> None:
         super().__init__(
             lp_net_limit=lp_net_limit,
@@ -370,14 +394,13 @@ class IncrementalMacroLegalizer(MacroLegalizer):
             qp_clique_threshold=qp_clique_threshold,
             events=events,
         )
-        self.self_check = self_check
+        self._lp_solver = LPSolver()
         self._src: CoarseNetlist | None = None
         self._bypass = False
         self._drop_caches()
         self._region_memo_limit = 4096
         self.n_region_memo_hits = 0
         self.n_region_memo_misses = 0
-        self.n_equivalence_failures = 0
         self.n_legalize_calls = 0
 
     def cache_stats(self) -> dict:
@@ -388,7 +411,6 @@ class IncrementalMacroLegalizer(MacroLegalizer):
             "region_memo_hits": self.n_region_memo_hits,
             "region_memo_misses": self.n_region_memo_misses,
             "axis_topologies": len(self._axis_topology),
-            "equivalence_failures": self.n_equivalence_failures,
             "legalize_calls": self.n_legalize_calls,
         }
 
@@ -396,7 +418,7 @@ class IncrementalMacroLegalizer(MacroLegalizer):
         self._compiled = {"cell_groups": CompiledQP(), "macro_refine": CompiledQP()}
         self._step1_nl = None
         self._step1_positions: dict[str, tuple[float, float]] = {}
-        #: (member-name tuple, axis) → [(weight, movable_pins, fixed_refs)]
+        #: (member-name tuple, axis) → (CompiledNets, fixed-pin refs)
         self._axis_topology: dict = {}
         #: full-input digest → (new_x, new_y) of one group's LP legalization
         self._region_memo: dict = {}
@@ -420,10 +442,13 @@ class IncrementalMacroLegalizer(MacroLegalizer):
                 node.y = y
         return self._step1_nl
 
-    # -- axis-net topology precompile ------------------------------------------
+    # -- compiled axis nets ----------------------------------------------------
     def _compile_axis_nets(self, coarse, member_index, axis):
+        """:meth:`MacroLegalizer._axis_nets` with the fixed positions left
+        open: the nets' :class:`CompiledNets` and, in net order, the
+        ``(node, pin offset)`` of each fixed position."""
         design = coarse.design
-        entries: list[tuple[float, list, list]] = []
+        entries: list[tuple[AxisNet, list]] = []
         for net in design.netlist.nets:
             movable_pins: list[tuple[int, float]] = []
             fixed_refs: list[tuple[object, float]] = []
@@ -443,35 +468,28 @@ class IncrementalMacroLegalizer(MacroLegalizer):
                 # the base keeps only the first four fixed positions and the
                 # lp_net_limit heaviest nets — both selections are static,
                 # so they compile away
-                entries.append((net.weight, movable_pins, fixed_refs[:4]))
-        entries.sort(key=lambda e: -e[0])
-        return entries[: self.lp_net_limit]
+                refs = fixed_refs[:4]
+                entries.append(
+                    (AxisNet(net.weight, movable_pins, [0.0] * len(refs)), refs)
+                )
+        entries.sort(key=lambda e: -e[0].weight)
+        entries = entries[: self.lp_net_limit]
+        nets = CompiledNets(len(member_index), [net for net, _ in entries])
+        return nets, [ref for _, refs in entries for ref in refs]
 
-    def _axis_nets(self, coarse, member_index, axis):
-        if self._bypass:
-            return super()._axis_nets(coarse, member_index, axis)
+    def _compiled_nets(self, coarse, member_index, axis):
+        """The (group, axis) nets, compiled, and this call's fixed positions."""
         key = (tuple(member_index), axis)
         compiled = self._axis_topology.get(key)
         if compiled is None:
             compiled = self._compile_axis_nets(coarse, member_index, axis)
             self._axis_topology[key] = compiled
+        nets, refs = compiled
         if axis == "x":
-            return [
-                AxisNet(
-                    weight=w,
-                    pins=list(pins),
-                    fixed_positions=[n.cx + d for n, d in refs],
-                )
-                for w, pins, refs in compiled
-            ]
-        return [
-            AxisNet(
-                weight=w,
-                pins=list(pins),
-                fixed_positions=[n.cy + d for n, d in refs],
-            )
-            for w, pins, refs in compiled
-        ]
+            fixed = np.array([n.cx + d for n, d in refs], dtype=float)
+        else:
+            fixed = np.array([n.cy + d for n, d in refs], dtype=float)
+        return nets, fixed
 
     # -- per-group LP memo -----------------------------------------------------
     def _legalize_region(self, coarse, group_index, rect) -> None:
@@ -487,21 +505,15 @@ class IncrementalMacroLegalizer(MacroLegalizer):
             super()._legalize_region(coarse, group_index, rect)
             return
         member_index = {m.name: k for k, m in enumerate(members)}
-        x_fixed = tuple(
-            tuple(n.fixed_positions)
-            for n in self._axis_nets(coarse, member_index, "x")
-        )
-        y_fixed = tuple(
-            tuple(n.fixed_positions)
-            for n in self._axis_nets(coarse, member_index, "y")
-        )
+        x_nets, x_fixed = self._compiled_nets(coarse, member_index, "x")
+        y_nets, y_fixed = self._compiled_nets(coarse, member_index, "y")
         key = (
             group_index,
             np.array([m.x for m in members]).tobytes(),
             np.array([m.y for m in members]).tobytes(),
             (rect.x, rect.y, rect.width, rect.height),
-            x_fixed,
-            y_fixed,
+            x_fixed.tobytes(),
+            y_fixed.tobytes(),
         )
         memo = self._region_memo.get(key)
         if memo is not None:
@@ -511,7 +523,10 @@ class IncrementalMacroLegalizer(MacroLegalizer):
                 m.y = new_y[k]
             self.n_region_memo_hits += 1
             return
-        super()._legalize_region(coarse, group_index, rect)
+        self._solve_region(
+            group_index, rect, members,
+            BoundNets(x_nets, x_fixed), BoundNets(y_nets, y_fixed),
+        )
         self.n_region_memo_misses += 1
         if len(self._region_memo) >= self._region_memo_limit:
             self._region_memo.pop(next(iter(self._region_memo)))
@@ -528,31 +543,6 @@ class IncrementalMacroLegalizer(MacroLegalizer):
         self._bypass = faults.active() is not None
         self.n_legalize_calls += 1
         super().legalize(coarse, assignment)
-        if self.self_check and not self._bypass:
-            incremental = {
-                node.name: (node.x, node.y) for node in coarse.design.netlist
-            }
-            baseline = MacroLegalizer(
-                lp_net_limit=self.lp_net_limit,
-                cleanup=self.cleanup,
-                qp_clique_threshold=self.qp_clique_threshold,
-                events=self.events,
-            )
-            baseline.legalize(coarse, assignment)
-            reference = {
-                node.name: (node.x, node.y) for node in coarse.design.netlist
-            }
-            if incremental != reference:
-                # keep the from-scratch result (it is what the design holds
-                # now), drop every cache, and surface the mismatch
-                self.n_equivalence_failures += 1
-                self._drop_caches()
-                self.events.emit(
-                    "degradation",
-                    solver="incremental_legalizer",
-                    error="incremental result diverged from from-scratch; "
-                    "caches dropped, from-scratch result kept",
-                )
 
 
 def any_pairwise_overlap(nodes) -> bool:

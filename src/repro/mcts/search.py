@@ -336,13 +336,6 @@ class MCTSPlacer:
         working.
         """
         started = time.perf_counter()
-        if prefix_builder is not None:
-            builder = prefix_builder.clone()
-        else:
-            builder = StateBuilder(self.env.coarse)
-            for a in committed:
-                builder.apply(a)
-
         path: list[tuple[Node, int]] = list(path_to_target)
         node = target
         actions_taken = list(committed)
@@ -352,18 +345,31 @@ class MCTSPlacer:
             idx = node.select_child_index(self.config.c_puct)
             path.append((node, idx))
             actions_taken.append(int(node.actions[idx]))
-            builder.apply(int(node.actions[idx]))
             node = node.child_for(idx)
-        self.seconds_selection += time.perf_counter() - started
 
-        # Evaluation (+ expansion for non-terminals).
-        if builder.done():
-            node.terminal = True
-            if node.terminal_value is None:
-                node.terminal_value = self._terminal_value(actions_taken)
+        # Evaluation (+ expansion for non-terminals).  A terminal node that
+        # already has its value needs no state: the builder is replayed
+        # only for a leaf that is checked for completion or expanded.
+        if node.terminal and node.terminal_value is not None:
+            self.seconds_selection += time.perf_counter() - started
             value = node.terminal_value
         else:
-            value = self._expand(node, builder, actions_taken)
+            if prefix_builder is not None:
+                builder = prefix_builder.clone()
+            else:
+                builder = StateBuilder(self.env.coarse)
+                for a in committed:
+                    builder.apply(a)
+            for a in actions_taken[len(committed):]:
+                builder.apply(a)
+            self.seconds_selection += time.perf_counter() - started
+            if builder.done():
+                node.terminal = True
+                if node.terminal_value is None:
+                    node.terminal_value = self._terminal_value(actions_taken)
+                value = node.terminal_value
+            else:
+                value = self._expand(node, builder, actions_taken)
 
         # Backpropagation to the root (Eq. 12).
         started = time.perf_counter()

@@ -4,8 +4,10 @@ Every noteworthy runtime occurrence — stage transitions, checkpoints,
 degradations, divergence rollbacks, budget exhaustion — is recorded as
 one :class:`Event` and, when the log is backed by a file, appended as a
 single JSON line so a crashed run leaves a complete, machine-readable
-trace.  The in-memory list always exists, so library code can emit
-unconditionally and tests can assert on what happened without a run dir.
+trace (events emitted inside :meth:`EventLog.batch` reach the file
+together when the batch ends).  The in-memory list always exists, so
+library code can emit unconditionally and tests can assert on what
+happened without a run dir.
 """
 
 from __future__ import annotations
@@ -13,23 +15,26 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
-def append_jsonl(path: str, record: dict, fsync: bool = False) -> None:
-    """Append *record* as one JSONL line in a single ``write`` syscall.
+def append_jsonl(path: str, record: dict | list[dict], fsync: bool = False) -> None:
+    """Append *record* -- one dict, or a list of dicts, one line each -- in
+    a single ``write`` syscall (and, with *fsync*, one ``fsync``).
 
     This is the repo-wide convention for JSONL files that may have
     **concurrent writers in different processes** (the terminal cache,
     which a daemon's attempt workers all append to): the line is encoded
     first and handed to one ``os.write`` on an ``O_APPEND`` descriptor,
     which POSIX serializes against other appends to the same file — two
-    processes appending concurrently can interleave *records* but never
-    *bytes within a record*.  Buffered ``f.write`` gives no such
+    processes appending concurrently can interleave *appends* but never
+    *bytes within an append*.  Buffered ``f.write`` gives no such
     guarantee (the stdlib may split one line across flushes).
 
     A partial write (a kill, ENOSPC) leaves a torn tail line that does
-    not end in a newline.  The next append sees that from the file's
+    not end in a newline; the complete lines before it, a cut batch's
+    among them, stay readable.  The next append sees that from the file's
     last byte and starts its one ``write`` with a newline, so the torn
     fragment becomes a dead line every reader skips and the new record
     lands on a line of its own.  (When the unterminated tail was another
@@ -44,7 +49,8 @@ def append_jsonl(path: str, record: dict, fsync: bool = False) -> None:
     """
     from repro.runtime.resources import guarded_write
 
-    data = (json.dumps(record, sort_keys=True) + "\n").encode()
+    records = record if isinstance(record, list) else [record]
+    data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
 
     def _append() -> None:
         fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
@@ -116,22 +122,60 @@ class EventLog:
     An optional ``listener`` callable is invoked with every event after
     it is recorded — the service supervisor uses this as a progress
     heartbeat.  Listeners observe; they must not raise.
+
+    Each event reaches the file as one fsynced append, except inside
+    :meth:`batch`: there the file records wait, and the batch writes them
+    all in one append when it ends.
     """
 
     def __init__(self, path: str | None = None) -> None:
         self.path = path
         self.events: list[Event] = []
         self.listener = None
+        #: file records waiting for the open :meth:`batch` to end
+        self._held: list[dict] | None = None
 
     def emit(self, name: str, stage: str | None = None, **data) -> Event:
         """Record (and persist, if file-backed) one event."""
         event = Event(name=name, stage=stage, ts=time.time(), data=data)
         self.events.append(event)
-        if self.path is not None:
+        if self._held is not None:
+            self._held.append(event.to_json())
+        elif self.path is not None:
             append_jsonl(self.path, event.to_json(), fsync=True)
         if self.listener is not None:
             self.listener(event)
         return event
+
+    @contextmanager
+    def batch(self):
+        """Hold the file records of the events emitted inside the block and
+        write them with one fsynced :func:`append_jsonl` when it ends, by
+        returning or by raising.
+
+        The unit of durability becomes the block: a kill inside it loses
+        the block's lines (a resumed run emits them again).  The in-memory
+        events, the listener calls and the records are what they would be
+        without the batch.  An inner batch joins the outer one.  When the
+        block raises, a failed write does not replace its exception.
+        """
+        if self.path is None or self._held is not None:
+            yield
+            return
+        held = self._held = []
+        try:
+            yield
+        except BaseException:
+            self._held = None
+            try:
+                if held:
+                    append_jsonl(self.path, held, fsync=True)
+            except Exception:
+                pass  # the block's own exception is the one to report
+            raise
+        self._held = None
+        if held:
+            append_jsonl(self.path, held, fsync=True)
 
     def of(self, name: str) -> list[Event]:
         """All recorded events called *name*."""

@@ -20,10 +20,13 @@ from repro.core.flow import MCTSGuidedPlacer
 from repro.gp.mixed_size import place_cells_with_fixed_macros
 from repro.gp.netmodel import build_quadratic_system
 from repro.gp.quadratic import CompiledQP, solve_quadratic_placement
+from repro.legalize import lp_spread
 from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
 from repro.netlist.hpwl import FlatNetlist
 from repro.netlist.model import Cell, Net, Netlist, NodeKind, Pin
 from repro.netlist.suites import make_iccad04_circuit, make_industrial_circuit
+from repro.runtime import faults
+from repro.runtime.faults import Fault, FaultPlan
 from repro.utils.timer import Stopwatch
 
 DESIGNS = ["ibm01", "Cir1"]
@@ -246,3 +249,65 @@ class TestCompiledTerminalEvaluation:
                 assert _positions(coarse[name].design.netlist) == _positions(
                     scratch[name].design.netlist
                 )
+
+
+def _array_bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestCompiledLPs:
+    """The incremental legalizer's Eq. 3 LPs, compiled once per (group, axis),
+    against :func:`_lp_arrays` on the nets the from-scratch legalizer builds."""
+
+    @staticmethod
+    def _record_lps(monkeypatch):
+        seen = {"compiled": [], "scratch": []}
+        solve = lp_spread.lp_solve_axis
+
+        def record(sizes, edges, lo, hi, nets, solver=None):
+            kind = "compiled" if isinstance(nets, lp_spread.BoundNets) else "scratch"
+            seen[kind].append((sizes.copy(), list(edges), lo, hi, nets))
+            return solve(sizes, edges, lo, hi, nets, solver)
+
+        monkeypatch.setattr(lp_spread, "lp_solve_axis", record)
+        return seen
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_arrays_equal_lp_arrays_for_every_region(self, name, monkeypatch):
+        seen = self._record_lps(monkeypatch)
+        for assignment in _assignments(_coarse(name), 3, seed=5):
+            IncrementalMacroLegalizer().legalize(_coarse(name), assignment)
+            MacroLegalizer().legalize(_coarse(name), assignment)
+        compiled, scratch = seen["compiled"], seen["scratch"]
+        assert len(compiled) == len(scratch) >= 20
+        for (sizes, edges, lo, hi, bound), (s, e, lo_, hi_, nets) in zip(
+            compiled, scratch
+        ):
+            assert (sizes.tobytes(), edges, lo, hi) == (s.tobytes(), e, lo_, hi_)
+            got = bound.nets.lp_arrays(sizes, edges, lo, hi, bound.fixed)
+            want = lp_spread._lp_arrays(sizes, edges, lo, hi, nets)
+            assert _array_bytes(got) == _array_bytes(want)
+
+    def test_fault_plan_bypasses_the_compiled_lps(self, monkeypatch):
+        seen = self._record_lps(monkeypatch)
+        coarse = _coarse("ibm01")
+        (assignment,) = _assignments(coarse, 1, seed=6)
+        with faults.inject(FaultPlan(Fault("lp.solve", at=10**9))):
+            IncrementalMacroLegalizer().legalize(coarse, assignment)
+        assert seen["scratch"] and not seen["compiled"]
+
+    def test_used_legalizer_copies(self):
+        """The HiGHS instance stays out of copies: a copy starts without
+        one and legalizes to the same bytes."""
+        coarse = _coarse("ibm01")
+        first, second = _assignments(coarse, 2, seed=7)
+        legalizer = IncrementalMacroLegalizer()
+        legalizer.legalize(coarse, first)
+        assert legalizer._lp_solver._highs is not None
+        want = _coarse("ibm01")
+        MacroLegalizer().legalize(want, second)
+        twin = copy.deepcopy(legalizer)
+        assert twin._lp_solver._highs is None
+        again = _coarse("ibm01")
+        twin.legalize(again, second)
+        assert _positions(again.design.netlist) == _positions(want.design.netlist)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gp.mixed_size import (
@@ -586,3 +586,67 @@ class TestGreedyLegalizerOracle:
     @pytest.mark.parametrize("steps", [1, 4, 24])
     def test_no_free_slot_leaves_residual(self, steps):
         assert self._assert_matches(_crowded_design(), max_radius_steps=steps) > 0
+
+
+def _coordinate(lo, hi):
+    """Floats in [lo, hi], half of them on the integer lattice, where
+    touching rectangles and equal candidate distances are common."""
+    return st.one_of(
+        st.integers(math.ceil(lo), math.floor(hi)).map(float),
+        st.floats(lo, hi, allow_nan=False),
+    )
+
+
+@st.composite
+def _greedy_inputs(draw):
+    """A region, macros in and around it (preplaced ones among them, some
+    wider or taller than the region), and a spiral length."""
+    rx, ry = draw(_coordinate(-50, 50)), draw(_coordinate(-50, 50))
+    rw, rh = draw(_coordinate(10, 150)), draw(_coordinate(10, 150))
+    macros = [
+        (
+            draw(_coordinate(1, 1.2 * rw)),
+            draw(_coordinate(1, 1.2 * rh)),
+            draw(_coordinate(rx - 0.2 * rw, rx + 1.1 * rw)),
+            draw(_coordinate(ry - 0.2 * rh, ry + 1.1 * rh)),
+            draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    return (rx, ry, rw, rh), macros, draw(st.sampled_from([1, 2, 5, 9, 24]))
+
+
+def _greedy_design(region, macros):
+    nl = Netlist()
+    for i, (w, h, x, y, fixed) in enumerate(macros):
+        nl.add_node(Macro(f"m{i}", w, h, x=x, y=y, fixed=fixed))
+    return Design(netlist=nl, region=PlacementRegion(*region))
+
+
+class TestGreedyLegalizerProperty:
+    """Random rectangles: the chunked spiral scan equals the
+    candidate-at-a-time reference, residual and every coordinate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_greedy_inputs())
+    @example(  # a macro wider than the region, a preplaced blocker
+        ((0.0, 0.0, 50.0, 50.0), [(60.0, 10.0, 5.0, 5.0, False),
+                                  (10.0, 10.0, 20.0, 20.0, True),
+                                  (10.0, 10.0, 20.0, 20.0, False)], 24)
+    )
+    @example(  # more macro area than the region holds: no free slot
+        ((0.0, 0.0, 100.0, 100.0),
+         [(30.0, 30.0, 35.0, 35.0, True)]
+         + [(45.0, 40.0 + i, 20.0 + 7 * i, 30.0, False) for i in range(5)], 24)
+    )
+    @example(  # ring 1's one free slot (d = 5) beats a closer one in ring 2
+        ((0.0, 0.0, 100.0, 100.0),
+         [(20.0, 53.7, 80.0, 0.0, True), (10.0, 10.0, 89.9, 50.0, False)], 24)
+    )
+    @example(  # the clamp's ties keep the candidate's signed zero
+        ((0.0, 0.0, 10.0, 10.0), [(10.0, 10.0, -0.0, -0.0, False)], 24)
+    )
+    def test_matches_reference(self, case):
+        region, macros, steps = case
+        design = _greedy_design(region, macros)
+        TestGreedyLegalizerOracle._assert_matches(design, max_radius_steps=steps)

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlist.hpwl import FlatNetlist, hpwl, net_hpwl
-from repro.netlist.model import Cell, Net, Netlist, Pin
+from repro.netlist.model import (
+    Cell,
+    Design,
+    IOPad,
+    Macro,
+    Net,
+    Netlist,
+    Pin,
+    PlacementRegion,
+)
+from repro.verify import verify_placement
 
 
 def chain_netlist(positions: list[tuple[float, float]]) -> Netlist:
@@ -182,3 +192,49 @@ class TestHPWLProperties:
         total = flat.total_hpwl()
         assert total >= 0.0
         assert total == pytest.approx(hpwl(nl), rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _random_netlists(draw):
+    """Macros, cells and pads at random positions, fixed and movable, joined
+    by weighted nets of one to six pins with random pin offsets."""
+    coord = st.floats(-1e4, 1e4, allow_nan=False)
+    size = st.floats(0.0, 200.0, allow_nan=False)
+    nl = Netlist()
+    kinds = (Macro, Cell, IOPad)
+    n_nodes = draw(st.integers(1, 12))
+    for i in range(n_nodes):
+        kind = draw(st.sampled_from(kinds))
+        nl.add_node(kind(f"n{i}", draw(size), draw(size), x=draw(coord),
+                         y=draw(coord), fixed=draw(st.booleans())))
+    offset = st.floats(-100.0, 100.0, allow_nan=False)
+    for k in range(draw(st.integers(0, 40))):
+        pins = [
+            Pin(f"n{draw(st.integers(0, n_nodes - 1))}", draw(offset), draw(offset))
+            for _ in range(draw(st.integers(1, 6)))
+        ]
+        nl.add_net(Net(f"e{k}", pins=pins, weight=draw(st.floats(0.1, 10.0))))
+    return nl
+
+
+class TestVerifierHPWLProperty:
+    """The verifier's HPWL (:func:`hpwl`, a Python loop over the object
+    model) equals the placer's (:meth:`FlatNetlist.total_hpwl`, vectorized):
+    both take every pin at ``node.c + offset`` and each net's span
+    exactly, and sum the nets in different orders.  Summing n nonnegative
+    terms either way errs by at most ``(n - 1) * eps / 2`` of the total,
+    so they differ by at most ``n * eps`` of it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_random_netlists(), st.booleans())
+    def test_verifier_and_placer_agree(self, nl, weighted):
+        placer = FlatNetlist(nl).total_hpwl(weighted=weighted)
+        verifier = hpwl(nl, weighted=weighted)
+        tol = len(nl.nets) * np.finfo(float).eps * max(placer, verifier)
+        assert abs(verifier - placer) <= tol
+        report = verify_placement(
+            Design(netlist=nl, region=PlacementRegion(-1e4, -1e4, 2e4, 2e4)),
+            reported_hpwl=FlatNetlist(nl).total_hpwl(),
+        )
+        (check,) = [c for c in report.checks if c.name == "hpwl_recompute"]
+        assert check.ok, check.detail

@@ -1,5 +1,6 @@
 """Legalization tests: sequence pair, LP overlap removal, full pipeline."""
 
+import contextlib
 import copy
 
 import numpy as np
@@ -17,9 +18,18 @@ from repro.legalize.lp_spread import (
     lp_solve_axis,
     pack_longest_path,
 )
-from repro.legalize.pipeline import MacroLegalizer, anchor_for_span, span_rect
+from repro.legalize.pipeline import (
+    IncrementalMacroLegalizer,
+    MacroLegalizer,
+    anchor_for_span,
+    span_rect,
+)
 from repro.legalize.sequence_pair import SequencePair, extract_sequence_pair
+from repro.runtime import faults
 from repro.runtime.errors import SolverInfeasibleError
+from repro.runtime.faults import Fault, FaultPlan
+from repro.utils import events as events_module
+from repro.utils.events import EventLog, read_jsonl
 
 _PROPERTY_COARSE = None
 
@@ -268,9 +278,9 @@ def _fixture_lps():
         seen = []
         solve = lp_spread.lp_solve_axis
 
-        def record(sizes, edges, lo, hi, nets):
+        def record(sizes, edges, lo, hi, nets, solver=None):
             seen.append(copy.deepcopy((sizes, edges, lo, hi, nets)))
-            return solve(sizes, edges, lo, hi, nets)
+            return solve(sizes, edges, lo, hi, nets, solver)
 
         lp_spread.lp_solve_axis = record
         try:
@@ -392,6 +402,69 @@ class TestLPOracle:
             seen = []
             lp_legalize_axis(*self.HAND_BUILT[case], on_degrade=seen.append)
             assert len(calls) == attempts and len(seen) == 1
+
+
+def _solver_outcome(solve, arrays):
+    """(``ok``, solution bytes) or (``raise``, status, message) of one solve."""
+    try:
+        return "ok", solve(*arrays).tobytes()
+    except SolverInfeasibleError as exc:
+        return "raise", exc.details["status"], str(exc)
+
+
+class TestReusedSolver:
+    """An :class:`LPSolver` runs LP after LP on one HiGHS instance; each
+    outcome is the fresh instance's (:func:`_solve_highs`), byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def _binding(self):
+        if lp_spread._highs is None:
+            pytest.skip("this scipy bundles no HiGHS binding")
+
+    def test_shuffled_sequence_matches_fresh_instances(self):
+        lps = (
+            list(_fixture_lps())
+            + list(TestLPOracle.HAND_BUILT.values())
+            + [_random_lp(seed) for seed in range(1000)]
+        )
+        arrays = [
+            lp_spread._lp_arrays(np.asarray(args[0], dtype=float), *args[1:])
+            for args in lps
+        ]
+        order = np.random.default_rng(0).permutation(len(arrays))
+        solver = lp_spread.LPSolver()
+        kinds = set()
+        for i in order:
+            want = _solver_outcome(lp_spread._solve_highs, arrays[i])
+            assert _solver_outcome(solver, arrays[i]) == want
+            kinds.add(want[:2] if want[0] == "raise" else want[0])
+        # optimal, infeasible (HiGHS's verdict) and rejected inputs all ran
+        assert {"ok", ("raise", 2), ("raise", "error")} <= kinds
+
+    def test_one_instance_per_solver(self, monkeypatch):
+        made = []
+        new = lp_spread._new_highs
+        monkeypatch.setattr(
+            lp_spread, "_new_highs", lambda: made.append(1) or new()
+        )
+        solver = lp_spread.LPSolver()
+        for seed in range(20):
+            sizes, edges, lo, hi, nets = _random_lp(seed)
+            lp_legalize_axis(sizes, edges, lo, hi, nets, solver=solver)
+        assert len(made) == 1
+        lp_legalize_axis(np.array([5.0, 5.0]), [(0, 1)], 0.0, 12.0, [])
+        assert len(made) == 2  # no solver: a fresh instance
+
+    def test_copies_start_without_an_instance(self):
+        import pickle
+
+        solver = lp_spread.LPSolver()
+        args = (np.array([5.0, 5.0]), [(0, 1)], 0.0, 12.0, [])
+        want = lp_legalize_axis(*args, solver=solver)
+        assert solver._highs is not None
+        for twin in (copy.deepcopy(solver), pickle.loads(pickle.dumps(solver))):
+            assert twin._highs is None
+            assert lp_legalize_axis(*args, solver=twin).tobytes() == want.tobytes()
 
 
 def _flags(args):
@@ -619,3 +692,47 @@ class TestMacroLegalizerPipeline:
         self._legalize(coarse, seed=seed)
         assert macro_overlap_area(coarse.design) < 1e-9
         assert out_of_region_area(coarse.design) < 1e-6
+
+
+class TestBatchedLegalizationEvents:
+    """A legalization's events reach a file-backed log in one fsynced
+    append, with the records one append per event would write."""
+
+    @pytest.mark.parametrize("forced", [True, False])
+    @pytest.mark.parametrize("legalizer_cls", [MacroLegalizer, IncrementalMacroLegalizer])
+    def test_one_append_with_the_unbatched_records(
+        self, legalizer_cls, forced, tmp_path, monkeypatch
+    ):
+        calls = []
+        append = events_module.append_jsonl
+
+        def counted(path, record, fsync=False):
+            calls.append((len(record) if isinstance(record, list) else 1, fsync))
+            return append(path, record, fsync)
+
+        monkeypatch.setattr(events_module, "append_jsonl", counted)
+        coarse = _coarse_for_property()
+        rng = np.random.default_rng(0)
+        assignment = list(rng.integers(0, coarse.plan.n_grids, size=coarse.n_macro_groups))
+        def legalize(name):
+            log = EventLog(str(tmp_path / name))
+            # forced: every LP fails, one fallback per axis of every region
+            with (
+                faults.inject(FaultPlan(Fault("lp.solve", at=1, count=None)))
+                if forced else contextlib.nullcontext()
+            ):
+                legalizer_cls(events=log).legalize(copy.deepcopy(coarse), assignment)
+            return [
+                {k: v for k, v in record.items() if k != "ts"}
+                for record in read_jsonl(log.path)
+            ]
+
+        with monkeypatch.context() as m:
+            m.setattr(EventLog, "batch", lambda self: contextlib.nullcontext())
+            unbatched = legalize("unbatched.jsonl")
+        assert calls == [(1, True)] * len(unbatched)
+        calls.clear()
+        batched = legalize("batched.jsonl")
+        assert calls == [(len(batched), True)]
+        assert batched == unbatched
+        assert len(batched) >= (2 if forced else 1)

@@ -140,3 +140,107 @@ class TestPrincipalVariation:
         placer.run()
         pv = principal_variation(placer.last_root, max_depth=2)
         assert len(pv) <= 2
+
+
+def _reference_explore(placer, root, committed, path_to_target, target,
+                       prefix_builder=None):
+    """The descent that replays the builder before it knows the leaf."""
+    from repro.agent.state import StateBuilder
+
+    if prefix_builder is not None:
+        builder = prefix_builder.clone()
+    else:
+        builder = StateBuilder(placer.env.coarse)
+        for a in committed:
+            builder.apply(a)
+    path = list(path_to_target)
+    node = target
+    actions_taken = list(committed)
+    while node.expanded and not node.terminal:
+        idx = node.select_child_index(placer.config.c_puct)
+        path.append((node, idx))
+        actions_taken.append(int(node.actions[idx]))
+        builder.apply(int(node.actions[idx]))
+        node = node.child_for(idx)
+    if builder.done():
+        node.terminal = True
+        if node.terminal_value is None:
+            node.terminal_value = placer._terminal_value(actions_taken)
+        value = node.terminal_value
+    else:
+        value = placer._expand(node, builder, actions_taken)
+    for parent, idx in path:
+        parent.record(idx, value)
+
+
+def _tree_bytes(node):
+    """Every node's edge statistics and terminal value, depth first."""
+    out = [node.visit.tobytes(), node.total_value.tobytes(), node.prior.tobytes(),
+           repr(node.terminal_value)]
+    for action in sorted(node.children):
+        out.extend(_tree_bytes(node.children[action]))
+    return out
+
+
+class TestValuedTerminalDescent:
+    """A descent that ends at a terminal node with a value reads the value
+    off the node: no builder is cloned or replayed for it."""
+
+    def test_descent_to_valued_terminal_clones_no_builder(self, placer, monkeypatch):
+        from repro.agent.state import StateBuilder
+
+        env = placer.env
+        root = Node(depth=0)
+        prefix = StateBuilder(env.coarse)
+        placer._expand(root, prefix, [])
+        committed, committed_path, current = [], [], root
+        for _ in range(env.n_steps - 1):  # commit down to the last group
+            idx = int(np.argmax(current.prior))
+            committed_path.append((current, idx))
+            committed.append(int(current.actions[idx]))
+            prefix.apply(committed[-1])
+            current = current.child_for(idx)
+            placer._expand(current, prefix.clone(), list(committed))
+
+        clones = []
+        clone = StateBuilder.clone
+        monkeypatch.setattr(
+            StateBuilder, "clone", lambda self: clones.append(1) or clone(self)
+        )
+        first = len(current.actions) + 3
+        for _ in range(first):
+            placer._explore(root, committed, committed_path, current, prefix)
+        # one clone per terminal child, on the visit that values it
+        assert len(clones) == len(current.children) < first
+        assert all(child.terminal_value is not None
+                   for child in current.children.values())
+        clones.clear()
+        visits = current.visit.sum()
+        for _ in range(5):
+            placer._explore(root, committed, committed_path, current, prefix)
+        assert clones == []
+        assert current.visit.sum() == visits + 5
+
+    def test_search_matches_replaying_descent(self, coarse_small, monkeypatch):
+        """Trees, committed paths and wirelengths equal the descent that
+        always replays, byte for byte."""
+
+        def run(explore=None):
+            env = MacroGroupPlacementEnv(coarse_small, cell_place_iters=1)
+            net = PolicyValueNet(NetworkConfig(zeta=4, channels=4, res_blocks=1, seed=0))
+            reward_fn = NormalizedReward(w_max=2000.0, w_min=500.0, w_avg=1200.0)
+            placer = MCTSPlacer(env, net, reward_fn, MCTSConfig(explorations=12, seed=0))
+            if explore is not None:
+                monkeypatch.setattr(
+                    placer, "_explore",
+                    lambda *args, **kwargs: explore(placer, *args, **kwargs),
+                )
+            result = placer.run()
+            return result, _tree_bytes(placer.last_root)
+
+        got, got_tree = run()
+        want, want_tree = run(_reference_explore)
+        assert got.path == want.path and got.assignment == want.assignment
+        assert float(got.wirelength).hex() == float(want.wirelength).hex()
+        assert got.n_terminal_evaluations == want.n_terminal_evaluations
+        assert got_tree == want_tree

@@ -318,17 +318,6 @@ class TestIncrementalLegalizer:
         assert stats["qp_factorizations"] == 2
         assert stats["region_memo_hits"] > 0
 
-    def test_self_check_finds_no_divergence(self, coarse_small):
-        legalizer = IncrementalMacroLegalizer(self_check=True)
-        n, grids = coarse_small.n_macro_groups, coarse_small.plan.n_grids
-        rng = np.random.default_rng(9)
-        for _ in range(3):
-            legalizer.legalize(
-                coarse_small,
-                [int(a) for a in rng.integers(0, grids, size=n)],
-            )
-        assert legalizer.cache_stats()["equivalence_failures"] == 0
-
     def test_new_coarse_drops_caches(self, coarse_small):
         legalizer = IncrementalMacroLegalizer()
         n = coarse_small.n_macro_groups
