@@ -52,6 +52,7 @@ import os
 import sys
 
 from repro.core import MCTSGuidedPlacer, PlacerConfig
+from repro.core.config import PRESETS
 from repro.runtime.errors import PlacementError, UsageError
 
 
@@ -66,25 +67,12 @@ def _load_design(args) -> tuple[str, "object"]:
     )
 
 
-def _preset(name: str, seed: int) -> PlacerConfig:
-    presets = {
-        "fast": PlacerConfig.fast,
-        "benchmark": PlacerConfig.benchmark,
-        "paper": lambda seed=0: PlacerConfig.paper(),
-    }
-    if name not in presets:
-        raise UsageError(
-            f"unknown preset {name!r}; choose from {sorted(presets)}", preset=name
-        )
-    return presets[name](seed=seed) if name != "paper" else PlacerConfig.paper()
-
-
 def cmd_place(args) -> int:
     """Run the full MCTS-guided flow on one circuit; print the results."""
     from dataclasses import replace
 
     name, design = _load_design(args)
-    config = _preset(args.preset, args.seed)
+    config = PlacerConfig.preset(args.preset, args.seed)
     if getattr(args, "legal_cells", False):
         config = replace(config, legalize_cells=True)
     if getattr(args, "exact_topk", None) is not None:
@@ -167,7 +155,7 @@ def cmd_compare(args) -> int:
         table.add(name, key, result.hpwl)
         print(f"  {key:10s} {result.hpwl:12.1f}  ({result.runtime:.1f}s)")
 
-    config = _preset(args.preset, args.seed)
+    config = PlacerConfig.preset(args.preset, args.seed)
     result = MCTSGuidedPlacer(config).place(copy.deepcopy(design))
     ours = min(result.hpwl, result.search.best_terminal_wirelength)
     table.add(name, "ours", ours)
@@ -601,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_place = sub.add_parser("place", help="run the full flow on one circuit")
     common(p_place)
     p_place.add_argument("--preset", default="fast",
-                         choices=["fast", "benchmark", "paper"])
+                         choices=PRESETS)
     p_place.add_argument("--svg", default=None, help="write placement SVG here")
     p_place.add_argument("--ascii", action="store_true",
                          help="print an ASCII placement sketch")
@@ -630,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="flow vs all baselines on one circuit")
     common(p_cmp)
     p_cmp.add_argument("--preset", default="fast",
-                       choices=["fast", "benchmark", "paper"])
+                       choices=PRESETS)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_suites = sub.add_parser("suites", help="list available circuits")
@@ -720,9 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--stall-seconds", type=float, default=None,
                          dest="stall_seconds",
                          help="watchdog threshold: a job whose progress "
-                              "heartbeat is older than this is cancelled "
-                              "with a structured StageStallError and "
-                              "retried (default: no watchdog)")
+                              "heartbeat is older than this has its worker "
+                              "killed, fails with a structured "
+                              "StageStallError and is retried (default: "
+                              "no watchdog)")
     p_serve.add_argument("--max-retries", type=int, default=2,
                          dest="max_retries",
                          help="transient-failure retries (exponential "
@@ -741,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     service_dir(p_sub)
     common(p_sub)
     p_sub.add_argument("--preset", default="fast",
-                       choices=["fast", "benchmark", "paper"])
+                       choices=PRESETS)
     p_sub.add_argument("--priority", type=int, default=0,
                        help="higher dispatches first (FIFO within a priority)")
     p_sub.add_argument("--budget-seconds", type=float, default=None,

@@ -89,7 +89,7 @@ class CoarseNetlist:
         representative rectangle; cell groups become :class:`Cell` nodes
         (square of equivalent area); fixed groups become fixed macros at
         their original centroid.  Pins sit at node centers (offsets are a
-        sub-group detail the coarse model abandons).
+        sub-group detail the coarse model drops).
         """
         nl = Netlist(name=f"{self.design.name}::coarse")
         for i, g in enumerate(self.all_groups):

@@ -17,6 +17,10 @@ from repro.coarsen.scores import GammaParams, PhiParams
 from repro.mcts.search import MCTSConfig
 
 
+#: the preset names :meth:`PlacerConfig.preset` resolves
+PRESETS = ("benchmark", "fast", "paper")
+
+
 @dataclass(frozen=True)
 class PlacerConfig:
     """All knobs of :class:`repro.core.flow.MCTSGuidedPlacer`."""
@@ -142,6 +146,25 @@ class PlacerConfig:
             cell_place_iterations=2,
             seed=seed,
         )
+
+    @classmethod
+    def preset(cls, name: str, seed: int = 0) -> "PlacerConfig":
+        """The preset *name* (one of :data:`PRESETS`) at *seed*.
+
+        ``paper`` takes *seed* as the flow seed only; its network and
+        MCTS keep their default seeds.  An unknown name raises
+        :class:`~repro.runtime.errors.UsageError`.
+        """
+        if name not in PRESETS:
+            from repro.runtime.errors import UsageError
+
+            raise UsageError(
+                f"unknown preset {name!r}; choose from {sorted(PRESETS)}",
+                preset=name,
+            )
+        if name == "paper":
+            return replace(cls.paper(), seed=seed)
+        return getattr(cls, name)(seed=seed)
 
     def override(self, knob: str, value) -> "PlacerConfig":
         """One dotted-path override; see :func:`apply_overrides`."""

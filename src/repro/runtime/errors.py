@@ -85,10 +85,10 @@ class FaultInjected(PlacementError):
 class StageStallError(PlacementError):
     """A job's progress heartbeat stalled past ``stall_seconds``.
 
-    Raised *cooperatively*: the service watchdog cancels the job's
-    heartbeat, and the next progress poll inside the flow (budget checks
-    run every RL episode and every MCTS exploration) raises this
-    instead of continuing.  Classified as transient — a stalled solver is
+    The service slot relaying the attempt kills the attempt's worker
+    process and reports this error for it; the job's heartbeat beats on
+    every event emission and budget poll (every RL episode and every
+    MCTS exploration).  Classified as transient — a stalled solver is
     usually a one-off scheduling or I/O hiccup — so the supervisor
     retries it with backoff before quarantining.
     """

@@ -33,7 +33,8 @@ Known sites
 - ``warm.corrupt``      — flip one byte of a just-stored warm-cache
   entry (caught by entry validation before injection → cold run)
 - ``stall.freeze``      — freeze a job's progress heartbeat (beats stop
-  registering; the service watchdog then raises ``StageStallError``)
+  registering; the service kills the attempt's worker at
+  ``stall_seconds`` and fails the attempt with ``StageStallError``)
 - ``disk.enospc``       — a guarded durable write fails with ``OSError
   ENOSPC`` (polled by :func:`repro.runtime.resources.guarded_write`
   before each attempt: ``at=1`` fails once and lets the post-GC retry

@@ -16,8 +16,9 @@ Layers:
 - :mod:`repro.service.warm`      — warm-artifact cache (skip pre-training)
 - :mod:`repro.service.metrics`   — counters / gauges / histograms
 - :mod:`repro.service.scheduler` — slot threads + per-job budgets
-- :mod:`repro.service.worker`    — attempt worker processes, one per slot
-- :mod:`repro.service.supervisor`— heartbeats, watchdog, retry, quarantine
+- :mod:`repro.service.worker`    — attempt worker processes, one per slot,
+  relayed by a slot thread that kills a stalled one
+- :mod:`repro.service.supervisor`— heartbeats, retry, quarantine
 - :mod:`repro.service.service`   — the daemon: inbox, control, recovery
 - :mod:`repro.service.chaos`     — fault drills: one scenario table
 """

@@ -29,7 +29,7 @@ checkpoint_corrupt  ``checkpoint.corrupt`` flips a byte of
                     resume detects the corruption, restarts the stage
                     cold, and finishes DONE
 stage_stall         ``stall.freeze`` stops the job's heartbeat → the
-                    watchdog cancels the attempt (structured
+                    slot kills the attempt's worker (structured
                     ``StageStallError``), the retry finishes DONE
 warm_corrupt        job A populates the warm cache and ``warm.corrupt``
                     flips a byte of the entry; job B detects it before

@@ -25,8 +25,8 @@ threads append through one :class:`JobStore`:
 
 - every append is a single ``write`` syscall on an ``O_APPEND``
   descriptor (:func:`repro.utils.events.append_jsonl`), so a kill
-  mid-append leaves at worst one torn tail line, and the next append
-  starts on a fresh line;
+  mid-append leaves at worst one torn tail line, which replay skips and
+  the next append truncates;
 - replay is *first-submit-wins* per job id and *first-terminal-wins*
   per job: once a job reaches a terminal state, later state records for
   it are counted and dropped, which makes double-completion
@@ -45,6 +45,7 @@ import time
 import uuid
 from dataclasses import asdict, dataclass, replace
 
+from repro.core.config import PlacerConfig, apply_overrides
 from repro.runtime.errors import UsageError
 from repro.utils.events import append_jsonl
 
@@ -133,12 +134,7 @@ class JobSpec:
     def validate(self) -> None:
         if not self.circuit and not self.aux:
             raise UsageError("job spec needs a circuit name or an aux path")
-        if self.preset not in ("fast", "benchmark", "paper"):
-            raise UsageError(
-                f"unknown preset {self.preset!r}; choose from "
-                "['benchmark', 'fast', 'paper']",
-                preset=self.preset,
-            )
+        PlacerConfig.preset(self.preset)  # an unknown name raises
         for item in self.faults or ():
             if not isinstance(item, (list, tuple)) or not (1 <= len(item) <= 3):
                 raise UsageError(
@@ -165,13 +161,8 @@ class JobSpec:
         )
 
     def build_config(self, terminal_cache_path: str | None = None):
-        from repro.core.config import PlacerConfig, apply_overrides
-
         self.validate()
-        if self.preset == "paper":
-            config = replace(PlacerConfig.paper(), seed=self.seed)
-        else:
-            config = getattr(PlacerConfig, self.preset)(seed=self.seed)
+        config = PlacerConfig.preset(self.preset, self.seed)
         if self.overrides:
             config = apply_overrides(config, self.overrides)
         return replace(config, terminal_cache_path=terminal_cache_path)
@@ -363,7 +354,38 @@ class JobStore:
 
     # -- journal ---------------------------------------------------------------
     def _append(self, record: dict) -> None:
+        self._cut_torn_tail()
         append_jsonl(self.path, record, fsync=True)
+
+    def _cut_torn_tail(self) -> None:
+        """Truncate an unterminated tail line before the next append.
+
+        :meth:`load` never applies that line: the append that wrote it
+        never completed.  ``append_jsonl`` would only start a new line
+        after it, and a fragment that is whole JSON but for its newline
+        would then replay as a record the daemon never acted on.  The
+        daemon is the journal's only writer, so the cut races no append.
+        """
+        try:
+            fd = os.open(self.path, os.O_RDWR)
+        except FileNotFoundError:
+            return
+        try:
+            size = os.fstat(fd).st_size
+            if not size or os.pread(fd, 1, size - 1) == b"\n":
+                return
+            end = size
+            while end:
+                start = max(0, end - 4096)
+                newline = os.pread(fd, end - start, start).rfind(b"\n")
+                if newline >= 0:
+                    end = start + newline + 1
+                    break
+                end = start
+            os.ftruncate(fd, end)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def load(self) -> "JobStore":
         """Replay the whole journal from the top (daemon start, CLI).
@@ -528,10 +550,9 @@ class JobStore:
         with self._lock:
             job = self._jobs[job_id]
             if job.terminal:
-                # First terminal wins, live edition: once a job finished
-                # (say a watchdog-abandoned attempt reports late), nothing
-                # re-decides it — the record is neither applied nor
-                # journaled.
+                # First terminal wins, live edition: once a job finished,
+                # nothing re-decides it — a later transition is neither
+                # applied nor journaled, as replay would drop it.
                 self.stale_records += 1
                 return job
             record = {

@@ -4,25 +4,18 @@ The :class:`Scheduler` multiplexes admitted jobs over a bounded number
 of slots — priority first, FIFO within a priority (the dispatch key is
 ``(-priority, seq)``).  Each slot is a scheduler thread that owns a
 persistent attempt worker process (:mod:`repro.service.worker`): the
-thread dispatches and journals, the worker runs the flow, so N slots
-place on N CPUs.  The workers are created when the scheduler starts,
-before its threads, so they can fork; a slot replaces a worker that
-died.  Slot threads re-check a job's state at dispatch time, so a job
-cancelled while queued is simply skipped.  A job that raises —
+thread dispatches, relays and journals, the worker runs the flow, so N
+slots place on N CPUs.  The workers are created when the scheduler
+starts, before its threads, so they can fork; a slot replaces a worker
+that died or that its watchdog killed.  Slot threads re-check a job's
+state at dispatch time, so a job cancelled while queued is simply
+skipped.  A job that raises —
 structured :class:`~repro.runtime.errors.PlacementError`, budget
-exhaustion, a dead worker, anything — is contained by its executor: the
-slot records the failure and moves on to the next job; siblings and the
-daemon never see the exception.
-
-Supervision hooks (PR 5):
-
-- A job id may be re-enqueued after its attempt finished (retry with
-  backoff): the dedup set is released at dispatch, not at completion.
-- :meth:`Scheduler.abandon` lets the watchdog give up on a hung attempt:
-  the slot's worker process is killed, the attempt's slot is released
-  for :meth:`idle` accounting, and a **replacement slot thread** (with a
-  fresh worker) is spawned so capacity survives.  The abandoned thread
-  sees its worker die, consumes its own abandon ticket and exits.
+exhaustion, a stall, a dead worker, anything — is contained by its
+executor: the slot records the failure and moves on to the next job;
+siblings and the daemon never see the exception.  A job id may be
+re-enqueued after its attempt finished (retry with backoff): the dedup
+set is released at dispatch, not at completion.
 
 :class:`JobRunContext` extends the PR 1 :class:`RunContext` with a
 *job-level* wall-clock budget: every stage budget the flow requests is
@@ -34,8 +27,7 @@ heartbeat is attached (a :class:`~repro.service.supervisor.Heartbeat`,
 or in an attempt worker the pipe link that relays to the daemon's), the
 context also wires the two progress streams that feed it: every
 event-log emission beats, and every budget poll goes through
-:class:`~repro.service.supervisor.SupervisedBudget` (which beats, and
-raises ``StageStallError`` once the watchdog cancels the attempt).
+:class:`~repro.service.supervisor.SupervisedBudget`, which beats.
 """
 
 from __future__ import annotations
@@ -115,16 +107,8 @@ class Scheduler:
         self._inflight = 0
         self._lock = threading.Lock()
         self._enqueued: set[str] = set()
-        #: monotonic attempt-dispatch counter; each dequeue gets a ticket
-        self._next_ticket = 0
-        #: job id -> (ticket, slot) of the attempt currently holding a slot
-        self._running: dict[str, tuple[int, int]] = {}
-        #: tickets the watchdog force-abandoned; their threads consume
-        #: them on return
-        self._abandoned: set[int] = set()
-        #: slot index -> its worker handle (key None: the worker of
-        #: executor calls made outside any slot thread)
-        self._procs: dict[int | None, object] = {}
+        #: the worker handle of each slot, by slot index
+        self._procs: list = []
         self._local = threading.local()
 
     # -- lifecycle -------------------------------------------------------------
@@ -134,59 +118,35 @@ class Scheduler:
         self._stop.clear()
         if self.worker_factory is not None:
             # Workers first: while no scheduler thread runs they can fork.
-            for i in range(self.workers):
-                self._procs[i] = self.worker_factory().ensure()
+            self._procs = [
+                self.worker_factory().ensure() for _ in range(self.workers)
+            ]
         for i in range(self.workers):
-            self._spawn_thread(i)
+            t = threading.Thread(
+                target=self._serve_slot, args=(i,),
+                name=f"repro-slot-{i}", daemon=True,
+            )
+            t.start()
+            self._threads.append(t)
 
-    def _spawn_thread(self, index: int) -> None:
-        t = threading.Thread(
-            target=self._serve_slot, args=(index,),
-            name=f"repro-slot-{index}", daemon=True,
-        )
-        t.start()
-        self._threads.append(t)
-
-    def stop(self, timeout: float | None = None) -> None:
-        """Stop dispatching, wait for in-flight jobs, end the workers.
-
-        Threads of abandoned attempts are joined with a bounded
-        *timeout* (default 1s each when any abandon ticket is
-        outstanding); their workers were already killed.
-        """
+    def stop(self) -> None:
+        """Stop dispatching, wait for in-flight jobs, end the workers."""
         self._stop.set()
-        with self._lock:
-            if timeout is None and self._abandoned:
-                timeout = 1.0
         for t in self._threads:
-            t.join(timeout)
+            t.join()
         self._threads.clear()
-        with self._lock:
-            procs = list(self._procs.values())
-            self._procs.clear()
+        procs, self._procs = self._procs, []
         for proc in procs:
             proc.stop()
 
     # -- worker processes ------------------------------------------------------
     def worker(self):
-        """The calling slot's worker, started (or replaced) if needed.
-
-        Called outside a slot thread — an executor invoked directly,
-        without a started scheduler — it returns a worker created on
-        first use, which :meth:`stop` ends too.
-        """
-        slot = getattr(self._local, "slot", None)
-        with self._lock:
-            proc = self._procs.get(slot)
-            if proc is None:
-                proc = self._procs[slot] = self.worker_factory()
-        return proc.ensure()
+        """The calling slot's worker, started (or replaced) if needed."""
+        return self._procs[self._local.slot].ensure()
 
     def worker_pids(self) -> list[int]:
         """Pids of the live worker processes (the governor's RSS sample)."""
-        with self._lock:
-            procs = list(self._procs.values())
-        return [p.pid for p in procs if p.alive()]
+        return [p.pid for p in self._procs if p.alive()]
 
     # -- dispatch --------------------------------------------------------------
     def enqueue(self, job) -> bool:
@@ -203,32 +163,9 @@ class Scheduler:
         self._queue.put((-job.priority, job.seq, job.id))
         return True
 
-    def abandon(self, job_id: str) -> bool:
-        """Release the slot of *job_id*'s running attempt (hung).
-
-        The slot's worker process is killed, so the attempt's thread
-        returns; it keeps its own ticket and exits.  A replacement slot
-        thread is spawned so the scheduler keeps its capacity.
-        """
-        with self._lock:
-            entry = self._running.pop(job_id, None)
-            if entry is None:
-                return False
-            ticket, slot = entry
-            self._abandoned.add(ticket)
-            proc = self._procs.pop(slot, None)
-            index = len(self._threads)
-        if proc is not None:
-            proc.kill()
-        self._spawn_thread(index)
-        return True
-
     def idle(self) -> bool:
         with self._lock:
-            return (
-                self._queue.empty()
-                and self._inflight - len(self._abandoned) <= 0
-            )
+            return self._queue.empty() and self._inflight <= 0
 
     def _serve_slot(self, index: int) -> None:
         self._local.slot = index
@@ -255,24 +192,11 @@ class Scheduler:
             _, _, job_id = item
             with self._lock:
                 self._inflight += 1
-                self._next_ticket += 1
-                ticket = self._next_ticket
-                self._running[job_id] = (ticket, index)
                 self._enqueued.discard(job_id)
-            abandoned = False
             try:
                 if self.should_run(job_id):
                     self.execute(job_id)
             finally:
                 with self._lock:
                     self._inflight -= 1
-                    if self._running.get(job_id, (None,))[0] == ticket:
-                        del self._running[job_id]
-                    elif ticket in self._abandoned:
-                        # the watchdog gave up on this attempt and spawned
-                        # a replacement thread; consume the ticket and exit
-                        self._abandoned.discard(ticket)
-                        abandoned = True
                 self._queue.task_done()
-            if abandoned:
-                return

@@ -32,11 +32,12 @@ scheduler slot's attempt worker process (:mod:`repro.service.worker`),
 so ``workers=N`` places on N CPUs; the daemon journals, publishes and
 counts.
 
-Self-healing (PR 5): every attempt carries a heartbeat; the daemon's
-poll cycle runs the :class:`~repro.service.supervisor.JobSupervisor`
-watchdog (stalled attempts are cancelled, hard-hung ones force-abandoned)
-and re-enqueues retries whose backoff elapsed.  Transient failures retry
-with exponential backoff, poison jobs land in QUARANTINED, results are
+Self-healing: every attempt carries a heartbeat, and with
+``stall_seconds`` set the slot relaying the attempt kills a worker whose
+heartbeat is older than that (a structured ``StageStallError``); the
+daemon's poll cycle re-enqueues retries whose backoff elapsed.
+Transient failures (stalls and dead workers among them) retry with
+exponential backoff, poison jobs land in QUARANTINED, results are
 independently verified (``repro.verify``), and a verification failure on
 a run that used warm artifacts or the shared terminal cache triggers one
 *cold* retry — fresh run dir, no warm injection, no shared cache — before
@@ -72,7 +73,7 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import Scheduler
-from repro.service.supervisor import JobSupervisor, error_record
+from repro.service.supervisor import Heartbeat, JobSupervisor, error_record
 from repro.service.warm import WarmArtifactCache
 
 
@@ -169,7 +170,6 @@ class PlacementService:
         max_queue: int = 64,
         poll_interval: float = 0.2,
         stall_seconds: float | None = None,
-        stall_grace: float | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.5,
         verify_results: bool = True,
@@ -194,6 +194,7 @@ class PlacementService:
         self.warm = WarmArtifactCache(self.paths.warm)
         self.max_queue = max_queue
         self.poll_interval = poll_interval
+        self.stall_seconds = stall_seconds
         self.verify_results = verify_results
         self.reject_malformed_after = reject_malformed_after
         # Imported here, not at module level: only a daemon needs worker
@@ -208,10 +209,6 @@ class PlacementService:
             self.store,
             self.metrics,
             self.paths.quarantine,
-            scheduler=self.scheduler,
-            finalize=self._write_result,
-            stall_seconds=stall_seconds,
-            stall_grace=stall_grace,
             max_retries=max_retries,
             backoff_base=backoff_base,
         )
@@ -258,12 +255,11 @@ class PlacementService:
 
     # -- admission + control ---------------------------------------------------
     def poll(self) -> None:
-        """One daemon cycle: admit inbox, apply control, supervise,
-        dispatch."""
+        """One daemon cycle: admit inbox, apply control, re-enqueue due
+        retries, dispatch."""
         self.governor.poll()
         admitted = self._poll_inbox()
         self._poll_control()
-        self.supervisor.check_stalls()
         for job_id in self.supervisor.due_retries():
             job = self.store.get(job_id)
             if job is not None and job.state == QUEUED:
@@ -457,7 +453,6 @@ class PlacementService:
             shutil.rmtree(run_dir, ignore_errors=True)
         resume = os.path.exists(os.path.join(run_dir, "manifest.json"))
         started = time.perf_counter()
-        heartbeat = self.supervisor.begin(job.id, attempt)
         running = False
         try:
             name, design = job.spec.build_design()
@@ -486,7 +481,8 @@ class PlacementService:
                     warm_key=None if resume or cold else warm_key,
                     plan=faults.active(),
                 ),
-                heartbeat,
+                Heartbeat(),
+                self.stall_seconds,
             )
         except Exception as exc:  # noqa: BLE001 — jobs must not kill slots
             if not running:
@@ -498,27 +494,18 @@ class PlacementService:
                 self.store.transition(
                     job.id, RUNNING, attempt=attempt, resume=resume, cold=cold
                 )
-            self._resolve_attempt_failure(
-                job, attempt, started, error_record(exc)
-            )
+            self._resolve_attempt_failure(job, started, error_record(exc))
             return
-        finally:
-            self.supervisor.end(job.id, attempt)
         self.warm.absorb(reply.warm_counts)
         warm_hit = bool(reply.warm_hit)
         if reply.warm_hit is not None:
             self.metrics.inc("warm_hits" if warm_hit else "warm_misses")
         if reply.error is not None:
+            if reply.error["kind"] == "StageStallError":
+                self.metrics.inc("stalls_detected")
             self._resolve_attempt_failure(
-                job, attempt, started, reply.error, warm_hit=warm_hit
+                job, started, reply.error, warm_hit=warm_hit
             )
-            return
-
-        if not self.supervisor.attempt_current(job.id, attempt):
-            # The watchdog force-abandoned this attempt and already
-            # resolved the job (it may even be running a fresh attempt);
-            # this late result must not clobber that state.
-            self.metrics.inc("stale_attempts_dropped")
             return
         seconds = time.perf_counter() - started
         self.supervisor.clear_cold(job.id)
@@ -530,7 +517,7 @@ class PlacementService:
             self.warm.store(warm_key, run_dir)
         except ResourceExhaustedError as exc:
             self._resolve_attempt_failure(
-                job, attempt, started, error_record(exc), warm_hit=warm_hit
+                job, started, error_record(exc), warm_hit=warm_hit
             )
             return
         result = reply.summary
@@ -573,16 +560,12 @@ class PlacementService:
     def _resolve_attempt_failure(
         self,
         job: Job,
-        attempt: int,
         started: float,
         error: dict,
         warm_hit: bool = False,
     ) -> None:
         """Route one attempt's failure through the supervisor."""
         seconds = round(time.perf_counter() - started, 3)
-        if not self.supervisor.attempt_current(job.id, attempt):
-            self.metrics.inc("stale_attempts_dropped")
-            return
         if error.get("kind") == "VerificationError":
             self.metrics.inc("verification_failures")
             # A wrong result on a run that reused anything — warm

@@ -1,7 +1,7 @@
-"""Self-healing job supervision: heartbeats, watchdog, retry, quarantine.
+"""Self-healing job supervision: heartbeats, retry, quarantine.
 
 PR 4 gave the service a scheduler; this module gives it *judgment about
-failure*.  Three cooperating pieces:
+failure*.  Two cooperating pieces:
 
 **Heartbeats** (:class:`Heartbeat`) — every job attempt carries one.
 Beats come from two existing progress streams, so no flow code had to
@@ -15,31 +15,22 @@ cost of one episode.
 The flow runs in the slot's attempt worker process
 (:mod:`repro.service.worker`); its beats cross the worker pipe and feed
 the daemon-side heartbeat, where the ``stall.freeze`` fault site is
-polled.
-
-**Watchdog** — :meth:`JobSupervisor.check_stalls` runs inside the
-daemon's poll cycle.  A heartbeat older than ``stall_seconds`` is
-*cancelled*: the cancel is forwarded to the worker, whose next budget
-poll raises a structured :class:`~repro.runtime.errors.StageStallError`
-(cooperative kill — the attempt unwinds through the normal failure
-path).  If the job still hasn't unwound after a further grace period (a
-truly hung solver never polls), the watchdog force-abandons it: the
-scheduler kills the slot's worker process, releases the slot (spawning
-a replacement scheduler thread with a fresh worker), and the supervisor
-resolves the failure on the attempt's behalf.  The abandoned attempt's
-report — the worker died — is detected by its attempt number and
-dropped.
+polled.  The slot thread relaying them is the watchdog: once the
+heartbeat is older than ``stall_seconds`` it kills the worker, and the
+attempt fails with a structured
+:class:`~repro.runtime.errors.StageStallError` like any other.
 
 **Retry / quarantine** (:meth:`JobSupervisor.resolve_failure`) —
-transient failures (injected faults, stalls, artifact corruption,
-unexpected non-placement exceptions) are retried with exponential
-backoff and *deterministic* jitter (hash of job id + attempt, so two
-daemons replaying the same journal schedule identical delays).  After
-``max_retries`` retries the job is QUARANTINED — a terminal state with
-its own JSONL journal (``<service_dir>/quarantine.jsonl``) recording
-the poison job's spec and final error for offline triage.  Structured
-domain failures (bad usage, calibration/divergence errors) fail
-immediately: retrying a deterministic failure is pure waste.
+transient failures (injected faults, stalls, dead workers, artifact
+corruption, unexpected non-placement exceptions) are retried with
+exponential backoff and *deterministic* jitter (hash of job id +
+attempt, so two daemons replaying the same journal schedule identical
+delays).  After ``max_retries`` retries the job is QUARANTINED — a
+terminal state with its own JSONL journal
+(``<service_dir>/quarantine.jsonl``) recording the poison job's spec and
+final error for offline triage.  Structured domain failures (bad usage,
+calibration/divergence errors) fail immediately: retrying a
+deterministic failure is pure waste.
 """
 
 from __future__ import annotations
@@ -50,15 +41,9 @@ import threading
 import time
 
 from repro.runtime import faults
-from repro.runtime.errors import PlacementError, StageStallError
+from repro.runtime.errors import PlacementError
 from repro.utils.events import append_jsonl
-from repro.service.jobs import (
-    FAILED,
-    QUARANTINED,
-    QUEUED,
-    RUNNING,
-    write_json_atomic,
-)
+from repro.service.jobs import FAILED, QUARANTINED, QUEUED
 
 #: error kinds whose recurrence is plausibly environmental — worth a
 #: retry.  Everything not listed and not a PlacementError (worker crash,
@@ -119,33 +104,26 @@ def error_record(exc: Exception) -> dict:
 class Heartbeat:
     """Monotonic progress clock of one job attempt.
 
-    ``beat`` (from the event-log listener and budget polls) advances the
-    clock; ``poll`` is the raising variant used at the flow's safe
-    points — once the watchdog has cancelled the heartbeat, the next
-    poll raises :class:`StageStallError` inside the job, unwinding it
-    through its ordinary failure path.
+    ``beat`` (relayed from the event-log listener and budget polls)
+    advances the clock; the slot relaying the attempt reads its
+    :meth:`age` and kills the attempt once it passes ``stall_seconds``.
 
     The ``stall.freeze`` fault site hooks ``beat``: once fired, beats
     stop registering, which is exactly what a hung solver looks like
     from the outside.
     """
 
-    def __init__(self, job_id: str, attempt: int, clock=time.monotonic) -> None:
-        self.job_id = job_id
-        self.attempt = attempt
+    def __init__(self, clock=time.monotonic) -> None:
         self._clock = clock
-        self.started = self.last_beat = clock()
+        self.last_beat = clock()
         self.stage: str | None = None
         self.beats = 0
         self.frozen = False
-        self.abandoned = False
-        self._cancel_reason: str | None = None
 
-    # -- progress --------------------------------------------------------------
     def beat(self, stage: str | None = None) -> None:
         if not self.frozen and faults.should_fire("stall.freeze"):
             self.frozen = True
-        if self.frozen or self.cancelled:
+        if self.frozen:
             return
         self.beats += 1
         if stage is not None:
@@ -156,36 +134,12 @@ class Heartbeat:
         """EventLog listener adapter."""
         self.beat(event.stage)
 
-    def poll(self, stage: str | None = None) -> None:
-        """Beat — or raise if the watchdog cancelled this attempt."""
-        if self.cancelled:
-            raise StageStallError(
-                self._cancel_reason or "job heartbeat cancelled",
-                stage=stage or self.stage,
-                job=self.job_id,
-                attempt=self.attempt,
-                stalled_seconds=round(self.age(), 3),
-            )
-        self.beat(stage)
-
-    # -- watchdog side ---------------------------------------------------------
-    def age(self, now: float | None = None) -> float:
-        return (self._clock() if now is None else now) - self.last_beat
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancel_reason is not None
-
-    @property
-    def cancel_reason(self) -> str | None:
-        return self._cancel_reason
-
-    def cancel(self, reason: str) -> None:
-        self._cancel_reason = reason
+    def age(self) -> float:
+        return self._clock() - self.last_beat
 
 
 class SupervisedBudget:
-    """Budget proxy that beats (and enforces) a heartbeat on every poll.
+    """Budget proxy that beats a heartbeat on every poll.
 
     Wraps the :class:`~repro.runtime.budget.StageBudget` a
     :class:`JobRunContext` hands the flow; the flow already polls
@@ -214,22 +168,20 @@ class SupervisedBudget:
         return self.inner.remaining()
 
     def exhausted(self) -> bool:
-        self.heartbeat.poll(self.inner.stage)
+        self.heartbeat.beat(self.inner.stage)
         return self.inner.exhausted()
 
     def check(self) -> None:
-        self.heartbeat.poll(self.inner.stage)
+        self.heartbeat.beat(self.inner.stage)
         self.inner.check()
 
 
 class JobSupervisor:
-    """Watchdog + retry/backoff/quarantine policy of one service daemon.
+    """Retry/backoff/quarantine policy of one service daemon.
 
-    Owns no threads: the daemon calls :meth:`check_stalls` and
-    :meth:`due_retries` from its poll loop (``poll_interval`` is the
-    watchdog resolution), and the scheduler's slot threads call
-    :meth:`begin`/:meth:`end`/:meth:`resolve_failure` around each
-    attempt.
+    Owns no threads: the daemon calls :meth:`due_retries` from its poll
+    loop, and the scheduler's slot threads call :meth:`resolve_failure`
+    after each failed attempt.
     """
 
     def __init__(
@@ -238,10 +190,6 @@ class JobSupervisor:
         metrics,
         quarantine_path: str,
         *,
-        scheduler=None,
-        finalize=None,
-        stall_seconds: float | None = None,
-        stall_grace: float | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.5,
         clock=time.monotonic,
@@ -249,45 +197,12 @@ class JobSupervisor:
         self.store = store
         self.metrics = metrics
         self.quarantine_path = quarantine_path
-        self.scheduler = scheduler
-        #: called with the (terminal) job after quarantine/fail decisions
-        #: the supervisor makes on a worker's behalf (result-file writer)
-        self.finalize = finalize
-        self.stall_seconds = stall_seconds
-        self.stall_grace = (
-            stall_grace if stall_grace is not None
-            else (stall_seconds if stall_seconds is not None else 0.0)
-        )
         self.max_retries = max(0, int(max_retries))
         self.backoff_base = float(backoff_base)
         self._clock = clock
         self._lock = threading.Lock()
-        self._heartbeats: dict[str, Heartbeat] = {}
         self._retries: list[tuple[float, str]] = []  # (due, job_id) heap
         self._cold: set[str] = set()
-
-    # -- attempt lifecycle -----------------------------------------------------
-    def begin(self, job_id: str, attempt: int) -> Heartbeat:
-        hb = Heartbeat(job_id, attempt, clock=self._clock)
-        with self._lock:
-            self._heartbeats[job_id] = hb
-        return hb
-
-    def end(self, job_id: str, attempt: int) -> None:
-        with self._lock:
-            hb = self._heartbeats.get(job_id)
-            if hb is not None and hb.attempt == attempt:
-                del self._heartbeats[job_id]
-
-    def attempt_current(self, job_id: str, attempt: int) -> bool:
-        """Is *attempt* still the live attempt of *job_id*?  False once
-        the watchdog force-abandoned it (its slot was already resolved)."""
-        job = self.store.get(job_id)
-        return (
-            job is not None
-            and job.attempts == attempt
-            and job.state == RUNNING
-        )
 
     # -- cold-retry flags (verification failures) ------------------------------
     def set_cold(self, job_id: str) -> None:
@@ -399,57 +314,3 @@ class JobSupervisor:
     def pending_retries(self) -> int:
         with self._lock:
             return len(self._retries)
-
-    # -- watchdog --------------------------------------------------------------
-    def check_stalls(self) -> None:
-        """One watchdog sweep (called from the daemon's poll cycle).
-
-        Phase 1: a heartbeat past ``stall_seconds`` is cancelled — the
-        job raises :class:`StageStallError` at its next progress poll.
-        Phase 2: a cancelled heartbeat still unreported after a further
-        ``stall_grace`` means the attempt never polls (hard hang): the
-        job's worker process is killed, its slot force-abandoned, and
-        the failure resolved here.
-        """
-        if self.stall_seconds is None:
-            return
-        now = self._clock()
-        with self._lock:
-            beats = list(self._heartbeats.items())
-        for job_id, hb in beats:
-            age = hb.age(now)
-            if not hb.cancelled:
-                if age > self.stall_seconds:
-                    hb.cancel(
-                        f"no progress for {age:.2f}s "
-                        f"(stall_seconds={self.stall_seconds})"
-                    )
-                    self.metrics.inc("stalls_detected")
-            elif not hb.abandoned and age > self.stall_seconds + self.stall_grace:
-                hb.abandoned = True
-                self._force_abandon(job_id, hb)
-
-    def _force_abandon(self, job_id: str, hb: Heartbeat) -> None:
-        with self._lock:
-            if self._heartbeats.get(job_id) is hb:
-                del self._heartbeats[job_id]
-        job = self.store.get(job_id)
-        if job is None or job.state != RUNNING or job.attempts != hb.attempt:
-            return  # the attempt reported in the meantime
-        self.metrics.inc("jobs_abandoned")
-        error = {
-            "kind": "StageStallError",
-            "message": (
-                f"watchdog abandoned hung attempt {hb.attempt} "
-                f"(no progress for {hb.age():.2f}s, stage {hb.stage})"
-            ),
-            "stage": hb.stage,
-            "exit_code": StageStallError.exit_code,
-        }
-        action = self.resolve_failure(job, error, transient=True)
-        if action in ("quarantine", "fail") and self.finalize is not None:
-            self.finalize(self.store.get(job_id))
-        if self.scheduler is not None:
-            # Only now kill the worker: the attempt's own report of its
-            # death must find the failure resolved, and drop as stale.
-            self.scheduler.abandon(job_id)

@@ -5,34 +5,37 @@ legalization), so attempts on threads of one process share one GIL and a
 second scheduler thread buys nothing.  Every attempt therefore runs in a
 persistent worker process owned by its scheduler slot
 (:class:`AttemptWorker`).  The daemon keeps all state — journal,
-supervisor, stale-attempt checks, warm publishing, result files,
-metrics — and the worker runs the attempt body (:func:`_attempt`):
-build the design, open the
+supervisor, warm publishing, result files, metrics — and the worker runs
+the attempt body (:func:`_attempt`): build the design, open the
 :class:`~repro.service.scheduler.JobRunContext` over the run dir, inject
 the warm artifacts, install the job's fault plan, and call
 ``MCTSGuidedPlacer.place``.
 
 One pipe per worker carries an attempt:
 
-- daemon to worker: ``attempt`` (an :class:`AttemptRequest`), ``cancel``
-  (the watchdog cancelled the attempt's heartbeat, so the worker's next
-  budget poll raises ``StageStallError``), ``gc_done`` and ``stop``;
+- daemon to worker: ``attempt`` (an :class:`AttemptRequest`),
+  ``gc_done`` and ``stop``;
 - worker to daemon: ``beat`` (event-log emissions and budget polls, at
-  most ``1 / BEAT_INTERVAL`` a second, fed into the daemon-side
-  :class:`~repro.service.supervisor.Heartbeat`), ``degradation`` and
-  ``gc`` (the worker's ENOSPC guard hooks, handed to the daemon's, which
-  own the governor, the job store and the metrics), and the final
-  ``reply``: an :class:`AttemptReply` plus the fault arrivals to add back
-  into the daemon's plan, so arrival counts stay cumulative across
-  attempts.
+  most ``1 / BEAT_INTERVAL`` a second unless the stage changes, fed into
+  the daemon-side :class:`~repro.service.supervisor.Heartbeat`),
+  ``degradation`` and ``gc`` (the worker's ENOSPC guard hooks, handed to
+  the daemon's, which own the governor, the job store and the metrics),
+  and the final ``reply``: an :class:`AttemptReply` plus the fault
+  arrivals to add back into the daemon's plan, so arrival counts stay
+  cumulative across attempts.
+
+The slot thread relaying that traffic (:meth:`AttemptWorker.run`) is the
+watchdog: with ``stall_seconds`` set it waits on the pipe no longer than
+the heartbeat has left, and once the heartbeat is older than that it
+SIGKILLs and reaps the worker and returns a ``StageStallError`` reply.
 
 Workers fork while the process is single-threaded (``repro serve``
 before the scheduler threads start: the child inherits the imported
 placer and starts in milliseconds) and spawn otherwise.
 They die with the daemon: ``PR_SET_PDEATHSIG`` on Linux, and a closed
 pipe ends an idle worker.  A worker that dies mid-attempt fails the
-attempt with kind ``WorkerDied`` (transient: the supervisor retries it)
-and its slot gets a fresh worker.
+attempt with kind ``WorkerDied``; like a stall, that is transient (the
+supervisor retries it), and the slot gets a fresh worker.
 """
 
 from __future__ import annotations
@@ -55,10 +58,8 @@ from repro.service.scheduler import JobRunContext
 from repro.service.supervisor import error_record
 from repro.service.warm import WarmArtifactCache
 
-#: minimum seconds between two beats a worker relays to its daemon
+#: minimum seconds between two same-stage beats a worker relays
 BEAT_INTERVAL = 0.05
-#: seconds the daemon waits on the pipe before re-checking for a cancel
-RELAY_POLL = 0.05
 #: seconds a new worker gets to report ready (a spawned one imports first)
 START_TIMEOUT = 60.0
 #: seconds a stopping worker gets to exit before it is killed
@@ -205,12 +206,6 @@ class AttemptWorker:
             raise OSError(f"attempt worker (pid {process.pid}) did not start")
         return self
 
-    def kill(self) -> None:
-        """SIGKILL the worker (a hung attempt); the thread waiting on it
-        sees the pipe close and returns."""
-        if self.alive():
-            self._process.kill()
-
     def stop(self) -> None:
         """End the worker (idempotent; :attr:`pid` keeps the last pid)."""
         if self._finalizer is not None:
@@ -218,25 +213,30 @@ class AttemptWorker:
         self._conn = self._finalizer = None
         _HANDLES.discard(self)
 
-    def run(self, request: AttemptRequest, heartbeat) -> AttemptReply:
+    def run(
+        self,
+        request: AttemptRequest,
+        heartbeat,
+        stall_seconds: float | None = None,
+    ) -> AttemptReply:
         """Run one attempt in the worker; relay its traffic until it ends.
 
         *heartbeat* is the attempt's daemon-side
-        :class:`~repro.service.supervisor.Heartbeat`: relayed beats feed
-        it, and once it is cancelled the cancel is forwarded.
+        :class:`~repro.service.supervisor.Heartbeat`: relayed beats and
+        emergency-GC round trips feed it.  With *stall_seconds* set, a
+        heartbeat older than that gets the worker SIGKILLed and reaped,
+        and the attempt a ``StageStallError`` reply.
         """
         conn = self._conn
-        forwarded = False
         try:
             conn.send(("attempt", request))
             while True:
-                if heartbeat.cancelled and not forwarded:
-                    forwarded = True
-                    conn.send((
-                        "cancel", heartbeat.cancel_reason,
-                        round(heartbeat.age(), 3),
-                    ))
-                if not conn.poll(RELAY_POLL):
+                wait = None
+                if stall_seconds is not None:
+                    wait = stall_seconds - heartbeat.age()
+                    if wait <= 0:
+                        break  # stalled: killed below
+                if not conn.poll(wait):
                     continue
                 message = conn.recv()
                 kind = message[0]
@@ -247,6 +247,7 @@ class AttemptWorker:
                 elif kind == "gc":
                     resources.run_emergency_gc()
                     conn.send(("gc_done",))
+                    heartbeat.beat()
                 elif kind == "reply":
                     _, reply, arrivals = message
                     if request.plan is not None:
@@ -265,6 +266,18 @@ class AttemptWorker:
                     f"{self._process.exitcode} mid-attempt"
                 ),
             }, None, {})
+        age = heartbeat.age()
+        self._process.kill()
+        self._process.join()
+        return AttemptReply(None, error_record(StageStallError(
+            f"no progress for {age:.2f}s (stall_seconds={stall_seconds}); "
+            f"killed attempt worker (pid {self.pid})",
+            stage=heartbeat.stage,
+            job=request.job_id,
+            attempt=request.attempt,
+            stalled_seconds=round(age, 3),
+            stall_seconds=stall_seconds,
+        )), None, {})
 
 
 # -- worker side --------------------------------------------------------------
@@ -284,7 +297,7 @@ class _Link:
     """The worker's end of the pipe.
 
     It stands in for the attempt's heartbeat inside the flow (the
-    ``beat_event``/``poll`` interface of
+    ``beat``/``beat_event`` interface of
     :class:`~repro.service.scheduler.JobRunContext` and
     :class:`~repro.service.supervisor.SupervisedBudget`) and provides the
     worker's ENOSPC guard hooks.
@@ -292,14 +305,11 @@ class _Link:
 
     def __init__(self, conn) -> None:
         self.conn = conn
+        self.begin()
 
-    def begin(self, request: AttemptRequest) -> None:
+    def begin(self) -> None:
         """Reset the per-attempt state."""
-        self.job_id = request.job_id
-        self.attempt = request.attempt
         self.stage: str | None = None
-        self.cancel_reason: str | None = None
-        self.stalled_seconds = 0.0
         self.sent = 0.0  # monotonic time of the last relayed beat
 
     # -- pipe -------------------------------------------------------------------
@@ -315,36 +325,20 @@ class _Link:
         except (EOFError, OSError):
             os._exit(0)  # the daemon is gone
 
-    def take(self, message) -> None:
-        """Apply a daemon message that arrived mid-attempt."""
-        if message[0] == "cancel":
-            _, self.cancel_reason, self.stalled_seconds = message
-
     # -- heartbeat --------------------------------------------------------------
     def beat(self, stage: str | None = None) -> None:
-        if stage is not None:
-            self.stage = stage
+        """Relay a beat: at once on a stage change, otherwise at most
+        once per :data:`BEAT_INTERVAL`."""
         now = time.monotonic()
-        if now - self.sent >= BEAT_INTERVAL:
+        changed = stage is not None and stage != self.stage
+        if changed:
+            self.stage = stage
+        if changed or now - self.sent >= BEAT_INTERVAL:
             self.sent = now
             self.send(("beat", self.stage))
 
     def beat_event(self, event) -> None:
         self.beat(event.stage)
-
-    def poll(self, stage: str | None = None) -> None:
-        """Beat — or raise once the daemon cancelled this attempt."""
-        while self.conn.poll(0):
-            self.take(self.recv())
-        if self.cancel_reason is not None:
-            raise StageStallError(
-                self.cancel_reason,
-                stage=stage or self.stage,
-                job=self.job_id,
-                attempt=self.attempt,
-                stalled_seconds=self.stalled_seconds,
-            )
-        self.beat(stage)
 
     # -- guard hooks ------------------------------------------------------------
     def degradation(self, info: dict) -> None:
@@ -352,11 +346,7 @@ class _Link:
 
     def emergency_gc(self) -> None:
         self.send(("gc",))
-        while True:
-            message = self.recv()
-            if message[0] == "gc_done":
-                return
-            self.take(message)
+        self.recv()  # gc_done
 
 
 def _serve(conn, parent_pid: int, inherited: list) -> None:
@@ -378,14 +368,12 @@ def _serve(conn, parent_pid: int, inherited: list) -> None:
         message = link.recv()
         if message[0] == "stop":
             return
-        if message[0] != "attempt":
-            continue  # a cancel that crossed the last reply
         request = message[1]
         plan = request.plan
         before = [] if plan is None else [
             (f.arrivals, f.fired) for f in plan.faults
         ]
-        link.begin(request)
+        link.begin()
         reply = _attempt(request, link)
         arrivals = [] if plan is None else [
             (f.arrivals - a, f.fired - b)

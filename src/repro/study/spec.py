@@ -378,8 +378,7 @@ class StudySpec:
             )
         # Probe every axis value through the real override machinery so a
         # bad knob/value fails at parse time, not mid-study.
-        base = getattr(PlacerConfig, self.preset)() \
-            if self.preset != "paper" else PlacerConfig.paper()
+        base = PlacerConfig.preset(self.preset)
         for axis in self.axes:
             for value in axis.values:
                 apply_overrides(base, {axis.knob: value})

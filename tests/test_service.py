@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -31,14 +32,17 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MCTSGuidedPlacer
+from repro.core import MCTSGuidedPlacer, PlacerConfig
+from repro.core.config import PRESETS
 from repro.netlist.bookshelf import read_aux, write_design
 from repro.netlist.generator import generate_design
+from repro.runtime import resources
 from repro.runtime.errors import FaultInjected, UsageError
 from repro.runtime.faults import Fault, FaultPlan, inject
 from repro.service import (
@@ -48,6 +52,7 @@ from repro.service import (
     QUARANTINED,
     QUEUED,
     RUNNING,
+    Heartbeat,
     JobSpec,
     JobStore,
     PlacementService,
@@ -63,6 +68,7 @@ from repro.service.service import (
     request_stop,
     submit_job,
 )
+from repro.service.worker import AttemptReply, AttemptRequest, AttemptWorker
 from repro.utils.events import read_jsonl
 from tests.conftest import _SMALL_SPEC
 
@@ -105,6 +111,35 @@ class TestJobSpec:
         cfg = spec.build_config(terminal_cache_path=str(tmp_path / "tc"))
         assert cfg.seed == 11
         assert cfg.terminal_cache_path == str(tmp_path / "tc")
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_cli_place_runs_the_service_config(self, monkeypatch, preset, seed):
+        """``repro place`` and a service job of the same spec run one
+        config, so their HPWLs agree."""
+        from repro import cli
+
+        class Captured(Exception):
+            pass
+
+        def capture(config):
+            raise Captured(config)
+
+        monkeypatch.setattr(cli, "MCTSGuidedPlacer", capture)
+        with pytest.raises(Captured) as got:
+            cli.main(["place", "--circuit", "ibm01", "--scale", "0.004",
+                      "--macro-scale", "0.04", "--preset", preset,
+                      "--seed", str(seed)])
+        spec = JobSpec(circuit="ibm01", preset=preset, seed=seed)
+        assert got.value.args[0] == spec.build_config()
+        assert got.value.args[0].seed == seed
+
+    def test_unknown_preset_is_one_usage_error(self):
+        with pytest.raises(UsageError) as err:
+            PlacerConfig.preset("huge", seed=3)
+        assert str(err.value).startswith(
+            "unknown preset 'huge'; choose from ['benchmark', 'fast', 'paper']"
+        )
 
 
 class TestJobStore:
@@ -226,9 +261,8 @@ class TestJobStore:
         store.add(JobSpec(circuit="ibm01"), job_id="job-x")
         store.transition("job-x", DONE, hpwl=123.0)
         n_lines = len(open(path).readlines())
-        # Live: a late report (say from a watchdog-abandoned attempt)
-        # cannot re-decide the finished job: nothing is applied or
-        # journaled, and the stale counter moves.
+        # Live: a late transition cannot re-decide the finished job:
+        # nothing is applied or journaled, and the stale counter moves.
         late = store.transition("job-x", FAILED, error={"kind": "Late"})
         assert late.state == DONE and late.hpwl == 123.0
         assert store.stale_records == 1
@@ -261,6 +295,24 @@ class TestJobStore:
         replayed = JobStore(path).load()
         assert replayed.get(job.id).state == DONE
         assert replayed.get(job.id).hpwl == 42.5
+
+    def test_record_cut_before_its_newline_stays_forgotten(self, tmp_path):
+        """An append cut just before its newline is whole JSON; replay
+        skips it, and the next append must not bring it back."""
+        path = str(tmp_path / "jobs.jsonl")
+        store = JobStore(path)
+        job = store.add(JobSpec(circuit="ibm01"))
+        store.transition(job.id, FAILED, error={"kind": "K"})
+        with open(path, "rb+") as f:
+            f.truncate(os.path.getsize(path) - 1)
+
+        restarted = JobStore(path).load()
+        assert restarted.get(job.id).state == QUEUED
+        restarted.transition(job.id, RUNNING, attempt=1)
+        replayed = JobStore(path).load()
+        assert replayed.get(job.id).state == RUNNING
+        assert replayed.stale_records == 0
+        assert len(read_jsonl(path)) == 2
 
 
 def _table(store: JobStore) -> list[dict]:
@@ -607,7 +659,6 @@ class TestUnbuildableJobs:
                 RUNNING, FAILED
             ]
         assert read_result(sdir, good)["state"] == DONE
-        assert service.metrics.counter("stale_attempts_dropped") == 0
 
 
 class TestRestartRecovery:
@@ -716,6 +767,106 @@ def _alive(pid: int) -> bool:
     return state not in ("Z", "X")
 
 
+class _StubProcess:
+    """Stands in for a worker process: counts kills, never runs."""
+
+    pid = 4242
+
+    def __init__(self) -> None:
+        self.kills = 0
+
+    def kill(self) -> None:
+        self.kills += 1
+
+    def join(self, timeout=None) -> None:
+        pass
+
+
+class TestAttemptRelay:
+    """``AttemptWorker.run`` over a real pipe, the worker end driven by a
+    thread: the relay is the watchdog."""
+
+    def _relay(self, behave, stall_seconds: float):
+        """Relay one attempt to *behave* (called with the worker end and
+        a list to record what it receives); returns the reply, the
+        handle and the worker end."""
+        ours, theirs = multiprocessing.Pipe()
+        handle = AttemptWorker()
+        handle._process, handle._conn = _StubProcess(), ours
+        request = AttemptRequest(
+            job_id="job-r", attempt=1, spec=None, config=None, run_dir="",
+            resume=False, warm_root="", warm_key=None, plan=None,
+        )
+        self.received: list = []
+        end = threading.Thread(target=behave, args=(theirs, self.received))
+        end.start()
+        try:
+            reply = handle.run(request, Heartbeat(), stall_seconds)
+        finally:
+            end.join(10.0)
+        assert not end.is_alive()
+        return reply, handle, theirs
+
+    def test_a_silent_worker_is_killed_once(self):
+        def silent(conn, received):
+            received.append(conn.recv()[0])
+            conn.send(("beat", "mcts"))
+
+        started = time.monotonic()
+        reply, handle, theirs = self._relay(silent, stall_seconds=0.2)
+        assert time.monotonic() - started < 5.0
+        assert self.received == ["attempt"]
+        assert handle._process.kills == 1
+        assert reply.summary is None
+        assert reply.error["kind"] == "StageStallError"
+        assert reply.error["exit_code"] == 16
+        assert reply.error["stage"] == "mcts"  # the last relayed stage
+        details = reply.error["details"]
+        assert details["stall_seconds"] == "0.2"
+        assert float(details["stalled_seconds"]) >= 0.2
+        assert not theirs.poll()  # nothing else was sent to the worker
+
+    def test_an_emergency_gc_round_trip_counts_as_a_beat(self, monkeypatch):
+        gcs = []
+        monkeypatch.setattr(resources, "run_emergency_gc",
+                            lambda: gcs.append(1))
+        done = AttemptReply(None, None, None, {})
+
+        def collecting(conn, received):
+            received.append(conn.recv()[0])
+            time.sleep(0.6)
+            conn.send(("gc",))
+            received.append(conn.recv())
+            time.sleep(0.6)
+            conn.send(("reply", done, []))
+
+        reply, handle, _ = self._relay(collecting, stall_seconds=1.0)
+        assert self.received == ["attempt", ("gc_done",)]
+        assert handle._process.kills == 0
+        assert reply == done
+        assert gcs == [1]  # the daemon ran the GC in the relay loop
+
+
+class TestWorkerLink:
+    def test_a_stage_change_is_relayed_at_once(self, monkeypatch):
+        from repro.service import worker
+
+        now = [100.0]
+        monkeypatch.setattr(
+            worker, "time", SimpleNamespace(monotonic=lambda: now[0])
+        )
+        sent: list = []
+        link = worker._Link(SimpleNamespace(send=sent.append))
+        link.beat("rl_training")
+        link.beat("mcts")
+        link.beat("mcts")  # same stage, within BEAT_INTERVAL: held back
+        link.beat()
+        assert sent == [("beat", "rl_training"), ("beat", "mcts")]
+        now[0] += 2 * worker.BEAT_INTERVAL
+        link.beat()
+        assert sent[2:] == [("beat", "mcts")]
+
+
 class TestWorkerProcesses:
     def test_two_slots_place_two_jobs_at_once_bitwise(self, aux_path, tmp_path):
         specs = [_spec(aux_path, seed=s) for s in (11, 12)]
@@ -785,29 +936,68 @@ class TestWorkerProcesses:
         assert not any(_alive(pid) for pid in pids)  # stop() ended them
 
     def test_watchdog_kills_a_hung_worker(self, aux_path, tmp_path):
-        """A solver that hangs without ever polling its budget: watchdog
-        phase 2 kills the worker, the job is retried on a fresh one, and
-        the abandoned attempt's report of its death is dropped."""
+        """A solver that hangs without ever polling its budget: the slot
+        relaying the attempt kills its worker once the heartbeat is
+        ``stall_seconds`` old, and the job is retried on a fresh worker
+        in the same slot."""
         marker = str(tmp_path / "hung-once")
         sdir = str(tmp_path / "svc")
-        job_id = submit_job(sdir, _spec(aux_path, seed=16))
-        service = PlacementService(sdir, workers=1, poll_interval=0.02,
+        spec = _spec(aux_path, seed=16)
+        reference = MCTSGuidedPlacer(spec.build_config()).place(
+            read_aux(aux_path)
+        )
+        job_id = submit_job(sdir, spec)
+        workers = 2
+        service = PlacementService(sdir, workers=workers, poll_interval=0.02,
                                    stall_seconds=0.3, backoff_base=0.05)
         # a plan installed around the daemon travels with every attempt
         plan = FaultPlan(_HangOnce("trainer.kill", marker=marker))
+        service.scheduler.start()
         try:
             with inject(plan):
-                service.run(drain=True, max_seconds=120.0)
+                deadline = time.monotonic() + 120.0
+                while True:
+                    service.poll()
+                    job = service.store.get(job_id)
+                    if job is not None and job.terminal:
+                        break
+                    assert time.monotonic() < deadline, service.store.counts()
+                    time.sleep(0.02)
+            slots = [t for t in threading.enumerate()
+                     if t.name.startswith("repro-slot-")]
+            assert len(slots) == workers
+            assert all(t.is_alive() for t in slots)
         finally:
+            service.scheduler.stop()
             service.governor.uninstall()
         job = service.store.get(job_id)
         assert job.state == DONE and job.attempts == 2
+        assert job.hpwl == reference.hpwl
         assert os.path.exists(marker)
-        assert service.metrics.counter("jobs_abandoned") == 1
-        assert service.metrics.counter("stale_attempts_dropped") == 1
-        abandoned = [r for r in _journal_states(service, QUEUED)
-                     if r.get("reason") == "retry"]
-        assert "watchdog abandoned" in abandoned[0]["error"]["message"]
+        assert service.metrics.counter("stalls_detected") == 1
+        retry = [r for r in _journal_states(service, QUEUED)
+                 if r.get("reason") == "retry"]
+        assert [r["error"]["kind"] for r in retry] == ["StageStallError"]
+        assert retry[0]["error"]["stage"] == "rl_training"
+        assert retry[0]["error"]["details"]["stall_seconds"] == "0.3"
+        # the hung worker was killed and reaped; attempt 2 ran on another
+        hung, fresh = [r["worker"] for r in _journal_states(service, RUNNING)]
+        assert hung != fresh and not _alive(hung)
+
+    def test_watchdog_leaves_a_healthy_job_alone(self, aux_path, tmp_path):
+        spec = _spec(aux_path, seed=17)
+        reference = MCTSGuidedPlacer(spec.build_config()).place(
+            read_aux(aux_path)
+        )
+        sdir = str(tmp_path / "svc")
+        job_id = submit_job(sdir, spec)
+        service = PlacementService(sdir, workers=1, poll_interval=0.01,
+                                   stall_seconds=5.0)
+        service.run(drain=True, max_seconds=120.0)
+        job = service.store.get(job_id)
+        assert job.state == DONE and job.attempts == 1
+        assert job.hpwl == reference.hpwl
+        assert service.metrics.counter("stalls_detected") == 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
     def test_sigkilled_daemon_leaves_no_worker(self, aux_path, tmp_path):

@@ -2,7 +2,7 @@
 artifact integrity, and independent result verification.
 
 Unit layers (fake clocks, hand-built designs) pin the deterministic
-pieces — backoff schedules, stall detection, checksum round-trips, the
+pieces — backoff schedules, heartbeat ages, checksum round-trips, the
 verifier's geometry checks — and one integration test runs the full
 chaos drill: every injected failure (checkpoint bit-rot, stage stall,
 warm-cache corruption, poison job) must end DONE-after-retry or
@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import MCTSGuidedPlacer, PlacerConfig
 from repro.netlist.hpwl import hpwl
-from repro.runtime.errors import StageStallError
+from repro.runtime.errors import StageTimeoutError
 from repro.runtime.faults import Fault, FaultPlan, inject
 from repro.runtime.integrity import corrupt_file, sha256_file, verify_file
 from repro.service import (
@@ -63,7 +63,7 @@ class FakeClock:
 class TestHeartbeat:
     def test_beat_advances_and_tracks_stage(self):
         clock = FakeClock()
-        hb = Heartbeat("job-a", 1, clock=clock)
+        hb = Heartbeat(clock=clock)
         clock.advance(5.0)
         assert hb.age() == 5.0
         hb.beat("mcts")
@@ -73,7 +73,7 @@ class TestHeartbeat:
 
     def test_freeze_fault_stops_beats(self):
         clock = FakeClock()
-        hb = Heartbeat("job-a", 1, clock=clock)
+        hb = Heartbeat(clock=clock)
         with inject(FaultPlan(Fault("stall.freeze", at=1))):
             clock.advance(1.0)
             hb.beat()  # freezes instead of beating
@@ -82,28 +82,19 @@ class TestHeartbeat:
             hb.beat()
         assert hb.age() == 10.0  # last_beat pinned at construction time
 
-    def test_cancelled_poll_raises_structured_stall(self):
-        hb = Heartbeat("job-a", 2, clock=FakeClock())
-        hb.beat("rl_training")
-        hb.cancel("no progress for 3.00s (stall_seconds=1.0)")
-        with pytest.raises(StageStallError) as err:
-            hb.poll()
-        assert err.value.stage == "rl_training"
-        assert err.value.details["job"] == "job-a"
-        assert err.value.details["attempt"] == 2
-        assert StageStallError.exit_code == 16
-
     def test_supervised_budget_beats_and_raises(self):
         clock = FakeClock()
-        hb = Heartbeat("job-a", 1, clock=clock)
+        hb = Heartbeat(clock=clock)
         budget = SupervisedBudget(StageBudget("mcts", None), hb)
         clock.advance(2.0)
         assert not budget.exhausted()
         assert hb.age() == 0.0  # the poll beat
         assert hb.stage == "mcts"
-        hb.cancel("stalled")
-        with pytest.raises(StageStallError):
-            budget.check()
+        spent = SupervisedBudget(StageBudget("legalize", 0.0), hb)
+        clock.advance(2.0)
+        with pytest.raises(StageTimeoutError):
+            spent.check()  # the inner budget raises, after the beat
+        assert hb.age() == 0.0 and hb.stage == "legalize"
 
 
 # -- retry / backoff / quarantine --------------------------------------------
@@ -199,98 +190,8 @@ class TestResolveFailure:
         assert len(retry) == 1 and retry[0]["retry_delay"] > 0
 
 
-class TestWatchdog:
-    def _stub_scheduler(self):
-        calls = []
-
-        class Stub:
-            def abandon(self, job_id):
-                calls.append(job_id)
-                return True
-
-        return Stub(), calls
-
-    def test_stall_cancels_then_force_abandons(self, tmp_path):
-        clock = FakeClock()
-        store, metrics, sup = make_supervisor(
-            tmp_path, stall_seconds=1.0, stall_grace=1.0,
-            max_retries=2, clock=clock,
-        )
-        scheduler, abandoned = self._stub_scheduler()
-        sup.scheduler = scheduler
-        job = store.add(JobSpec(circuit="ibm01"))
-        store.transition(job.id, RUNNING, attempt=1)
-        hb = sup.begin(job.id, 1)
-        clock.advance(0.5)
-        sup.check_stalls()
-        assert not hb.cancelled  # within stall_seconds
-        clock.advance(0.6)
-        sup.check_stalls()
-        assert hb.cancelled  # phase 1: cooperative cancel
-        assert metrics.counter("stalls_detected") == 1
-        assert abandoned == []
-        clock.advance(1.0)
-        sup.check_stalls()  # phase 2: past grace, thread never polled
-        assert abandoned == [job.id]
-        assert metrics.counter("jobs_abandoned") == 1
-        assert store.get(job.id).state == QUEUED  # transient -> retry
-
-    def test_stale_attempt_detected_after_abandon(self, tmp_path):
-        clock = FakeClock()
-        store, _, sup = make_supervisor(
-            tmp_path, stall_seconds=0.1, stall_grace=0.0, clock=clock
-        )
-        sup.scheduler, _ = self._stub_scheduler()
-        job = store.add(JobSpec(circuit="ibm01"))
-        store.transition(job.id, RUNNING, attempt=1)
-        sup.begin(job.id, 1)
-        assert sup.attempt_current(job.id, 1)
-        clock.advance(0.2)
-        sup.check_stalls()
-        clock.advance(0.2)
-        sup.check_stalls()
-        # the job was re-queued by the watchdog: the stuck attempt's
-        # eventual completion must be recognised as stale
-        assert not sup.attempt_current(job.id, 1)
-
-
-# -- scheduler: abandon + retry re-enqueue ------------------------------------
+# -- scheduler: retry re-enqueue ----------------------------------------------
 class TestSchedulerAbandon:
-    def test_abandon_releases_slot_and_respawns_worker(self):
-        release = threading.Event()
-        executed = []
-
-        def execute(job_id):
-            if job_id == "stuck":
-                release.wait(5.0)
-            executed.append(job_id)
-
-        sched = Scheduler(execute, lambda _: True, workers=1)
-
-        class J:
-            def __init__(self, id, seq):
-                self.id, self.priority, self.seq = id, 0, seq
-
-        sched.start()
-        try:
-            sched.enqueue(J("stuck", 1))
-            deadline = time.monotonic() + 5.0
-            while "stuck" not in sched._running and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not sched.idle()
-            assert sched.abandon("stuck")
-            assert sched.idle()  # slot released without killing the thread
-            # the replacement worker still serves new jobs
-            sched.enqueue(J("next", 2))
-            deadline = time.monotonic() + 5.0
-            while "next" not in executed and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert "next" in executed
-        finally:
-            release.set()
-            sched.stop()
-        assert "stuck" in executed  # the stuck thread drained on release
-
     def test_dedup_released_at_dispatch_for_retries(self):
         started = threading.Event()
         release = threading.Event()
@@ -456,7 +357,7 @@ class TestVerificationColdRetry:
         job = service.store.add(JobSpec(**QUICK))
         service.store.transition(job.id, RUNNING, attempt=1)
         error = {"kind": "VerificationError", "message": "overlap"}
-        service._resolve_attempt_failure(job, 1, time.perf_counter(), error,
+        service._resolve_attempt_failure(job, time.perf_counter(), error,
                                          warm_hit=True)
         assert service.store.get(job.id).state == QUEUED
         assert service.supervisor.is_cold(job.id)
@@ -467,7 +368,7 @@ class TestVerificationColdRetry:
         # a second verification failure on the cold attempt is final
         service.store.transition(job.id, RUNNING, attempt=2)
         service._resolve_attempt_failure(
-            job, 2, time.perf_counter(), error, warm_hit=False
+            job, time.perf_counter(), error, warm_hit=False
         )
         assert service.store.get(job.id).state == "FAILED"
 
@@ -477,7 +378,7 @@ class TestVerificationColdRetry:
         service.store.transition(job.id, RUNNING, attempt=1)
         error = {"kind": "VerificationError", "message": "overlap"}
         service._resolve_attempt_failure(
-            job, 1, time.perf_counter(), error, warm_hit=False
+            job, time.perf_counter(), error, warm_hit=False
         )
         assert service.store.get(job.id).state == "FAILED"
         assert service.metrics.counter("verify_cold_retries") == 0
