@@ -157,10 +157,11 @@ def cmd_compare(args) -> int:
 
     config = PlacerConfig.preset(args.preset, args.seed)
     result = MCTSGuidedPlacer(config).place(copy.deepcopy(design))
-    ours = min(result.hpwl, result.search.best_terminal_wirelength)
-    table.add(name, "ours", ours)
-    print(f"  {'ours':10s} {ours:12.1f}  "
+    table.add(name, "ours", result.hpwl)
+    print(f"  {'ours':10s} {result.hpwl:12.1f}  "
           f"({result.stopwatch.overall():.1f}s)")
+    print(f"  {'':10s} anytime best "
+          f"{result.search.best_terminal_wirelength:.1f} (searched, not committed)")
     print()
     print(table.render())
     return 0

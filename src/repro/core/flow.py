@@ -36,7 +36,6 @@ from repro.core.config import PlacerConfig
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.gp.mixed_size import MixedSizePlacer
 from repro.grid.plan import GridPlan
-from repro.legalize.pipeline import IncrementalMacroLegalizer
 from repro.mcts.search import MCTSPlacer, SearchResult
 from repro.netlist.model import Design, NodeKind
 from repro.parallel import TerminalCache, environment_fingerprint
@@ -137,8 +136,8 @@ class MCTSGuidedPlacer:
     def build_environment(self, coarse: CoarseNetlist) -> MacroGroupPlacementEnv:
         return MacroGroupPlacementEnv(
             coarse,
-            legalizer=IncrementalMacroLegalizer(events=self._events),
             cell_place_iters=self.config.cell_place_iterations,
+            events=self._events,
         )
 
     def pretrain(

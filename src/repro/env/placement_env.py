@@ -19,6 +19,7 @@ from repro.coarsen.coarse import CoarseNetlist
 from repro.gp.mixed_size import place_cells_with_fixed_macros
 from repro.gp.quadratic import CompiledQP
 from repro.legalize.pipeline import MacroLegalizer
+from repro.utils.events import EventLog
 from repro.utils.rng import ensure_rng
 
 
@@ -37,19 +38,20 @@ class MacroGroupPlacementEnv:
 
     Args:
         coarse: the coarsened problem instance.
-        legalizer: Sec. II-B pipeline (a default one is built if omitted).
         cell_place_iters: spreading iterations of the terminal cell placer —
             the main runtime/fidelity knob of terminal evaluation.
+        events: where the Sec. II-B legalizer records its solver fallbacks
+            (an in-memory log if omitted).
     """
 
     def __init__(
         self,
         coarse: CoarseNetlist,
-        legalizer: MacroLegalizer | None = None,
         cell_place_iters: int = 3,
+        events: EventLog | None = None,
     ) -> None:
         self.coarse = coarse
-        self.legalizer = legalizer if legalizer is not None else MacroLegalizer()
+        self.legalizer = MacroLegalizer(events=events)
         self.cell_place_iters = cell_place_iters
         #: the design's pin table and cell-placement QP plans, compiled by
         #: the first terminal evaluation and reused by every later one

@@ -22,11 +22,13 @@ reported infeasible without calling HiGHS (:func:`_overflows`).
 The LP goes straight to the HiGHS binding that scipy bundles, with the
 options ``linprog(method="highs")`` sets; ``linprog``'s own per-call input
 checks cost several times HiGHS's solve on these small LPs.  Where that
-binding cannot be imported, ``linprog`` solves the same arrays.  A caller
-that solves many LPs keeps an :class:`LPSolver`, which runs them all on
-one HiGHS instance, and, for nets it meets again, their
-:class:`CompiledNets`, which fills in only what changes between calls;
-both give the arrays and solutions of the per-call path byte for byte.
+binding cannot be imported, ``linprog`` solves the same arrays.  The
+nets go into the LP's arrays through :class:`CompiledNets`: a caller that
+meets the same nets again keeps theirs and fills in only what changes
+between calls; an :class:`AxisNet` list is compiled for the one call.  A
+caller that solves many LPs keeps an :class:`LPSolver`, which runs them
+all on one HiGHS instance and gives a fresh instance's solutions byte for
+byte.
 """
 
 from __future__ import annotations
@@ -156,85 +158,8 @@ def _overflows(
     return overflow > max(1e-9 * max(hi - lo, 1.0), _OVERFLOW_FLOOR)
 
 
-def _lp_arrays(
-    sizes: np.ndarray,
-    edges: list[tuple[int, int]],
-    lo: float,
-    hi: float,
-    nets: list[AxisNet],
-) -> tuple[np.ndarray, ...]:
-    """The Eq. 3 LP of one axis as arrays: ``(c, start, index, value, rhs, lb, ub)``.
-
-    Variables are ``p_0..p_{n-1}``, then ``(u, l)`` per net.  Rows are all
-    ``≤`` rows: one per constraint edge, then per net, for each movable pin
-    and then each fixed position ("item" t), row ``E + 2t`` bounds the item
-    by ``u`` and row ``E + 2t + 1`` by ``l``.  The constraint matrix comes
-    out in CSC form (``start``, ``index``, ``value``) with ascending rows
-    per column, the layout ``linprog`` hands HiGHS for the same rows, as
-    long as every edge joins two distinct rectangles (a sequence pair's
-    always do).  Unbounded (NaN) column bounds become infinite, as in
-    ``linprog``.
-    """
-    n = len(sizes)
-    n_nets = len(nets)
-    n_vars = n + 2 * n_nets
-    weight = np.array([net.weight for net in nets], dtype=float)
-    c = np.zeros(n_vars)
-    c[n::2] = weight  # +u
-    c[n + 1 :: 2] = -weight  # -l
-
-    edge = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    n_edges = len(edge)
-    items = np.array(
-        [
-            (k, i, v)
-            for k, net in enumerate(nets)
-            for i, v in chain(net.pins, ((-1, q) for q in net.fixed_positions))
-        ],
-        dtype=float,
-    ).reshape(-1, 3)
-    u = n + 2 * items[:, 0].astype(np.intp)
-    rect = items[:, 1].astype(np.intp)
-    value = items[:, 2]
-    row = n_edges + 2 * np.arange(len(items))
-
-    rhs = np.empty(n_edges + 2 * len(items))
-    rhs[:n_edges] = -sizes[edge[:, 0]]  # p_a - p_b <= -size_a
-    rhs[n_edges::2] = -value  # p_i + off <= u  /  u >= q
-    rhs[n_edges + 1 :: 2] = value  # l <= p_i + off  /  l <= q
-
-    # Entries in row order: (p_a, +1), (p_b, -1) per edge; per item
-    # (p_i, +1), (u, -1) | (l, +1), (p_i, -1), without p_i for fixed items.
-    slot_rows = np.stack([row, row, row + 1, row + 1], axis=1)
-    slot_cols = np.stack([rect, u, u + 1, rect], axis=1)
-    keep = slot_cols >= 0
-    rows = np.concatenate([np.repeat(np.arange(n_edges), 2), slot_rows[keep]])
-    cols = np.concatenate([edge.ravel(), slot_cols[keep]])
-    vals = np.concatenate(
-        [
-            np.tile([1.0, -1.0], n_edges),
-            np.broadcast_to(np.array([1.0, -1.0, 1.0, -1.0]), keep.shape)[keep],
-        ]
-    )
-    order = np.argsort(cols, kind="stable")
-    start = np.zeros(n_vars + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n_vars), out=start[1:])
-    index = rows[order].astype(np.int32)
-
-    span = max(hi - lo, 1.0)
-    lb = np.full(n_vars, lo - 10 * span, dtype=float)
-    ub = np.full(n_vars, hi + 10 * span, dtype=float)
-    lb[:n] = lo
-    upper = hi - sizes
-    ub[:n] = np.where(upper < lo, lo, upper)  # degenerate: wider than region
-    lb[np.isnan(lb)] = -np.inf
-    ub[np.isnan(ub)] = np.inf
-    return c, start, index, vals[order], rhs, lb, ub
-
-
 class CompiledNets:
-    """The net part of one axis's Eq. 3 LP, compiled into :func:`_lp_arrays`'s
-    layout once.
+    """The net part of one axis's Eq. 3 LP, compiled into the LP's arrays once.
 
     *nets* fixes the objective, the movable-pin entries with their offsets,
     and how many fixed positions each net has; the positions' values are
@@ -261,7 +186,7 @@ class CompiledNets:
         self.value = np.array([v for _, _, v in items], dtype=float)
         self.fixed_slots = np.flatnonzero(rect < 0)
         u = n + 2 * net_of
-        # each item's entries as _lp_arrays lays them out, rows counted
+        # each item's entries as lp_arrays lays them out, rows counted
         # from the first item row
         row = 2 * np.arange(len(items))
         slot_rows = np.stack([row, row, row + 1, row + 1], axis=1)
@@ -281,7 +206,19 @@ class CompiledNets:
         hi: float,
         fixed: np.ndarray,
     ) -> tuple[np.ndarray, ...]:
-        """:func:`_lp_arrays` of these nets with fixed positions *fixed*."""
+        """The LP with these nets as arrays: ``(c, start, index, value, rhs,
+        lb, ub)``, the nets' fixed positions taken from *fixed*.
+
+        Variables are ``p_0..p_{n-1}``, then ``(u, l)`` per net.  Rows are
+        all ``≤`` rows: one per constraint edge, then per net, for each
+        movable pin and then each fixed position ("item" t), row ``E + 2t``
+        bounds the item by ``u`` and row ``E + 2t + 1`` by ``l``.  The
+        constraint matrix comes out in CSC form (``start``, ``index``,
+        ``value``) with ascending rows per column, the layout ``linprog``
+        hands HiGHS for the same rows, as long as every edge joins two
+        distinct rectangles (a sequence pair's always do).  Unbounded (NaN)
+        column bounds become infinite, as in ``linprog``.
+        """
         n, n_vars = self.n_rects, self.n_vars
         edge = np.array(edges, dtype=np.intp).reshape(-1, 2)
         n_edges = len(edge)
@@ -441,8 +378,9 @@ def lp_solve_axis(
     ``lp.solve`` simulates solver failure here.  An LP whose constraint
     edges overflow the span (:func:`_overflows`) raises the error HiGHS
     raises for an infeasible model, without calling it.  *nets* may come
-    compiled (:class:`BoundNets`); *solver* runs the LP on its HiGHS
-    instance instead of a fresh one.
+    compiled (:class:`BoundNets`); an :class:`AxisNet` list is compiled on
+    the spot.  *solver* runs the LP on its HiGHS instance instead of a
+    fresh one.
     """
     sizes = np.asarray(sizes, dtype=float)
     n = len(sizes)
@@ -459,10 +397,10 @@ def lp_solve_axis(
             "LP did not converge: Infeasible", solver=name, status=2
         )
 
-    if isinstance(nets, BoundNets):
-        arrays = nets.nets.lp_arrays(sizes, edges, lo, hi, nets.fixed)
-    else:
-        arrays = _lp_arrays(sizes, edges, lo, hi, nets)
+    if not isinstance(nets, BoundNets):
+        fixed = [q for net in nets for q in net.fixed_positions]
+        nets = BoundNets(CompiledNets(n, nets), np.array(fixed, dtype=float))
+    arrays = nets.nets.lp_arrays(sizes, edges, lo, hi, nets.fixed)
     if _highs is None:
         solve = _solve_linprog
     else:
@@ -476,28 +414,26 @@ def lp_legalize_axis(
     lo: float,
     hi: float,
     nets: list[AxisNet] | BoundNets,
-    fallback_clamp: bool = True,
-    max_attempts: int = 2,
     on_degrade=None,
     solver: LPSolver | None = None,
 ) -> np.ndarray:
     """Retry-with-fallback wrapper around :func:`lp_solve_axis`.
 
-    The LP is attempted up to *max_attempts* times (solver failures are
-    occasionally transient); when all attempts fail the axis degrades to
+    A solver error is retried once (it is occasionally transient); an
+    infeasible LP is not.  When the LP fails the axis degrades to
     :func:`pack_longest_path` — compaction toward ``lo`` honoring the
-    sequence-pair order — and *on_degrade* (if given) is called with the
-    terminal :class:`SolverInfeasibleError` so callers can record a
-    degradation event instead of crashing.  With *fallback_clamp* the
-    packed positions are clamped into ``[lo, hi]`` (overlap may then
-    remain — the caller decides how to handle residual overflow).
-    *nets* and *solver* are passed on to :func:`lp_solve_axis`.
+    sequence-pair order — clamped so no rectangle starts past
+    ``max(hi - size, lo)`` (overlap may then remain — the caller decides
+    how to handle residual overflow), and *on_degrade* (if given) is
+    called with the terminal :class:`SolverInfeasibleError` so callers can
+    record a degradation event instead of crashing.  *nets* and *solver*
+    are passed on to :func:`lp_solve_axis`.
     """
     sizes = np.asarray(sizes, dtype=float)
     if len(sizes) == 0:
         return np.zeros(0)
     error: SolverInfeasibleError | None = None
-    for _attempt in range(max(1, max_attempts)):
+    for _attempt in range(2):
         try:
             return lp_solve_axis(sizes, edges, lo, hi, nets, solver)
         except SolverInfeasibleError as exc:
@@ -507,6 +443,4 @@ def lp_legalize_axis(
     if on_degrade is not None:
         on_degrade(error)
     packed = pack_longest_path(sizes, edges, lo)
-    if fallback_clamp:
-        packed = np.minimum(packed, np.maximum(hi - sizes, lo))
-    return packed
+    return np.minimum(packed, np.maximum(hi - sizes, lo))

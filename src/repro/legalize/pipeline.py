@@ -35,11 +35,19 @@ from repro.legalize.lp_spread import (
     lp_legalize_axis,
 )
 from repro.legalize.sequence_pair import extract_sequence_pair
-from repro.netlist.hpwl import FlatNetlist
 from repro.netlist.model import NodeKind
 from repro.runtime import faults
 from repro.runtime.errors import PlacementError, SolverInfeasibleError
 from repro.utils.events import EventLog
+
+#: the heaviest nets a region's Eq. 3 LP keeps per axis
+LP_NET_LIMIT = 200
+#: the fixed pins an Eq. 3 LP keeps per net, the first ones in pin order
+LP_FIXED_PINS = 4
+#: the largest net degree the QP steps model as a clique (larger: a star)
+QP_CLIQUE_THRESHOLD = 6
+#: how many region results the memo keeps (the oldest goes first)
+REGION_MEMO_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -81,36 +89,83 @@ def span_rect(coarse: CoarseNetlist, group_index: int, flat_grid: int) -> SpanRe
     )
 
 
-class MacroLegalizer:
-    """Runs the Sec. II-B pipeline against a coarse netlist."""
+def _clamp_into(node, rect: SpanRect) -> None:
+    """Move *node* into *rect*, or flush to its lower-left side if wider."""
+    node.x = min(max(node.x, rect.x), max(rect.x, rect.x + rect.width - node.width))
+    node.y = min(max(node.y, rect.y), max(rect.y, rect.y + rect.height - node.height))
 
-    def __init__(
-        self,
-        lp_net_limit: int = 200,
-        cleanup: bool = True,
-        qp_clique_threshold: int = 6,
-        events: EventLog | None = None,
-    ) -> None:
-        self.lp_net_limit = lp_net_limit
-        self.cleanup = cleanup
-        self.qp_clique_threshold = qp_clique_threshold
+
+class MacroLegalizer:
+    """Runs the Sec. II-B pipeline against a coarse netlist.
+
+    Consecutive legalizations (every RL episode, every MCTS terminal node)
+    re-solve near-identical problems, so a legalizer keeps what does not
+    depend on the assignment:
+
+    - **Compiled QP steps** — each of the two QP steps keeps a
+      :class:`~repro.gp.quadratic.CompiledQP`: the pin table of the netlist
+      it solves over (the step-1 coarse netlist, the design), and for its
+      movable mask the assembled Laplacian, the right-hand-side gather
+      arrays and the LU factorization.  A call only reloads positions,
+      gathers two right-hand sides and runs two triangular solves.
+    - **One step-1 netlist** — ``coarse.as_netlist()`` is built once and
+      its node positions rewound to that build's before each solve.
+    - **Compiled Eq. 3 nets** — which nets and fixed pins a region's LP
+      keeps is static, so the scan over all design nets runs once per
+      (group, axis) and its net part is compiled into the LP's arrays
+      (:class:`~repro.legalize.lp_spread.CompiledNets`); a call reads the
+      fixed pins' positions and fills in only those, the sequence-pair
+      rows and the span bounds.
+    - **Region memo** — one group's sequence-pair + LP result is memoized
+      against a digest of *all* its inputs (member positions, span
+      rectangle, fixed pin positions), together with its LP fallback
+      events, which are emitted on every use, hit or miss.  The QP steps
+      couple every group, so a one-anchor change perturbs all member
+      positions in their last bits: hits come from genuinely repeated
+      sub-problems.
+    - **One HiGHS instance** — every LP runs on the legalizer's own
+      :class:`~repro.legalize.lp_spread.LPSolver`.  A copy or an unpickled
+      legalizer starts without one.
+
+    All of it belongs to the coarse netlist last legalized and is dropped
+    when a different one arrives.  A reused legalizer gives a fresh one's
+    coordinates and event records byte for byte.  Under a fault plan,
+    ``lp.solve`` is polled once per LP actually solved, so a region served
+    from the memo polls nothing.
+    """
+
+    def __init__(self, events: EventLog | None = None) -> None:
         #: degradation events (solver fallbacks) are recorded here
         self.events = events if events is not None else EventLog()
-        #: compiled QP state per QP step; ``None`` here (every call builds
-        #: from scratch), installed by :class:`IncrementalMacroLegalizer`
-        self._compiled: dict[str, CompiledQP] | None = None
-        #: the HiGHS instance the LPs run on; ``None`` here (a fresh one
-        #: per LP), installed by :class:`IncrementalMacroLegalizer`
-        self._lp_solver: LPSolver | None = None
+        self._lp_solver = LPSolver()
+        self._src: CoarseNetlist | None = None
+        self._drop_caches()
+        self.n_region_memo_hits = 0
+        self.n_region_memo_misses = 0
+        self.n_legalize_calls = 0
+
+    def cache_stats(self) -> dict:
+        compiled = [c.stats() for c in self._compiled.values()]
+        return {
+            "qp_plans": sum(c["plans"] for c in compiled),
+            "qp_factorizations": sum(c["factorizations"] for c in compiled),
+            "region_memo_hits": self.n_region_memo_hits,
+            "region_memo_misses": self.n_region_memo_misses,
+            "axis_topologies": len(self._axis_topology),
+            "legalize_calls": self.n_legalize_calls,
+        }
+
+    def _drop_caches(self) -> None:
+        self._compiled = {"cell_groups": CompiledQP(), "macro_refine": CompiledQP()}
+        self._step1_nl = None
+        self._step1_positions: dict[str, tuple[float, float]] = {}
+        #: (member-name tuple, axis) → (CompiledNets, fixed-pin refs)
+        self._axis_topology: dict = {}
+        #: full-input digest → (new_x, new_y, fallback events) of one region
+        self._region_memo: dict = {}
 
     # -- solver guards ---------------------------------------------------------
-    def _pin_table(self, step: str, netlist) -> FlatNetlist:
-        """The :class:`FlatNetlist` QP step *step* solves over."""
-        if self._compiled is None:
-            return FlatNetlist(netlist)
-        return self._compiled[step].flat(netlist)
-
-    def _guarded_qp(self, step: str, flat: FlatNetlist, movable, center) -> None:
+    def _guarded_qp(self, step: str, flat, movable, center) -> None:
         """QP solve that degrades to a no-op on solver failure.
 
         The placement positions feeding the QP are always valid (prototype /
@@ -123,20 +178,12 @@ class MacroLegalizer:
                 raise SolverInfeasibleError(
                     "injected QP solver failure", solver="qp", status="injected"
                 )
-            plan = None
-            if self._compiled is not None:
-                plan = self._compiled[step].plan(movable, self.qp_clique_threshold)
             solve_quadratic_placement(
                 flat, movable, center,
-                clique_threshold=self.qp_clique_threshold,
-                plan=plan,
+                clique_threshold=QP_CLIQUE_THRESHOLD,
+                plan=self._compiled[step].plan(movable, QP_CLIQUE_THRESHOLD),
             )
-        except PlacementError as exc:
-            self.events.emit(
-                "degradation", stage=None, solver="qp", step=step, error=str(exc)
-            )
-            return
-        except (np.linalg.LinAlgError, ValueError) as exc:
+        except (PlacementError, np.linalg.LinAlgError, ValueError) as exc:
             self.events.emit(
                 "degradation", stage=None, solver="qp", step=step, error=str(exc)
             )
@@ -145,8 +192,23 @@ class MacroLegalizer:
 
     # -- step 1 ---------------------------------------------------------------
     def _step1_netlist(self, coarse: CoarseNetlist):
-        """The coarse netlist step 1 solves over (subclass reuse hook)."""
-        return coarse.as_netlist()
+        """The coarse netlist step 1 solves over, as ``as_netlist()`` builds it.
+
+        The first call builds it; later calls rewind its nodes to that
+        build's positions, so it cannot be told from a fresh build — also on
+        the QP-degradation path, where pre-solve positions leak through.
+        """
+        if self._step1_nl is None:
+            self._step1_nl = coarse.as_netlist()
+            self._step1_positions = {
+                node.name: (node.x, node.y) for node in self._step1_nl
+            }
+        else:
+            for name, (x, y) in self._step1_positions.items():
+                node = self._step1_nl[name]
+                node.x = x
+                node.y = y
+        return self._step1_nl
 
     def _place_cell_groups(
         self, coarse: CoarseNetlist, rects: list[SpanRect]
@@ -157,7 +219,7 @@ class MacroLegalizer:
             node = coarse_nl[coarse.group_node_name(i)]
             node.move_center_to(rect.cx, rect.cy)
             node.fixed = True
-        flat = self._pin_table("cell_groups", coarse_nl)
+        flat = self._compiled["cell_groups"].flat(coarse_nl)
         movable = ~flat.fixed
         region = coarse.design.region
         center = (region.x + region.width / 2.0, region.y + region.height / 2.0)
@@ -178,7 +240,7 @@ class MacroLegalizer:
             for name in g.members:
                 design.netlist[name].move_center_to(g.cx, g.cy)
 
-        flat = self._pin_table("macro_refine", design.netlist)
+        flat = self._compiled["macro_refine"].flat(design.netlist)
         movable = np.array(
             [node.kind is NodeKind.MACRO and not node.fixed for node in design.netlist],
             dtype=bool,
@@ -193,25 +255,24 @@ class MacroLegalizer:
             for name in g.members:
                 rect_of_macro[name] = rects[i]
         for name, rect in rect_of_macro.items():
-            node = design.netlist[name]
-            node.x = min(max(node.x, rect.x), max(rect.x, rect.x + rect.width - node.width))
-            node.y = min(
-                max(node.y, rect.y), max(rect.y, rect.y + rect.height - node.height)
-            )
+            _clamp_into(design.netlist[name], rect)
 
     # -- step 3 ---------------------------------------------------------------
-    def _axis_nets(
-        self,
-        coarse: CoarseNetlist,
-        member_index: dict[str, int],
-        axis: str,
-    ) -> list[AxisNet]:
-        """Project original nets touching the region's macros onto one axis."""
+    def _compile_nets(self, coarse, member_index, axis):
+        """The region's Eq. 3 nets along *axis*, compiled, with the
+        ``(node, pin offset)`` of each fixed position in net order.
+
+        Every design net with a pin on a region macro is projected onto
+        the axis: its region pins become (member, offset from the lower
+        left) pairs, its first :data:`LP_FIXED_PINS` other pins fixed
+        positions.  The :data:`LP_NET_LIMIT` heaviest nets are kept (a
+        stable sort, so ties keep design order).
+        """
         design = coarse.design
-        nets: list[AxisNet] = []
+        entries: list[tuple[AxisNet, list]] = []
         for net in design.netlist.nets:
             movable_pins: list[tuple[int, float]] = []
-            fixed_positions: list[float] = []
+            fixed_refs: list[tuple[object, float]] = []
             for pin in net.pins:
                 node = design.netlist[pin.node]
                 if pin.node in member_index:
@@ -221,79 +282,109 @@ class MacroLegalizer:
                         off = node.height / 2.0 + pin.dy
                     movable_pins.append((member_index[pin.node], off))
                 else:
-                    if axis == "x":
-                        fixed_positions.append(node.cx + pin.dx)
-                    else:
-                        fixed_positions.append(node.cy + pin.dy)
-            if movable_pins:
-                nets.append(
-                    AxisNet(
-                        weight=net.weight,
-                        pins=movable_pins,
-                        fixed_positions=fixed_positions[:4],
+                    fixed_refs.append(
+                        (node, pin.dx if axis == "x" else pin.dy)
                     )
+            if movable_pins:
+                refs = fixed_refs[:LP_FIXED_PINS]
+                entries.append(
+                    (AxisNet(net.weight, movable_pins, [0.0] * len(refs)), refs)
                 )
-        nets.sort(key=lambda n: -n.weight)
-        return nets[: self.lp_net_limit]
+        entries.sort(key=lambda e: -e[0].weight)
+        entries = entries[:LP_NET_LIMIT]
+        nets = CompiledNets(len(member_index), [net for net, _ in entries])
+        return nets, [ref for _, refs in entries for ref in refs]
+
+    def _bound_nets(self, coarse, member_index, axis) -> BoundNets:
+        """The (group, axis) nets, compiled once, with this call's fixed
+        positions (the fixed pins' centers plus offsets)."""
+        key = (tuple(member_index), axis)
+        compiled = self._axis_topology.get(key)
+        if compiled is None:
+            compiled = self._compile_nets(coarse, member_index, axis)
+            self._axis_topology[key] = compiled
+        nets, refs = compiled
+        if axis == "x":
+            fixed = np.array([n.cx + d for n, d in refs], dtype=float)
+        else:
+            fixed = np.array([n.cy + d for n, d in refs], dtype=float)
+        return BoundNets(nets, fixed)
 
     def _legalize_region(
         self, coarse: CoarseNetlist, group_index: int, rect: SpanRect
     ) -> None:
+        """Sequence pair of the group's macros, then the Eq. 3 LP along x
+        and y inside *rect*; a lone macro is only clamped into it."""
         design = coarse.design
         members = [
             design.netlist[name]
             for name in coarse.macro_groups[group_index].members
         ]
-        if len(members) == 0:
-            return
-        if len(members) == 1:
-            m = members[0]
-            m.x = min(max(m.x, rect.x), max(rect.x, rect.x + rect.width - m.width))
-            m.y = min(max(m.y, rect.y), max(rect.y, rect.y + rect.height - m.height))
+        if len(members) < 2:
+            for m in members:
+                _clamp_into(m, rect)
             return
         member_index = {m.name: k for k, m in enumerate(members)}
         # the y nets' fixed pins belong to other nodes, which the x LP
         # does not move, so both axes' nets can be read up front
-        self._solve_region(
+        x_nets = self._bound_nets(coarse, member_index, "x")
+        y_nets = self._bound_nets(coarse, member_index, "y")
+        key = (
             group_index,
-            rect,
-            members,
-            self._axis_nets(coarse, member_index, "x"),
-            self._axis_nets(coarse, member_index, "y"),
+            np.array([m.x for m in members]).tobytes(),
+            np.array([m.y for m in members]).tobytes(),
+            (rect.x, rect.y, rect.width, rect.height),
+            x_nets.fixed.tobytes(),
+            y_nets.fixed.tobytes(),
         )
+        solved = self._region_memo.get(key)
+        if solved is None:
+            solved = self._solve_region(group_index, rect, members, x_nets, y_nets)
+            self.n_region_memo_misses += 1
+            if len(self._region_memo) >= REGION_MEMO_LIMIT:
+                self._region_memo.pop(next(iter(self._region_memo)))
+            self._region_memo[key] = solved
+        else:
+            self.n_region_memo_hits += 1
+        new_x, new_y, fallbacks = solved
+        for k, m in enumerate(members):
+            m.x = new_x[k]
+            m.y = new_y[k]
+        for fields in fallbacks:
+            self.events.emit("degradation", **fields)
 
-    def _solve_region(self, group_index, rect, members, x_nets, y_nets) -> None:
-        """Sequence pair of *members*, then the Eq. 3 LP along x and y."""
+    def _solve_region(self, group_index, rect, members, x_nets, y_nets):
+        """Sequence pair of *members*, then the Eq. 3 LP along x and y: the
+        new x and y coordinates and the fields of each LP fallback event."""
         xs = np.array([m.x for m in members])
         ys = np.array([m.y for m in members])
         ws = np.array([m.width for m in members])
         hs = np.array([m.height for m in members])
         sp_pair = extract_sequence_pair(xs, ys, ws, hs)
         h_edges, v_edges = sp_pair.relations()
+        fallbacks: list[dict] = []
 
         def degrade(axis):
-            return lambda exc: self.events.emit(
-                "degradation",
-                solver="lp",
-                fallback="pack_longest_path",
-                axis=axis,
-                group=group_index,
-                error=str(exc),
+            return lambda exc: fallbacks.append(
+                dict(
+                    solver="lp",
+                    fallback="pack_longest_path",
+                    axis=axis,
+                    group=group_index,
+                    error=str(exc),
+                )
             )
 
+        # the y LP reads neither the members' x nor anything the x LP moves
         new_x = lp_legalize_axis(
             ws, h_edges, rect.x, rect.x + rect.width, x_nets,
             on_degrade=degrade("x"), solver=self._lp_solver,
         )
-        for k, m in enumerate(members):
-            m.x = float(new_x[k])
-
         new_y = lp_legalize_axis(
             hs, v_edges, rect.y, rect.y + rect.height, y_nets,
             on_degrade=degrade("y"), solver=self._lp_solver,
         )
-        for k, m in enumerate(members):
-            m.y = float(new_y[k])
+        return new_x.tolist(), new_y.tolist(), fallbacks
 
     # -- entry point ------------------------------------------------------------
     def legalize(self, coarse: CoarseNetlist, assignment: list[int]) -> None:
@@ -317,6 +408,10 @@ class MacroLegalizer:
                 f"assignment covers {len(assignment)} groups, "
                 f"expected {coarse.n_macro_groups}"
             )
+        if self._src is not coarse:
+            self._drop_caches()
+            self._src = coarse
+        self.n_legalize_calls += 1
         with self.events.batch():
             coarse.restore_canonical()
             rects = [
@@ -327,222 +422,15 @@ class MacroLegalizer:
             self._refine_macros(coarse, rects)
             for i, rect in enumerate(rects):
                 self._legalize_region(coarse, i, rect)
-            if self.cleanup:
-                design = coarse.design
-                blockers = (
-                    design.netlist.movable_macros + design.netlist.preplaced_macros
-                )
-                if any_pairwise_overlap(blockers):
-                    legalize_macros_greedy(design)
+            design = coarse.design
+            blockers = design.netlist.movable_macros + design.netlist.preplaced_macros
+            if any_pairwise_overlap(blockers):
+                legalize_macros_greedy(design)
 
 
-class IncrementalMacroLegalizer(MacroLegalizer):
-    """Drop-in :class:`MacroLegalizer` that amortizes repeated structure.
-
-    Consecutive terminal evaluations re-solve near-identical problems; these
-    reuses cut the per-call cost while staying *bitwise-identical* to the
-    from-scratch pipeline:
-
-    - **Compiled QP steps** — each of the two QP steps keeps a
-      :class:`~repro.gp.quadratic.CompiledQP`: the pin table of the netlist
-      it solves over (the step-1 coarse netlist, the design), and for its
-      movable mask the assembled Laplacian, the right-hand-side gather
-      arrays and the LU factorization.  None of them depends on the
-      assignment, so a call only reloads positions, gathers two
-      right-hand sides and runs two triangular solves.
-    - **Step-1 netlist reuse** — ``coarse.as_netlist()`` rebuilds the same
-      object graph every call; one instance is kept and its node positions
-      rewound to the first build's state before each solve.
-    - **Compiled Eq. 3 LPs + per-group LP memo** — which nets survive
-      :meth:`MacroLegalizer._axis_nets`'s weight sort and truncations is
-      static, so the scan over all design nets runs once per (group,
-      axis), and their net part is compiled into the LP's arrays
-      (:class:`~repro.legalize.lp_spread.CompiledNets`); a call gathers
-      the fixed-pin positions and fills in only those, the sequence-pair
-      rows and the span bounds.  The sequence-pair + LP result for a group
-      is additionally memoized against a digest of *all* its inputs
-      (member positions, span rectangle, fixed pin positions).
-    - **One HiGHS instance** — every LP runs on the legalizer's own
-      :class:`~repro.legalize.lp_spread.LPSolver`, created on first use.
-      It is not shared between legalizers, and a copy or an unpickled
-      legalizer starts without one.
-
-    Everything else is tied to the coarse netlist last legalized, and
-    dropped when a different one arrives.  The LP memo is keyed on full
-    inputs rather than "the spans the changed anchor touches" because the
-    QP steps couple every group: a one-anchor change perturbs all member
-    positions in their last bits, so a span-locality skip would not be
-    bitwise-safe.  Memo hits therefore come from genuinely repeated
-    sub-problems; the compiled steps carry the steady-state win.
-
-    When a fault plan is installed (chaos drills) the step-1 netlist
-    reuse, the compiled LPs and the memo are bypassed so injected-fault
-    arrival counts stay canonical.  The tests hold every node position to
-    :class:`MacroLegalizer`'s, byte for byte.
-    """
-
-    def __init__(
-        self,
-        lp_net_limit: int = 200,
-        cleanup: bool = True,
-        qp_clique_threshold: int = 6,
-        events: EventLog | None = None,
-    ) -> None:
-        super().__init__(
-            lp_net_limit=lp_net_limit,
-            cleanup=cleanup,
-            qp_clique_threshold=qp_clique_threshold,
-            events=events,
-        )
-        self._lp_solver = LPSolver()
-        self._src: CoarseNetlist | None = None
-        self._bypass = False
-        self._drop_caches()
-        self._region_memo_limit = 4096
-        self.n_region_memo_hits = 0
-        self.n_region_memo_misses = 0
-        self.n_legalize_calls = 0
-
-    def cache_stats(self) -> dict:
-        compiled = [c.stats() for c in self._compiled.values()]
-        return {
-            "qp_plans": sum(c["plans"] for c in compiled),
-            "qp_factorizations": sum(c["factorizations"] for c in compiled),
-            "region_memo_hits": self.n_region_memo_hits,
-            "region_memo_misses": self.n_region_memo_misses,
-            "axis_topologies": len(self._axis_topology),
-            "legalize_calls": self.n_legalize_calls,
-        }
-
-    def _drop_caches(self) -> None:
-        self._compiled = {"cell_groups": CompiledQP(), "macro_refine": CompiledQP()}
-        self._step1_nl = None
-        self._step1_positions: dict[str, tuple[float, float]] = {}
-        #: (member-name tuple, axis) → (CompiledNets, fixed-pin refs)
-        self._axis_topology: dict = {}
-        #: full-input digest → (new_x, new_y) of one group's LP legalization
-        self._region_memo: dict = {}
-
-    # -- step-1 netlist reuse --------------------------------------------------
-    def _step1_netlist(self, coarse: CoarseNetlist):
-        if self._bypass:
-            return super()._step1_netlist(coarse)
-        if self._step1_nl is None:
-            self._step1_nl = super()._step1_netlist(coarse)
-            self._step1_positions = {
-                node.name: (node.x, node.y) for node in self._step1_nl
-            }
-        else:
-            # rewind to the first build's positions so the reused netlist is
-            # indistinguishable from a fresh as_netlist() — including on the
-            # QP-degradation path, where pre-solve positions leak through
-            for name, (x, y) in self._step1_positions.items():
-                node = self._step1_nl[name]
-                node.x = x
-                node.y = y
-        return self._step1_nl
-
-    # -- compiled axis nets ----------------------------------------------------
-    def _compile_axis_nets(self, coarse, member_index, axis):
-        """:meth:`MacroLegalizer._axis_nets` with the fixed positions left
-        open: the nets' :class:`CompiledNets` and, in net order, the
-        ``(node, pin offset)`` of each fixed position."""
-        design = coarse.design
-        entries: list[tuple[AxisNet, list]] = []
-        for net in design.netlist.nets:
-            movable_pins: list[tuple[int, float]] = []
-            fixed_refs: list[tuple[object, float]] = []
-            for pin in net.pins:
-                node = design.netlist[pin.node]
-                if pin.node in member_index:
-                    if axis == "x":
-                        off = node.width / 2.0 + pin.dx
-                    else:
-                        off = node.height / 2.0 + pin.dy
-                    movable_pins.append((member_index[pin.node], off))
-                else:
-                    fixed_refs.append(
-                        (node, pin.dx if axis == "x" else pin.dy)
-                    )
-            if movable_pins:
-                # the base keeps only the first four fixed positions and the
-                # lp_net_limit heaviest nets — both selections are static,
-                # so they compile away
-                refs = fixed_refs[:4]
-                entries.append(
-                    (AxisNet(net.weight, movable_pins, [0.0] * len(refs)), refs)
-                )
-        entries.sort(key=lambda e: -e[0].weight)
-        entries = entries[: self.lp_net_limit]
-        nets = CompiledNets(len(member_index), [net for net, _ in entries])
-        return nets, [ref for _, refs in entries for ref in refs]
-
-    def _compiled_nets(self, coarse, member_index, axis):
-        """The (group, axis) nets, compiled, and this call's fixed positions."""
-        key = (tuple(member_index), axis)
-        compiled = self._axis_topology.get(key)
-        if compiled is None:
-            compiled = self._compile_axis_nets(coarse, member_index, axis)
-            self._axis_topology[key] = compiled
-        nets, refs = compiled
-        if axis == "x":
-            fixed = np.array([n.cx + d for n, d in refs], dtype=float)
-        else:
-            fixed = np.array([n.cy + d for n, d in refs], dtype=float)
-        return nets, fixed
-
-    # -- per-group LP memo -----------------------------------------------------
-    def _legalize_region(self, coarse, group_index, rect) -> None:
-        if self._bypass:
-            super()._legalize_region(coarse, group_index, rect)
-            return
-        design = coarse.design
-        members = [
-            design.netlist[name]
-            for name in coarse.macro_groups[group_index].members
-        ]
-        if len(members) < 2:
-            super()._legalize_region(coarse, group_index, rect)
-            return
-        member_index = {m.name: k for k, m in enumerate(members)}
-        x_nets, x_fixed = self._compiled_nets(coarse, member_index, "x")
-        y_nets, y_fixed = self._compiled_nets(coarse, member_index, "y")
-        key = (
-            group_index,
-            np.array([m.x for m in members]).tobytes(),
-            np.array([m.y for m in members]).tobytes(),
-            (rect.x, rect.y, rect.width, rect.height),
-            x_fixed.tobytes(),
-            y_fixed.tobytes(),
-        )
-        memo = self._region_memo.get(key)
-        if memo is not None:
-            new_x, new_y = memo
-            for k, m in enumerate(members):
-                m.x = new_x[k]
-                m.y = new_y[k]
-            self.n_region_memo_hits += 1
-            return
-        self._solve_region(
-            group_index, rect, members,
-            BoundNets(x_nets, x_fixed), BoundNets(y_nets, y_fixed),
-        )
-        self.n_region_memo_misses += 1
-        if len(self._region_memo) >= self._region_memo_limit:
-            self._region_memo.pop(next(iter(self._region_memo)))
-        self._region_memo[key] = (
-            [m.x for m in members],
-            [m.y for m in members],
-        )
-
-    # -- entry point -----------------------------------------------------------
-    def legalize(self, coarse: CoarseNetlist, assignment: list[int]) -> None:
-        if self._src is not coarse:
-            self._drop_caches()
-            self._src = coarse
-        self._bypass = faults.active() is not None
-        self.n_legalize_calls += 1
-        super().legalize(coarse, assignment)
+#: ``perfbench/spans.py`` binds ``IncrementalMacroLegalizer.legalize`` by
+#: name, so the old name stays until that benchmark file changes.
+IncrementalMacroLegalizer = MacroLegalizer
 
 
 def any_pairwise_overlap(nodes) -> bool:

@@ -10,10 +10,10 @@ and can optionally mirror itself to a JSONL file in the run directory.
 The cache key is the assignment tuple *plus* an environment fingerprint
 (:func:`environment_fingerprint`): a hash of everything that changes the
 measured wirelength — the design, the grid plan, the group structure, the
-legalizer knobs, and the cell-placement effort.  Persisted entries whose
-fingerprint does not match the live environment are ignored on load, so a
-stale file can never poison a run.  Loads tolerate a torn tail line (a
-kill mid-append), matching the event-log convention.
+legalizer's constants, and the cell-placement effort.  Persisted entries
+whose fingerprint does not match the live environment are ignored on
+load, so a stale file can never poison a run.  Loads tolerate a torn
+tail line (a kill mid-append), matching the event-log convention.
 
 The persisted file is safe to share across **concurrent writer
 processes** (a service daemon's attempt workers all append to one file):
@@ -34,6 +34,7 @@ import json
 import os
 import uuid
 
+from repro.legalize.pipeline import LP_NET_LIMIT, QP_CLIQUE_THRESHOLD
 from repro.utils.events import append_jsonl, read_jsonl
 
 
@@ -42,15 +43,16 @@ def environment_fingerprint(env) -> str:
 
     Covers the design identity (name, node/net counts, total node area),
     the grid plan, the macro-group structure (count + per-group spans, the
-    action-space geometry), the legalizer configuration, and
-    ``cell_place_iters``.  Two environments with equal fingerprints return
+    action-space geometry), the legalizer's constants, and
+    ``cell_place_iters``.  The constants are hashed under the names of
+    the constructor knobs they replaced, so fingerprints written before
+    stay valid.  Two environments with equal fingerprints return
     bitwise-identical HPWL for equal assignments (given the purity
     guarantee of :meth:`MacroLegalizer.legalize`).
     """
     coarse = env.coarse
     nl = coarse.design.netlist
     plan = coarse.plan
-    legalizer = env.legalizer
     payload = {
         "design": {
             "name": nl.name,
@@ -77,9 +79,9 @@ def environment_fingerprint(env) -> str:
             ],
         },
         "legalizer": {
-            "lp_net_limit": legalizer.lp_net_limit,
-            "cleanup": legalizer.cleanup,
-            "qp_clique_threshold": legalizer.qp_clique_threshold,
+            "lp_net_limit": LP_NET_LIMIT,
+            "cleanup": True,
+            "qp_clique_threshold": QP_CLIQUE_THRESHOLD,
         },
         "cell_place_iters": env.cell_place_iters,
     }

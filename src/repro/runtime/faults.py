@@ -24,7 +24,10 @@ Known sites
 - ``trainer.nan_loss``  — corrupt an update's loss/params with NaN
 - ``trainer.kill``      — :class:`FaultInjected` out of the training loop
 - ``mcts.kill``         — :class:`FaultInjected` at an MCTS commit point
-- ``lp.solve``          — LP spread reports infeasible (degrades to packing)
+- ``lp.solve``          — LP spread reports infeasible (degrades to packing);
+  polled once per Eq. 3 LP actually solved, so a region the legalizer
+  serves from its memo polls nothing (and replays the fallbacks it
+  memoized with it)
 - ``qp.solve``          — QP placement solve raises (degrades to no-op)
 - ``budget.<stage>``    — the stage's wall-clock budget reads as exhausted
 - ``checkpoint.corrupt``— flip one byte of a just-written run-dir

@@ -2,14 +2,18 @@
 
 Terminal evaluation keeps each netlist's pin table and QP plans, with
 their LU factors, between calls (:class:`repro.gp.quadratic.CompiledQP`,
-owned by :class:`IncrementalMacroLegalizer` and by the environment's cell
-placement).  These tests hold every compiled array, every solution and
-every terminal evaluation on the suite designs to the from-scratch path
-(:class:`FlatNetlist`, :func:`build_quadratic_system`,
-:class:`MacroLegalizer`, :func:`place_cells_with_fixed_macros` without
-compiled state) byte for byte.
+owned by :class:`MacroLegalizer` and by the environment's cell
+placement); the legalizer also keeps its step-1 netlist, its compiled
+Eq. 3 nets, a region memo and a HiGHS instance.  These tests hold every
+compiled array and every solution on the suite designs to the
+from-scratch builders (:class:`FlatNetlist`, :func:`build_quadratic_system`,
+the test-side net projection and LP layout) byte for byte, and every
+terminal evaluation of a legalizer reused over many calls to a fresh
+legalizer's and an uncompiled cell placement's: coordinates, HPWL and
+event records.
 """
 
+import contextlib
 import copy
 
 import numpy as np
@@ -20,14 +24,14 @@ from repro.core.flow import MCTSGuidedPlacer
 from repro.gp.mixed_size import place_cells_with_fixed_macros
 from repro.gp.netmodel import build_quadratic_system
 from repro.gp.quadratic import CompiledQP, solve_quadratic_placement
-from repro.legalize import lp_spread
-from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
+from repro.legalize.pipeline import MacroLegalizer
 from repro.netlist.hpwl import FlatNetlist
 from repro.netlist.model import Cell, Net, Netlist, NodeKind, Pin
 from repro.netlist.suites import make_iccad04_circuit, make_industrial_circuit
 from repro.runtime import faults
 from repro.runtime.faults import Fault, FaultPlan
 from repro.utils.timer import Stopwatch
+from tests.legalize_oracles import array_bytes, event_records, lp_arrays, solved_lps
 
 DESIGNS = ["ibm01", "Cir1"]
 _CONFIG = PlacerConfig.benchmark(seed=0)
@@ -205,109 +209,127 @@ class TestCompiledArrays:
         assert compiled.plan(~flat.fixed, 6) is not plan
 
 
-def _scratch_terminal(coarse, assignment):
-    """Terminal evaluation with no compiled state anywhere."""
-    MacroLegalizer().legalize(coarse, assignment)
-    return place_cells_with_fixed_macros(
+def _fresh_terminal(coarse, assignment):
+    """Terminal evaluation by a fresh legalizer and a cell placement with
+    no compiled state: the HPWL and the legalizer's event records."""
+    legalizer = MacroLegalizer()
+    legalizer.legalize(coarse, assignment)
+    hpwl = place_cells_with_fixed_macros(
         coarse.design, n_iterations=_CONFIG.cell_place_iterations
     )
+    return hpwl, event_records(legalizer.events)
 
 
 class TestCompiledTerminalEvaluation:
+    """A legalizer reused over many calls gives a fresh one's results."""
+
     @pytest.mark.parametrize("name", DESIGNS)
     def test_matches_scratch_on_repeated_and_interleaved_assignments(self, name):
         env = MCTSGuidedPlacer(_CONFIG).build_environment(_coarse(name))
-        assert isinstance(env.legalizer, IncrementalMacroLegalizer)
-        scratch = _coarse(name)
-        assignments = _assignments(scratch, 20, seed=3)
-        order = assignments + [assignments[i] for i in (3, 0, 7, 3, 19, 0)]
-        for assignment in order:
+        legalizer = env.legalizer
+        fresh = _coarse(name)
+        assignments = _assignments(fresh, 20, seed=3)
+        repeats = [assignments[i] for i in (3, 0, 7, 3, 19, 0)]
+        replayed = 0
+        for k, assignment in enumerate(assignments + repeats):
+            start = len(legalizer.events.events)
             got = env.evaluate_assignment(assignment)
-            want = _scratch_terminal(scratch, assignment)
+            want, records = _fresh_terminal(fresh, assignment)
             assert got.hex() == want.hex()
             assert _positions(env.coarse.design.netlist) == _positions(
-                scratch.design.netlist
+                fresh.design.netlist
             )
+            assert event_records(legalizer.events, start) == records
+            if k >= len(assignments):
+                replayed += len(records)
+        # the repeats are served from the region memo, fallbacks included
+        assert replayed > 0
+        stats = legalizer.cache_stats()
+        assert stats["legalize_calls"] == len(assignments) + len(repeats)
+        assert stats["region_memo_hits"] > 0
+        # one plan and one LU factorization per QP step, compiled by the
+        # first call and reused by every later one
+        assert stats["qp_plans"] == 2
+        assert stats["qp_factorizations"] == 2
 
     def test_owners_handed_another_design_match_scratch(self):
         """One legalizer and one cell-placement state, alternated between
-        the two designs, still match a from-scratch evaluation."""
-        legalizer, cells = IncrementalMacroLegalizer(), CompiledQP()
+        the two designs, still match a fresh evaluation."""
+        legalizer, cells = MacroLegalizer(), CompiledQP()
         coarse = {name: _coarse(name) for name in DESIGNS}
-        scratch = {name: _coarse(name) for name in DESIGNS}
+        fresh = {name: _coarse(name) for name in DESIGNS}
         assignments = {name: _assignments(coarse[name], 4, seed=4) for name in DESIGNS}
         for k in range(4):
             for name in DESIGNS:
+                start = len(legalizer.events.events)
                 legalizer.legalize(coarse[name], assignments[name][k])
                 got = place_cells_with_fixed_macros(
                     coarse[name].design,
                     n_iterations=_CONFIG.cell_place_iterations,
                     compiled=cells,
                 )
-                want = _scratch_terminal(scratch[name], assignments[name][k])
+                want, records = _fresh_terminal(fresh[name], assignments[name][k])
                 assert got.hex() == want.hex()
                 assert _positions(coarse[name].design.netlist) == _positions(
-                    scratch[name].design.netlist
+                    fresh[name].design.netlist
                 )
-
-
-def _array_bytes(arrays):
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+                assert event_records(legalizer.events, start) == records
+        assert legalizer.cache_stats()["legalize_calls"] == 8
 
 
 class TestCompiledLPs:
-    """The incremental legalizer's Eq. 3 LPs, compiled once per (group, axis),
-    against :func:`_lp_arrays` on the nets the from-scratch legalizer builds."""
-
-    @staticmethod
-    def _record_lps(monkeypatch):
-        seen = {"compiled": [], "scratch": []}
-        solve = lp_spread.lp_solve_axis
-
-        def record(sizes, edges, lo, hi, nets, solver=None):
-            kind = "compiled" if isinstance(nets, lp_spread.BoundNets) else "scratch"
-            seen[kind].append((sizes.copy(), list(edges), lo, hi, nets))
-            return solve(sizes, edges, lo, hi, nets, solver)
-
-        monkeypatch.setattr(lp_spread, "lp_solve_axis", record)
-        return seen
+    """The Eq. 3 LPs the legalizer solves, from nets compiled once per
+    (group, axis), against the test-side net projection and array layout."""
 
     @pytest.mark.parametrize("name", DESIGNS)
-    def test_arrays_equal_lp_arrays_for_every_region(self, name, monkeypatch):
-        seen = self._record_lps(monkeypatch)
-        for assignment in _assignments(_coarse(name), 3, seed=5):
-            IncrementalMacroLegalizer().legalize(_coarse(name), assignment)
-            MacroLegalizer().legalize(_coarse(name), assignment)
-        compiled, scratch = seen["compiled"], seen["scratch"]
-        assert len(compiled) == len(scratch) >= 20
-        for (sizes, edges, lo, hi, bound), (s, e, lo_, hi_, nets) in zip(
-            compiled, scratch
-        ):
-            assert (sizes.tobytes(), edges, lo, hi) == (s.tobytes(), e, lo_, hi_)
+    def test_arrays_equal_lp_arrays_for_every_region(self, name):
+        legalizer, coarse = MacroLegalizer(), _coarse(name)
+        with solved_lps() as seen:
+            for assignment in _assignments(coarse, 3, seed=5):
+                legalizer.legalize(coarse, assignment)
+        assert len(seen) >= 20
+        for sizes, edges, lo, hi, bound, nets in seen:
             got = bound.nets.lp_arrays(sizes, edges, lo, hi, bound.fixed)
-            want = lp_spread._lp_arrays(sizes, edges, lo, hi, nets)
-            assert _array_bytes(got) == _array_bytes(want)
+            assert array_bytes(got) == array_bytes(
+                lp_arrays(sizes, edges, lo, hi, nets)
+            )
 
-    def test_fault_plan_bypasses_the_compiled_lps(self, monkeypatch):
-        seen = self._record_lps(monkeypatch)
-        coarse = _coarse("ibm01")
-        (assignment,) = _assignments(coarse, 1, seed=6)
-        with faults.inject(FaultPlan(Fault("lp.solve", at=10**9))):
-            IncrementalMacroLegalizer().legalize(coarse, assignment)
-        assert seen["scratch"] and not seen["compiled"]
+    def test_a_plan_that_never_fires_changes_nothing(self):
+        """A legalizer under a plan that never fires gives the plan-less
+        coordinates, HPWL and event records, and polls ``lp.solve`` once per
+        LP it solves: a region served from the memo polls nothing."""
+        runs = []
+        for plan in (None, FaultPlan(Fault("lp.solve", at=10**9))):
+            env = MCTSGuidedPlacer(_CONFIG).build_environment(_coarse("Cir1"))
+            assignments = _assignments(env.coarse, 4, seed=6)
+            with solved_lps() as seen, (
+                faults.inject(plan) if plan else contextlib.nullcontext()
+            ):
+                run = [
+                    (
+                        env.evaluate_assignment(assignment).hex(),
+                        _positions(env.coarse.design.netlist),
+                    )
+                    for assignment in assignments + assignments[:2]
+                ]
+            runs.append((run, event_records(env.legalizer.events), len(seen)))
+            assert env.legalizer.cache_stats()["region_memo_hits"] > 0
+        assert runs[0][1], "no LP fallback to compare"
+        assert runs[1] == runs[0]
+        assert plan.faults[0].arrivals == len(seen) and plan.total_fired() == 0
 
     def test_used_legalizer_copies(self):
         """The HiGHS instance stays out of copies: a copy starts without
-        one and legalizes to the same bytes."""
+        one and, with the compiled state it copied, legalizes to a fresh
+        legalizer's bytes."""
         coarse = _coarse("ibm01")
         first, second = _assignments(coarse, 2, seed=7)
-        legalizer = IncrementalMacroLegalizer()
+        legalizer = MacroLegalizer()
         legalizer.legalize(coarse, first)
         assert legalizer._lp_solver._highs is not None
         want = _coarse("ibm01")
         MacroLegalizer().legalize(want, second)
-        twin = copy.deepcopy(legalizer)
+        twin, again = copy.deepcopy((legalizer, coarse))
         assert twin._lp_solver._highs is None
-        again = _coarse("ibm01")
         twin.legalize(again, second)
         assert _positions(again.design.netlist) == _positions(want.design.netlist)

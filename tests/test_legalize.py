@@ -18,18 +18,14 @@ from repro.legalize.lp_spread import (
     lp_solve_axis,
     pack_longest_path,
 )
-from repro.legalize.pipeline import (
-    IncrementalMacroLegalizer,
-    MacroLegalizer,
-    anchor_for_span,
-    span_rect,
-)
+from repro.legalize.pipeline import MacroLegalizer, anchor_for_span, span_rect
 from repro.legalize.sequence_pair import SequencePair, extract_sequence_pair
 from repro.runtime import faults
 from repro.runtime.errors import SolverInfeasibleError
 from repro.runtime.faults import Fault, FaultPlan
 from repro.utils import events as events_module
 from repro.utils.events import EventLog, read_jsonl
+from tests.legalize_oracles import array_bytes, lp_arrays, solved_lps
 
 _PROPERTY_COARSE = None
 
@@ -272,18 +268,13 @@ _FIXTURE_LPS = None
 
 def _fixture_lps():
     """Every LP the legalizer solves over a few placements of the property
-    design, built once per test run."""
+    design, built once per test run, with the nets as :class:`AxisNet`
+    lists.  Each LP's compiled arrays are checked against the test-side
+    net projection and array layout on the way."""
     global _FIXTURE_LPS
     if _FIXTURE_LPS is None:
-        seen = []
-        solve = lp_spread.lp_solve_axis
-
-        def record(sizes, edges, lo, hi, nets, solver=None):
-            seen.append(copy.deepcopy((sizes, edges, lo, hi, nets)))
-            return solve(sizes, edges, lo, hi, nets, solver)
-
-        lp_spread.lp_solve_axis = record
-        try:
+        lps = []
+        with solved_lps() as seen:
             for seed in range(6):
                 coarse = copy.deepcopy(_coarse_for_property())
                 rng = np.random.default_rng(seed)
@@ -291,9 +282,12 @@ def _fixture_lps():
                     rng.integers(0, coarse.plan.n_grids, size=coarse.n_macro_groups)
                 )
                 MacroLegalizer().legalize(coarse, assignment)
-        finally:
-            lp_spread.lp_solve_axis = solve
-        _FIXTURE_LPS = seen
+        for sizes, edges, lo, hi, bound, nets in seen:
+            assert array_bytes(
+                bound.nets.lp_arrays(sizes, edges, lo, hi, bound.fixed)
+            ) == array_bytes(lp_arrays(sizes, edges, lo, hi, nets))
+            lps.append((sizes, edges, lo, hi, nets))
+        _FIXTURE_LPS = lps
     return _FIXTURE_LPS
 
 
@@ -428,7 +422,7 @@ class TestReusedSolver:
             + [_random_lp(seed) for seed in range(1000)]
         )
         arrays = [
-            lp_spread._lp_arrays(np.asarray(args[0], dtype=float), *args[1:])
+            lp_arrays(np.asarray(args[0], dtype=float), *args[1:])
             for args in lps
         ]
         order = np.random.default_rng(0).permutation(len(arrays))
@@ -476,7 +470,7 @@ def _flags(args):
 def _highs_status(args):
     """HiGHS's verdict on the LP *args*: ``"ok"`` or the raised status."""
     sizes, edges, lo, hi, nets = args
-    arrays = lp_spread._lp_arrays(np.asarray(sizes, dtype=float), edges, lo, hi, nets)
+    arrays = lp_arrays(np.asarray(sizes, dtype=float), edges, lo, hi, nets)
     try:
         lp_spread._solve_highs(*arrays)
     except SolverInfeasibleError as exc:
@@ -507,7 +501,7 @@ class TestLongestPathScreen:
                 lp_solve_axis(*args)
             with pytest.raises(SolverInfeasibleError) as solved:
                 lp_spread._solve_highs(
-                    *lp_spread._lp_arrays(np.asarray(args[0], dtype=float), *args[1:])
+                    *lp_arrays(np.asarray(args[0], dtype=float), *args[1:])
                 )
             assert str(screened.value) == str(solved.value)
 
@@ -663,19 +657,19 @@ class TestMacroLegalizerPipeline:
         assert a != b
 
     def test_repeated_legalization_consistent(self, coarse_small):
-        """Re-legalizing the same assignment is deterministic episode-to-episode."""
+        """Re-legalizing the same assignment on one legalizer gives the
+        same coordinates, byte for byte, episode to episode."""
         assignment = [1] * coarse_small.n_macro_groups
-        MacroLegalizer().legalize(coarse_small, assignment)
-        first = [
-            (m.x, m.y) for m in coarse_small.design.netlist.movable_macros
-        ]
-        MacroLegalizer().legalize(coarse_small, assignment)
-        second = [
-            (m.x, m.y) for m in coarse_small.design.netlist.movable_macros
-        ]
-        for (ax, ay), (bx, by) in zip(first, second):
-            assert ax == pytest.approx(bx, abs=1e-6)
-            assert ay == pytest.approx(by, abs=1e-6)
+        legalizer = MacroLegalizer()
+        placements = []
+        for _ in range(3):
+            legalizer.legalize(coarse_small, assignment)
+            placements.append(
+                np.array(
+                    [(m.x, m.y) for m in coarse_small.design.netlist.movable_macros]
+                ).tobytes()
+            )
+        assert placements == [placements[0]] * 3
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
@@ -699,9 +693,8 @@ class TestBatchedLegalizationEvents:
     append, with the records one append per event would write."""
 
     @pytest.mark.parametrize("forced", [True, False])
-    @pytest.mark.parametrize("legalizer_cls", [MacroLegalizer, IncrementalMacroLegalizer])
     def test_one_append_with_the_unbatched_records(
-        self, legalizer_cls, forced, tmp_path, monkeypatch
+        self, forced, tmp_path, monkeypatch
     ):
         calls = []
         append = events_module.append_jsonl
@@ -721,7 +714,7 @@ class TestBatchedLegalizationEvents:
                 faults.inject(FaultPlan(Fault("lp.solve", at=1, count=None)))
                 if forced else contextlib.nullcontext()
             ):
-                legalizer_cls(events=log).legalize(copy.deepcopy(coarse), assignment)
+                MacroLegalizer(events=log).legalize(copy.deepcopy(coarse), assignment)
             return [
                 {k: v for k, v in record.items() if k != "ts"}
                 for record in read_jsonl(log.path)

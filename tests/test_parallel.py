@@ -297,6 +297,12 @@ class TestTerminalCache:
         )
         assert environment_fingerprint(env_a) != environment_fingerprint(env_c)
 
+    def test_fingerprint_value_pinned(self, coarse_small):
+        """Every shared ``terminal_cache.jsonl`` is keyed by this value: a
+        change orphans them all, so it must be deliberate."""
+        env = MacroGroupPlacementEnv(copy.deepcopy(coarse_small), cell_place_iters=1)
+        assert environment_fingerprint(env) == "051bb5ee3abfdbaa"
+
 
 # -- MCTS integration ---------------------------------------------------------
 class TestMCTSIntegration:

@@ -11,8 +11,9 @@ Three contracts are locked in here:
   wirelength and ``best_terminal_wirelength`` always re-derive from the
   real legalize-and-place pipeline.
 
-Plus the incremental legalizer's equivalence gate: cached-pipeline
-positions must match the from-scratch pipeline bitwise.
+Plus the legalizer's equivalence gate: one reused over many calls, with
+its compiled state and region memo, must give a fresh one's positions
+and event records bitwise.
 """
 
 import copy
@@ -27,10 +28,11 @@ from repro.coarsen import coarsen_design
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.gp.mixed_size import MixedSizePlacer
 from repro.grid.plan import GridPlan
-from repro.legalize.pipeline import IncrementalMacroLegalizer, MacroLegalizer
+from repro.legalize.pipeline import MacroLegalizer
 from repro.mcts.search import MCTSConfig, MCTSPlacer
 from repro.netlist.generator import GeneratorSpec, generate_design
 from repro.surrogate import GroupCentroidSurrogate, SurrogateCalibration, spearman
+from tests.legalize_oracles import event_records
 
 
 class TestSpearman:
@@ -287,17 +289,17 @@ class TestTwoTierSearch:
 
 
 class TestIncrementalLegalizer:
+    """A legalizer reused over many calls against a fresh one per call."""
+
     def _positions(self, coarse):
         return {node.name: (node.x, node.y) for node in coarse.design.netlist}
 
     def test_bitwise_equivalent_to_from_scratch(self, coarse_small):
-        """Every cached reuse (compiled QP steps, step-1 netlist, axis-net
-        topology, region memo) must reproduce from-scratch positions
-        exactly — including on repeated assignments."""
-        baseline_coarse = coarse_small
-        incr_coarse = copy.deepcopy(coarse_small)
-        baseline = MacroLegalizer()
-        incremental = IncrementalMacroLegalizer()
+        """Every reuse (compiled QP steps, step-1 netlist, compiled nets,
+        region memo) must reproduce a fresh legalizer's positions and event
+        records exactly — including on repeated assignments."""
+        reused_coarse = copy.deepcopy(coarse_small)
+        reused = MacroLegalizer()
         n, grids = coarse_small.n_macro_groups, coarse_small.plan.n_grids
         rng = np.random.default_rng(7)
         assignments = [
@@ -305,12 +307,13 @@ class TestIncrementalLegalizer:
         ]
         assignments.append(list(assignments[0]))  # repeat → memo hits
         for assignment in assignments:
-            baseline.legalize(baseline_coarse, assignment)
-            incremental.legalize(incr_coarse, assignment)
-            assert self._positions(incr_coarse) == self._positions(
-                baseline_coarse
-            )
-        stats = incremental.cache_stats()
+            fresh = MacroLegalizer()
+            fresh.legalize(coarse_small, assignment)
+            start = len(reused.events.events)
+            reused.legalize(reused_coarse, assignment)
+            assert self._positions(reused_coarse) == self._positions(coarse_small)
+            assert event_records(reused.events, start) == event_records(fresh.events)
+        stats = reused.cache_stats()
         assert stats["legalize_calls"] == len(assignments)
         # one plan and one LU factorization per QP step, compiled by the
         # first call and reused by every later one
@@ -319,10 +322,13 @@ class TestIncrementalLegalizer:
         assert stats["region_memo_hits"] > 0
 
     def test_new_coarse_drops_caches(self, coarse_small):
-        legalizer = IncrementalMacroLegalizer()
+        legalizer = MacroLegalizer()
         n = coarse_small.n_macro_groups
         legalizer.legalize(coarse_small, [0] * n)
         other = copy.deepcopy(coarse_small)
         legalizer.legalize(other, [0] * n)
         # Second coarse rebuilt everything: misses again, no stale reuse.
-        assert legalizer.cache_stats()["legalize_calls"] == 2
+        stats = legalizer.cache_stats()
+        assert stats["legalize_calls"] == 2
+        assert stats["region_memo_hits"] == 0
+        assert self._positions(other) == self._positions(coarse_small)

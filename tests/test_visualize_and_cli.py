@@ -117,6 +117,37 @@ class TestCli:
             assert method in out
         assert "Nor." in out
 
+    def test_compare_reports_the_committed_hpwl(self, capsys, monkeypatch):
+        """The table shows the HPWL the flow committed, not the anytime best
+        below it; that one gets its own line."""
+        from types import SimpleNamespace
+
+        import repro.cli as cli
+
+        class CommitsAboveItsBest:
+            def __init__(self, config):
+                pass
+
+            def place(self, design):
+                return SimpleNamespace(
+                    hpwl=123456.0,
+                    search=SimpleNamespace(best_terminal_wirelength=99999.0),
+                    stopwatch=SimpleNamespace(overall=lambda: 0.0),
+                )
+
+        monkeypatch.setattr(cli, "MCTSGuidedPlacer", CommitsAboveItsBest)
+        rc = main([
+            "compare", "--circuit", "ibm01", "--scale", "0.002",
+            "--macro-scale", "0.02", "--preset", "fast",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        table = out[out.index("Circuit"):]
+        row = next(line for line in table.splitlines() if line.startswith("ibm01"))
+        assert row.split()[-1] == "123456.0"  # "ours" is the last column
+        assert "99999.0" not in table
+        assert "anytime best 99999.0" in out
+
     def test_place_legal_cells_flag(self, capsys):
         rc = main([
             "place", "--circuit", "ibm01", "--scale", "0.003",
