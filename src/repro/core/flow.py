@@ -12,8 +12,12 @@ which is how the Table IV runtime benchmark isolates the MCTS stage):
    assignment (already part of the MCTS terminal evaluation; re-run so the
    design object carries the final coordinates).
 
+``MCTSGuidedPlacer.place`` runs every stage through one driver,
+``_run``, with or without a run dir.
+
 Fault tolerance (:mod:`repro.runtime`): when ``place`` is given a
 ``run_dir`` every stage persists its outputs plus a JSON manifest there,
+each file written whole by :func:`repro.runtime.resources.write_atomic`,
 RL training snapshots its full state every ``checkpoint_every`` episodes
 and MCTS after every committed move, and ``resume=True`` skips completed
 stages and restores their artifacts — an interrupted run continues
@@ -106,15 +110,6 @@ class MCTSGuidedPlacer:
         self._events = EventLog()
 
     # -- stages ----------------------------------------------------------------
-    def preprocess(self, design: Design, stopwatch: Stopwatch) -> CoarseNetlist:
-        """Prototype placement + grid partition + coarsening."""
-        cfg = self.config
-        with stopwatch.measure("prototype"):
-            MixedSizePlacer(n_iterations=cfg.prototype_iterations).place(design)
-        with stopwatch.measure("preprocess"):
-            coarse = self._coarsen(design)
-        return coarse
-
     def _coarsen(self, design: Design) -> CoarseNetlist:
         """Grid partition + coarsening; a design with no movable macro
         group has nothing for the agent to place and fails here."""
@@ -139,28 +134,6 @@ class MCTSGuidedPlacer:
             cell_place_iters=self.config.cell_place_iterations,
             events=self._events,
         )
-
-    def pretrain(
-        self,
-        env: MacroGroupPlacementEnv,
-        stopwatch: Stopwatch,
-    ) -> tuple[PolicyValueNet, NormalizedReward, TrainingHistory, ActorCriticTrainer]:
-        """Calibrate Eq. 9 and run Actor-Critic training.
-
-        The non-checkpointed convenience path; :meth:`place` runs the same
-        two stages through the resumable harness.
-        """
-        cfg = self.config
-        rng = ensure_rng(cfg.seed)
-        with stopwatch.measure("calibration"):
-            reward_fn, _samples = self._calibrate(env, rng)
-        network = PolicyValueNet(cfg.network)
-        trainer = self._build_trainer(env, network, reward_fn, rng)
-        with stopwatch.measure("rl_training"):
-            history = trainer.train(
-                cfg.episodes, checkpoint_every=cfg.checkpoint_every
-            )
-        return network, reward_fn, history, trainer
 
     def _calibrate(self, env, rng) -> tuple[NormalizedReward, list[float]]:
         cfg = self.config
@@ -200,20 +173,6 @@ class MCTSGuidedPlacer:
             max_divergence_rollbacks=cfg.max_divergence_rollbacks,
             max_episode_failures=cfg.max_episode_failures,
         )
-
-    def optimize(
-        self,
-        env: MacroGroupPlacementEnv,
-        network: PolicyValueNet,
-        reward_fn: NormalizedReward,
-        stopwatch: Stopwatch,
-    ) -> SearchResult:
-        """The single post-training MCTS pass."""
-        placer = MCTSPlacer(
-            env, network, reward_fn, self.config.mcts, events=self._events
-        )
-        with stopwatch.measure("mcts"):
-            return placer.run()
 
     # -- entry point ---------------------------------------------------------------
     def place(

@@ -23,12 +23,13 @@ episode costs a single legalize-and-place call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.agent.network import PolicyValueNet
 from repro.agent.reward import RewardFunction
+from repro.agent.state import StateBuilder
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.mcts.search import MCTSConfig, MCTSPlacer
 from repro.nn.functional import masked_softmax
@@ -102,70 +103,44 @@ class IterativeMCTSTrainer:
     # -- sample generation ---------------------------------------------------
     def _collect_round(self, seed: int) -> tuple[list[_Sample], float, "MCTSPlacer"]:
         """One MCTS placement; returns samples, wirelength, the placer."""
-        from dataclasses import replace
-
         config = replace(
             self.mcts_config,
             seed=seed,
             root_noise_frac=self.root_noise_frac,
         )
-        placer = MCTSPlacer(
-            self.env, self.network, self.reward_fn, config,
-            surrogate=self._surrogate,
-        )
-
-        # Re-run the search step by step, capturing visit distributions.
-        from repro.agent.state import StateBuilder
-
         samples: list[_Sample] = []
-        n_steps = self.env.n_steps
-        from repro.mcts.node import Node
-
-        root = Node(depth=0)
         builder = StateBuilder(self.env.coarse)
-        if n_steps:
-            placer._expand(root, builder, [])
-            placer._apply_root_noise(root)
-        committed: list[int] = []
-        committed_path: list[tuple[Node, int]] = []
-        current = root
-        for _step in range(n_steps):
-            if not current.expanded:
-                b = StateBuilder(self.env.coarse)
-                for a in committed:
-                    b.apply(a)
-                placer._expand(current, b, list(committed))
-            for _ in range(config.explorations):
-                placer._explore(root, committed, committed_path, current)
 
-            # Record the state + visit distribution at this decision point.
-            state_builder = StateBuilder(self.env.coarse)
-            for a in committed:
-                state_builder.apply(a)
-            state = state_builder.observe()
+        def record(state: dict) -> None:
+            # The decision node's visit counts, read at commit time: later
+            # explorations back up through the committed path.
+            *prefix, action = state["committed"]
+            node = state["root"]
+            for a in prefix:
+                node = node.children[a]
+            obs = builder.observe()
             pi = np.zeros(self.env.n_actions)
-            total_visits = current.visit.sum()
-            if total_visits > 0:
-                pi[current.actions] = current.visit / total_visits
-            else:
-                pi[current.actions] = 1.0 / len(current.actions)
+            visits = node.visit.sum()
+            pi[node.actions] = (
+                node.visit / visits if visits else 1.0 / len(node.actions)
+            )
             samples.append(
                 _Sample(
                     planes=self.network.pack_planes(
-                        state.s_p, state.s_a, state.t, state.total_steps
+                        obs.s_p, obs.s_a, obs.t, obs.total_steps
                     )[0],
-                    mask=state.action_mask.copy(),
+                    mask=obs.action_mask.copy(),
                     pi=pi,
                     z=0.0,  # filled after the terminal evaluation
                 )
             )
+            builder.apply(action)
 
-            idx = current.most_visited_index()
-            committed_path.append((current, idx))
-            committed.append(int(current.actions[idx]))
-            current = current.child_for(idx)
-
-        wirelength = self.env.evaluate_assignment(committed)
+        placer = MCTSPlacer(
+            self.env, self.network, self.reward_fn, config,
+            on_commit=record, surrogate=self._surrogate,
+        )
+        wirelength = placer.run().wirelength
         z = float(self.reward_fn(wirelength))
         for s in samples:
             s.z = z

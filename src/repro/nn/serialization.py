@@ -22,8 +22,9 @@ def _batchnorms(layer: Layer) -> list[BatchNorm2D]:
     return found
 
 
-def save_params(layer: Layer, path: str) -> None:
-    """Write all parameters and BN running stats of *layer* to *path* (.npz)."""
+def save_params(layer: Layer, path) -> None:
+    """Write all parameters and BN running stats of *layer* to *path* (an
+    ``.npz`` file name or a writable binary file object)."""
     arrays: dict[str, np.ndarray] = {}
     for i, p in enumerate(layer.parameters()):
         arrays[f"p{i}"] = p.data

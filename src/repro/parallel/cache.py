@@ -32,9 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import uuid
 
 from repro.legalize.pipeline import LP_NET_LIMIT, QP_CLIQUE_THRESHOLD
+from repro.runtime.resources import write_atomic
 from repro.utils.events import append_jsonl, read_jsonl
 
 
@@ -188,13 +188,13 @@ class TerminalCache:
         instance's), the last-writer-wins record per assignment whose
         content sha verifies; corrupt and superseded records are dropped
         and legacy records without a sha are rewritten with one.  The new
-        file lands via tmp + ``os.replace``, so concurrent readers see
-        either the old or the new version, never a half-rewrite.  An
-        attempt worker's append racing the rename can be lost (it
-        re-appends on its next miss — a cache entry is a pure
-        accelerator), but two concurrent compactions could drop each
-        other's survivors, so only the daemon's governor (or ``repro gc``
-        holding the service dir's lock) compacts the service's file.
+        file lands through :func:`~repro.runtime.resources.write_atomic`,
+        so concurrent readers see either the old or the new version,
+        never a half-rewrite.  An attempt worker's append racing the
+        rename can be lost (it re-appends on its next miss — a cache entry
+        is a pure accelerator), but two concurrent compactions could drop
+        each other's survivors, so only the daemon's governor (or ``repro
+        gc`` holding the service dir's lock) compacts the service's file.
 
         Returns ``{"kept", "dropped_corrupt", "dropped_superseded",
         "before_bytes", "after_bytes"}``.
@@ -234,17 +234,7 @@ class TerminalCache:
             json.dumps(winners[k], sort_keys=True)
             for k in sorted(winners)
         ]
-        from repro.runtime.resources import guarded_write
-
-        def _rewrite() -> None:
-            tmp = f"{self.path}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp"
-            with open(tmp, "w") as f:
-                f.write("".join(line + "\n" for line in lines))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, self.path)
-
-        guarded_write(f"compact:{os.path.basename(self.path)}", _rewrite)
+        write_atomic(self.path, "".join(line + "\n" for line in lines))
         self.corrupt_entries = 0  # the rewritten file holds none
         return {
             "kept": len(winners),

@@ -15,15 +15,18 @@ A run dir makes a flow run durable.  Layout::
       final.json              # final HPWL (+ optional legalized-cell HPWL)
       final_positions.npz     # node coordinates of the final placement
 
-All JSON writes go through a tmp-file + ``os.replace`` so a kill mid-write
-never corrupts the manifest; torn pickle snapshots are detected at load
-time and treated as absent.
+Every file is written whole through
+:func:`repro.runtime.resources.write_atomic` (an fsynced tmp file renamed
+onto the target, ENOSPC-guarded), so a kill or a full disk mid-write
+leaves the previous version in place; a damaged pickle snapshot is
+detected at load time and treated as absent.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -32,40 +35,13 @@ import time
 import numpy as np
 
 from repro.runtime.errors import UsageError
-from repro.runtime.resources import guarded_write
+from repro.runtime.resources import write_atomic
 
 MANIFEST = "manifest.json"
 EVENTS = "events.jsonl"
 
 #: canonical stage order of Algorithm 1
 STAGES = ("prototype", "preprocess", "calibration", "rl_training", "mcts", "final")
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    # ENOSPC-guarded: a full disk degrades (emergency GC + one retry)
-    # instead of killing the writer; the tmp file never aliases the
-    # target, so a failed attempt leaves the previous version intact.
-    def _write() -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-
-    guarded_write(f"checkpoint:{os.path.basename(path)}", _write)
-
-
-def _atomic_write_pickle(path: str, obj: object) -> None:
-    def _write() -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-
-    guarded_write(f"checkpoint:{os.path.basename(path)}", _write)
 
 
 def config_fingerprint(config) -> str:
@@ -188,7 +164,7 @@ class RunDir:
                 ) from exc
 
     def write_manifest(self, manifest: dict) -> None:
-        _atomic_write_text(self.manifest_path, json.dumps(manifest, indent=2))
+        write_atomic(self.manifest_path, json.dumps(manifest, indent=2))
 
     def init_manifest(self, config, design, resume: bool) -> dict:
         """Create or validate the manifest against *config*/*design*."""
@@ -236,7 +212,9 @@ class RunDir:
             return None  # torn write from a kill; treat as absent
 
     def save_pickle(self, name: str, obj: object) -> None:
-        _atomic_write_pickle(self.file(name), obj)
+        write_atomic(
+            self.file(name), pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     def load_pickle(self, name: str):
         return self._load_pickle(name)
@@ -248,7 +226,7 @@ class RunDir:
             pass
 
     def save_json(self, name: str, payload: dict) -> None:
-        _atomic_write_text(self.file(name), json.dumps(payload, indent=2))
+        write_atomic(self.file(name), json.dumps(payload, indent=2))
 
     def load_json(self, name: str) -> dict | None:
         path = self.file(name)
@@ -263,13 +241,9 @@ class RunDir:
         names = np.array([node.name for node in nl])
         xs = np.array([node.x for node in nl], dtype=float)
         ys = np.array([node.y for node in nl], dtype=float)
-
-        def _write() -> None:
-            tmp = self.file(name + ".tmp.npz")
-            np.savez(tmp, names=names, x=xs, y=ys)
-            os.replace(tmp, self.file(name + ".npz"))
-
-        guarded_write(f"checkpoint:{name}.npz", _write)
+        buf = io.BytesIO()
+        np.savez(buf, names=names, x=xs, y=ys)
+        write_atomic(self.file(name + ".npz"), buf.getvalue())
 
     def load_positions(self, name: str, design) -> None:
         """Restore saved coordinates onto *design* (validated by node name)."""

@@ -10,6 +10,7 @@ code is identical either way.
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
 
@@ -26,6 +27,7 @@ from repro.runtime.integrity import (
     sha256_file,
     verify_file,
 )
+from repro.runtime.resources import write_atomic
 from repro.utils.events import EventLog
 
 TRAINING_SNAPSHOT = "training_snapshot.pkl"
@@ -254,7 +256,9 @@ class RunContext:
             return
         from repro.nn.serialization import save_params
 
-        save_params(network, self.dir.file("network.npz"))
+        weights = io.BytesIO()
+        save_params(network, weights)
+        write_atomic(self.dir.file("network.npz"), weights.getvalue())
         self.dir.save_json(
             "training.json",
             {

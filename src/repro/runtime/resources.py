@@ -10,9 +10,17 @@ resident set (:func:`process_rss_bytes`).  The service governor samples
 both on its poll loop — the resident set of the daemon plus its attempt
 workers — and publishes them as ``resource_*`` gauges.
 
+**The durable write** — :func:`write_atomic` is the one way a whole
+file is written (run-dir manifest and artifacts, snapshots, warm
+artifacts injected into a run dir, service JSON, compacted JSONL): a
+uniquely named tmp file beside the target, flushed, fsynced and
+renamed onto it, removed again when any step fails, so readers see the
+old file or the new one and a failed write leaves nothing behind.
+
 **The write guard** — :func:`guarded_write` wraps one durable write
-(a journal append, a checkpoint rename, a warm-artifact copy) so that
-``OSError ENOSPC`` degrades instead of killing the daemon:
+(a :func:`write_atomic`, a journal append, the warm cache's entry
+rename) so that ``OSError ENOSPC`` degrades instead of killing the
+daemon:
 
 1. an installed degradation hook is notified (structured, best-effort);
 2. an installed emergency-GC hook runs — the governor's quota collector,
@@ -42,6 +50,7 @@ import errno
 import os
 import shutil
 import threading
+import uuid
 from dataclasses import dataclass
 
 from repro.runtime import faults
@@ -225,3 +234,33 @@ def guarded_write(label: str, write, retries: int = 1):
                 ) from exc
             run_emergency_gc()
             attempt += 1
+
+
+def write_atomic(path: str, data: bytes | str) -> None:
+    """Replace *path* with *data* (bytes, or a str written as UTF-8).
+
+    *data* goes to a uniquely named tmp file in *path*'s directory, which
+    is flushed, fsynced and ``os.replace``d onto *path*, all inside
+    :func:`guarded_write`.  A step that raises removes the tmp file, so
+    *path* keeps its previous bytes (or stays absent) and no ``*.tmp``
+    is left behind.
+    """
+    if isinstance(data, str):
+        data = data.encode()
+
+    def _write() -> None:
+        tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
+
+    guarded_write(f"write:{os.path.basename(path)}", _write)

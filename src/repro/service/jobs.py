@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass, replace
 
 from repro.core.config import PlacerConfig, apply_overrides
 from repro.runtime.errors import UsageError
+from repro.runtime.resources import write_atomic
 from repro.utils.events import append_jsonl
 
 #: job lifecycle states
@@ -313,23 +314,9 @@ class ServicePaths:
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    """tmp-file + ``os.replace`` write, the run-manifest convention.
-
-    ENOSPC-guarded (:func:`repro.runtime.resources.guarded_write`): a
-    full disk degrades — emergency GC, one retry — before failing the
-    attempt with a retryable ``ResourceExhaustedError``.
-    """
-    from repro.runtime.resources import guarded_write
-
-    def _write() -> None:
-        tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp"
-        with open(tmp, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-
-    guarded_write(f"json:{os.path.basename(path)}", _write)
+    """Write *payload* as indented, key-sorted JSON through
+    :func:`~repro.runtime.resources.write_atomic`."""
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 class JobStore:
@@ -590,13 +577,13 @@ class JobStore:
         A month of jobs replays as one ``snapshot`` record (terminal jobs,
         whose state is sticky and can never change again) followed by
         regenerated submit/state lines for the still-live jobs — instead
-        of a million-line history.  The rewrite lands via tmp +
-        ``os.replace`` and the reload path keeps its torn-tail tolerance
-        unchanged.  Concurrent readers see the old or the new file, never
-        a mix.  Other **writers** must be excluded by the caller — an
-        append racing the rename could be lost — which is why only the
-        daemon compacts its own journal, and an offline ``repro gc`` takes
-        the service dir's lock first.
+        of a million-line history.  The rewrite lands through
+        :func:`~repro.runtime.resources.write_atomic` and the reload path
+        keeps its torn-tail tolerance unchanged.  Concurrent readers see
+        the old or the new file, never a mix.  Other **writers** must be
+        excluded by the caller — an append racing the rename could be
+        lost — which is why only the daemon compacts its own journal, and
+        an offline ``repro gc`` takes the service dir's lock first.
 
         Returns ``{"before_bytes", "after_bytes", "jobs_folded",
         "jobs_live"}``.
@@ -645,17 +632,7 @@ class JobStore:
             before_bytes = 0
             if os.path.exists(self.path):
                 before_bytes = os.path.getsize(self.path)
-            from repro.runtime.resources import guarded_write
-
-            def _rewrite() -> None:
-                tmp = f"{self.path}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp"
-                with open(tmp, "w") as f:
-                    f.write("".join(line + "\n" for line in lines))
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.replace(tmp, self.path)
-
-            guarded_write("compact:jobs.jsonl", _rewrite)
+            write_atomic(self.path, "".join(line + "\n" for line in lines))
             return {
                 "before_bytes": before_bytes,
                 "after_bytes": os.path.getsize(self.path),

@@ -38,7 +38,7 @@ from repro.runtime import faults
 from repro.runtime.checkpoint import pretraining_fingerprint
 from repro.runtime.errors import ResourceExhaustedError
 from repro.runtime.integrity import CHECKSUMS_KEY, corrupt_file, sha256_file
-from repro.runtime.resources import dir_usage_bytes, guarded_write
+from repro.runtime.resources import dir_usage_bytes, guarded_write, write_atomic
 
 #: the stage artifacts that constitute "pre-training is done"
 ARTIFACTS = ("calibration.json", "network.npz", "training.json")
@@ -212,9 +212,11 @@ class WarmArtifactCache:
     def inject(self, key: str, ctx) -> bool:
         """Pre-complete calibration + rl_training in *ctx*'s run dir.
 
-        Copies the cached artifacts in and marks both stages completed in
-        the manifest (tagged ``warm``), so the flow's resume path restores
-        them instead of re-training.  Returns True on a hit.
+        Writes the cached artifacts into the run dir (each through
+        :func:`~repro.runtime.resources.write_atomic`) and marks both
+        stages completed in the manifest (tagged ``warm``), so the flow's
+        resume path restores them instead of re-training.  Returns True
+        on a hit.
 
         The entry is validated against its recorded digests first: a
         corrupted entry is discarded (the cache must never poison a job)
@@ -244,7 +246,8 @@ class WarmArtifactCache:
         except OSError:
             pass
         for name in ARTIFACTS:
-            shutil.copy2(os.path.join(entry, name), ctx.dir.file(name))
+            with open(os.path.join(entry, name), "rb") as f:
+                write_atomic(ctx.dir.file(name), f.read())
         for stage in WARM_STAGES:
             ctx.manifest["stages"][stage] = {"completed": True, "warm": True}
         if checksums:

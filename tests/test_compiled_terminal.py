@@ -19,18 +19,19 @@ import copy
 import numpy as np
 import pytest
 
+from repro.coarsen.coarse import coarsen_design
 from repro.core.config import PlacerConfig
 from repro.core.flow import MCTSGuidedPlacer
-from repro.gp.mixed_size import place_cells_with_fixed_macros
+from repro.gp.mixed_size import MixedSizePlacer, place_cells_with_fixed_macros
 from repro.gp.netmodel import build_quadratic_system
 from repro.gp.quadratic import CompiledQP, solve_quadratic_placement
+from repro.grid.plan import GridPlan
 from repro.legalize.pipeline import MacroLegalizer
 from repro.netlist.hpwl import FlatNetlist
 from repro.netlist.model import Cell, Net, Netlist, NodeKind, Pin
 from repro.netlist.suites import make_iccad04_circuit, make_industrial_circuit
 from repro.runtime import faults
 from repro.runtime.faults import Fault, FaultPlan
-from repro.utils.timer import Stopwatch
 from tests.legalize_oracles import array_bytes, event_records, lp_arrays, solved_lps
 
 DESIGNS = ["ibm01", "Cir1"]
@@ -47,8 +48,13 @@ def _coarse(name):
             if name.startswith("ibm")
             else make_industrial_circuit(name)
         )
-        _COARSE[name] = MCTSGuidedPlacer(_CONFIG).preprocess(
-            entry.design, Stopwatch()
+        design = entry.design
+        MixedSizePlacer(n_iterations=_CONFIG.prototype_iterations).place(design)
+        _COARSE[name] = coarsen_design(
+            design,
+            GridPlan(design.region, zeta=_CONFIG.zeta),
+            gamma=_CONFIG.gamma_params,
+            phi=_CONFIG.phi_params,
         )
     return copy.deepcopy(_COARSE[name])
 

@@ -60,3 +60,14 @@ class TestIterativeLoop:
     def test_best_wirelength(self, trainer):
         history = trainer.train(2)
         assert history.best_wirelength() == min(history.wirelengths)
+
+    def test_fixed_seed_history_pinned(self, trainer):
+        """Two rounds from fixed seeds give these exact values; the samples
+        are read inside ``MCTSPlacer.run``'s commit callback, at commit
+        time, so later explorations cannot change their visit counts."""
+        history = trainer.train(2)
+        assert history.wirelengths == [507.97636849304706, 532.5558073270221]
+        assert history.rewards == [1.211349087671302, 1.1949627951153186]
+        assert history.losses == [4.103902458990147, 2.677595308778561]
+        assert history.terminal_evaluations == [1, 1]
+        assert history.exact_evaluations == [1, 1]
