@@ -699,7 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "rejected (FAILED with kind=Backpressure)")
     p_serve.add_argument("--poll-interval", type=float, default=0.2,
                          dest="poll_interval",
-                         help="seconds between inbox/control polls")
+                         help="fallback seconds between polls; submissions, "
+                              "cancels and stops wake the daemon at once")
     p_serve.add_argument("--drain", action="store_true",
                          help="exit once all submitted jobs are terminal "
                               "and the inbox is empty")

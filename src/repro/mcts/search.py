@@ -460,12 +460,32 @@ class MCTSPlacer:
             current = current.children[action]
         return root, committed, committed_path, path, current, state["step"] + 1
 
+    def _drop_unreachable(self, decision: Node, action: int) -> None:
+        """Forget what the search cannot reach once *action* is committed
+        at *decision*: the committed child's siblings (with their
+        subtrees) and every eval-cache entry shallower than that child.
+
+        Selection starts at the committed child, backups update only the
+        committed path's edge arrays, and every later expansion,
+        transpositions included, is at least as deep as the child.  So
+        the search reads nothing dropped, and a checkpoint holds only
+        what a resume can still use instead of growing with every commit.
+        """
+        decision.children = {action: decision.children[action]}
+        depth = decision.depth + 1
+        self._eval_cache = {
+            key: hit for key, hit in self._eval_cache.items() if key[0] >= depth
+        }
+
     # -- full placement ------------------------------------------------------------------
     def run(self, resume_state: dict | None = None) -> SearchResult:
         """Place every macro group; returns the final traced-back result.
 
         The search tree's root survives on ``self.last_root`` for post-hoc
-        analysis (:func:`principal_variation`, visit statistics).
+        analysis (:func:`principal_variation`, visit statistics).  Every
+        committed move drops its siblings, so above the last decision the
+        tree holds only the committed path: each node on it keeps its
+        edge statistics for every action, but only the committed child.
 
         *resume_state* (from :meth:`_export_state`, persisted by the run
         harness at every committed move) continues an interrupted search
@@ -526,7 +546,9 @@ class MCTSPlacer:
             committed_path.append((current, idx))
             committed.append(action)
             prefix_builder.apply(action)
-            current = current.child_for(idx)
+            child = current.child_for(idx)
+            self._drop_unreachable(current, action)
+            current = child
             if self.on_commit is not None:
                 self.on_commit(self._export_state(step, committed, path, root))
 

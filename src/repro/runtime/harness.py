@@ -176,19 +176,23 @@ class RunContext:
 
     @contextmanager
     def guard(self, stage: str):
-        """Tag/record failures of one stage; re-raises everything."""
+        """Tag/record failures of one stage; re-raises everything.
+
+        The stage's own exception is the one that propagates: when the
+        ``stage_failed`` record cannot be written (a full disk fails its
+        append too), it stays in memory only.
+        """
         self.events.emit("stage_start", stage=stage)
         try:
             yield
-        except PlacementError as exc:
-            if exc.stage is None:
-                exc.stage = stage
-            self.events.emit("stage_failed", stage=stage, error=str(exc),
-                             kind=type(exc).__name__)
-            raise
         except Exception as exc:
-            self.events.emit("stage_failed", stage=stage, error=str(exc),
-                             kind=type(exc).__name__)
+            if isinstance(exc, PlacementError) and exc.stage is None:
+                exc.stage = stage
+            try:
+                self.events.emit("stage_failed", stage=stage, error=str(exc),
+                                 kind=type(exc).__name__)
+            except Exception:
+                pass  # the stage's own exception is the one to report
             raise
 
     def budget(self, stage: str) -> StageBudget:

@@ -300,6 +300,12 @@ class ServicePaths:
     def stop_file(self) -> str:
         return os.path.join(self.control, "stop")
 
+    @property
+    def wake(self) -> str:
+        """The daemon's wake FIFO: a client pokes one byte into it after
+        each submission, cancel or stop so the daemon polls at once."""
+        return os.path.join(self.root, "wake")
+
     def run_dir(self, job_id: str) -> str:
         return os.path.join(self.runs, job_id)
 

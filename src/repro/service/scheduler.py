@@ -100,6 +100,10 @@ class Scheduler:
         #: governor pauses dispatch through this when disk headroom
         #: cannot fit a projected run dir; running jobs are untouched.
         self.dispatch_gate = None
+        #: optional callable run on the slot thread once a dequeued job has
+        #: settled (its attempt journalled and the slot counted idle): the
+        #: daemon's wake, so a drain or a due retry is seen at once.
+        self.on_settled = None
         self.workers = max(1, int(workers))
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._threads: list[threading.Thread] = []
@@ -200,3 +204,5 @@ class Scheduler:
                 with self._lock:
                     self._inflight -= 1
                 self._queue.task_done()
+                if self.on_settled is not None:
+                    self.on_settled()

@@ -13,6 +13,11 @@ Protocol (everything under one ``--service-dir``):
   alone and the refusal is journaled as an event in the metrics.
 - **stop** — the ``control/stop`` file asks the daemon to exit after
   in-flight jobs finish.
+- **wake** — after each of those atomic writes the client pokes one byte
+  into the ``wake`` FIFO, and the daemon, waiting on it instead of
+  sleeping, runs its poll cycle at once.  The file stays the request: a
+  poke that finds no FIFO, no reader or a full pipe is dropped, and the
+  daemon still polls every ``poll_interval``.
 - **results** — the daemon writes ``results/<job_id>.json`` when a job
   reaches a terminal state; ``jobs.jsonl`` carries every transition and
   ``metrics.json`` the latest metrics snapshot.
@@ -31,6 +36,14 @@ without re-running completed ones.  The flow itself runs in the
 scheduler slot's attempt worker process (:mod:`repro.service.worker`),
 so ``workers=N`` places on N CPUs; the daemon journals, publishes and
 counts.
+
+The daemon's loop waits on the wake FIFO, which it creates (or reuses
+after a SIGKILL) once its workers have forked and removes on exit.  A
+cycle runs when a client pokes it, when a slot has journalled an
+attempt's outcome (so a drain, a stop and a retry's re-queue act at
+once), when the next backoff retry falls due, and otherwise every
+``poll_interval`` seconds, which also covers files dropped without a
+poke and a filesystem without FIFOs.
 
 Self-healing: every attempt carries a heartbeat, and with
 ``stall_seconds`` set the slot relaying the attempt kills a worker whose
@@ -51,7 +64,9 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import select
 import shutil
+import stat
 import time
 from dataclasses import replace
 
@@ -96,6 +111,7 @@ def submit_job(
     }
     final = os.path.join(paths.inbox, f"{time.time_ns():020d}-{job_id}.json")
     write_json_atomic(final, payload)
+    _poke(paths.wake)
     return job_id
 
 
@@ -104,11 +120,34 @@ def request_cancel(service_dir: str, job_id: str) -> None:
     write_json_atomic(
         os.path.join(paths.control, f"cancel-{job_id}.json"), {"id": job_id}
     )
+    _poke(paths.wake)
 
 
 def request_stop(service_dir: str) -> None:
     paths = ServicePaths(service_dir).ensure()
     write_json_atomic(paths.stop_file, {"ts": time.time()})
+    _poke(paths.wake)
+
+
+def _poke(path: str) -> None:
+    """Poke the wake FIFO at *path* so a waiting daemon polls at once.
+
+    Writes one byte, and only into a FIFO; never blocks and never raises.
+    No FIFO (ENOENT), no daemon reading (ENXIO) and a full pipe (EAGAIN:
+    a wake is already pending) are the usual misses.  The request file is
+    already written, so a missed poke only costs the daemon's next poll.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+    except OSError:
+        return
+    try:
+        if stat.S_ISFIFO(os.fstat(fd).st_mode):
+            os.write(fd, b"\0")
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def read_result(service_dir: str, job_id: str) -> dict | None:
@@ -197,6 +236,9 @@ class PlacementService:
         self.stall_seconds = stall_seconds
         self.verify_results = verify_results
         self.reject_malformed_after = reject_malformed_after
+        #: (read, write) ends of the wake FIFO while run() serves; None
+        #: outside it and where the filesystem has no FIFOs
+        self._wake_fds: tuple[int, int] | None = None
         # Imported here, not at module level: only a daemon needs worker
         # processes, and ``import repro.service`` stays as light as it was.
         from repro.service.worker import AttemptWorker
@@ -235,6 +277,7 @@ class PlacementService:
         # Pressure pauses *dispatch* (queued jobs requeue), never
         # running jobs; admission shedding is handled at the journal.
         self.scheduler.dispatch_gate = self.governor.dispatch_ok
+        self.scheduler.on_settled = self._wake_self
         self._recover()
 
     # -- recovery --------------------------------------------------------------
@@ -644,6 +687,8 @@ class PlacementService:
         try:
             self.scheduler.start()
             try:
+                # After start(): the forked workers inherit no FIFO end.
+                self._open_wake()
                 while True:
                     try:
                         self.poll()
@@ -658,17 +703,92 @@ class PlacementService:
                         break
                     if self.stop_requested():
                         break
-                    if (max_seconds is not None
-                            and time.monotonic() - started >= max_seconds):
-                        break
-                    time.sleep(self.poll_interval)
+                    timeout = self.poll_interval
+                    if max_seconds is not None:
+                        left = started + max_seconds - time.monotonic()
+                        if left <= 0:
+                            break
+                        timeout = min(timeout, left)
+                    self._wait(timeout)
             finally:
                 self.scheduler.stop()
+                # After stop(): no slot thread writes to a closed end.
+                self._close_wake()
                 self._clear_stop()
             return self.write_metrics()
         finally:
             os.close(self._lock_fd)
             self._lock_fd = None
+
+    # -- wake FIFO ---------------------------------------------------------------
+    def _open_wake(self) -> None:
+        """Create the wake FIFO (or reuse one a SIGKILLed daemon left) and
+        open its read end and one write end of the daemon's own.
+
+        The held write end keeps the read end from ever reporting EOF.
+        Anything but a FIFO at the path is refused, never written into or
+        removed; where ``mkfifo`` fails the loop sleeps out its polls.
+        """
+        path = self.paths.wake
+        try:
+            os.mkfifo(path, 0o600)
+        except FileExistsError:
+            if not stat.S_ISFIFO(os.lstat(path).st_mode):
+                raise UsageError(
+                    f"{path} is in the way of the daemon's wake FIFO: "
+                    "remove it",
+                    path=path,
+                ) from None
+        except OSError:
+            return  # a filesystem without FIFOs
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        self._wake_fds = (reader, os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+    def _close_wake(self) -> None:
+        """Close both ends and remove the FIFO they were opened on."""
+        if self._wake_fds is None:
+            return
+        reader, writer = self._wake_fds
+        self._wake_fds = None
+        try:
+            if os.path.samestat(os.lstat(self.paths.wake), os.fstat(reader)):
+                os.remove(self.paths.wake)
+        except OSError:
+            pass
+        os.close(writer)
+        os.close(reader)
+
+    def _wake_self(self) -> None:
+        """A slot's attempt has settled: poke the daemon's own write end."""
+        fds = self._wake_fds
+        if fds is None:
+            return
+        try:
+            os.write(fds[1], b"\0")
+        except OSError:
+            pass  # EAGAIN: the pipe is full, a wake is already pending
+
+    def _wait(self, timeout: float) -> None:
+        """Wait up to *timeout* seconds, less if a retry falls due sooner,
+        for a wake; then read the pipe empty, so a burst costs one cycle.
+
+        An overdue retry does not shorten the wait: the poll that just
+        ran enqueued every due retry unless it was shed (a full disk),
+        and a shed poll is tried again after the whole *timeout*.
+        """
+        retry_in = self.supervisor.next_retry_in()
+        if retry_in is not None and 0 < retry_in < timeout:
+            timeout = retry_in
+        if self._wake_fds is None:
+            time.sleep(timeout)
+            return
+        reader = self._wake_fds[0]
+        if select.select([reader], [], [], timeout)[0]:
+            try:
+                while os.read(reader, 4096):
+                    pass
+            except BlockingIOError:
+                pass
 
     def _clear_stop(self) -> None:
         """Consume the stop file on exit."""

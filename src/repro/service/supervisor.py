@@ -180,8 +180,9 @@ class JobSupervisor:
     """Retry/backoff/quarantine policy of one service daemon.
 
     Owns no threads: the daemon calls :meth:`due_retries` from its poll
-    loop, and the scheduler's slot threads call :meth:`resolve_failure`
-    after each failed attempt.
+    loop and waits no longer than :meth:`next_retry_in` between polls,
+    and the scheduler's slot threads call :meth:`resolve_failure` after
+    each failed attempt.
     """
 
     def __init__(
@@ -310,6 +311,14 @@ class JobSupervisor:
             while self._retries and self._retries[0][0] <= now:
                 due.append(heapq.heappop(self._retries)[1])
         return due
+
+    def next_retry_in(self) -> float | None:
+        """Seconds until the head of the retry heap falls due (<= 0 once
+        it has), None with no retry pending; the daemon's wait ends then."""
+        with self._lock:
+            if not self._retries:
+                return None
+            return self._retries[0][0] - self._clock()
 
     def pending_retries(self) -> int:
         with self._lock:

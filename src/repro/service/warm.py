@@ -137,9 +137,10 @@ class WarmArtifactCache:
         """Copy a completed run dir's pre-training artifacts under *key*.
 
         No-op when the key is already populated or the run dir is missing
-        an artifact.  The copy lands in a temp dir first and is renamed
-        into place, so a concurrently reading (or crashing) daemon never
-        observes a half-written entry.
+        an artifact.  The copy lands in a temp dir first, every file of it
+        written and fsynced, and is renamed into place, so a concurrently
+        reading (or crashing) daemon never observes a half-written entry
+        and a power loss never publishes one with empty files.
         """
         if self.has(key):
             return False
@@ -149,14 +150,21 @@ class WarmArtifactCache:
         tmp = os.path.join(self.root, f".{key}.{uuid.uuid4().hex[:6]}.tmp")
         os.makedirs(tmp, exist_ok=True)
 
+        def _write(name: str, data: bytes) -> None:
+            with open(os.path.join(tmp, name), "wb") as f:
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+
         def _copy() -> None:
             checksums = {}
             for src, name in zip(sources, ARTIFACTS):
-                dst = os.path.join(tmp, name)
-                shutil.copy2(src, dst)
-                checksums[name] = sha256_file(dst)
-            with open(os.path.join(tmp, CHECKSUM_FILE), "w") as f:
-                json.dump(checksums, f, indent=2, sort_keys=True)
+                with open(src, "rb") as f:
+                    data = f.read()
+                _write(name, data)
+                checksums[name] = hashlib.sha256(data).hexdigest()
+            _write(CHECKSUM_FILE,
+                   json.dumps(checksums, indent=2, sort_keys=True).encode())
             os.replace(tmp, self._entry_dir(key))
 
         try:

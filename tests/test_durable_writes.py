@@ -8,8 +8,10 @@ JSONL compactions — must behave the same on a full disk: raise
 :class:`ResourceExhaustedError`, leave the previous bytes (or no file)
 in place and leave no ``*.tmp`` behind, whether the disk is full before
 the write (the ``disk.enospc`` fault site) or the write itself fails
-after its tmp file exists (``fsync`` raising ``ENOSPC``).  The last test
-fills the disk at the weights' write of a real run and resumes it.
+after its tmp file exists (``fsync`` raising ``ENOSPC``).  A warm-cache
+store, which publishes a directory, fsyncs each of its files before the
+rename.  The last test fills the disk at the weights' write of a real
+run, fails with the weights' own error, and resumes it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.runtime.faults import Fault, FaultPlan, inject
 from repro.runtime.harness import RunContext
 from repro.runtime.resources import write_atomic
 from repro.service.jobs import DONE, RUNNING, JobSpec, JobStore, write_json_atomic
-from repro.service.warm import ARTIFACTS, WarmArtifactCache
+from repro.service.warm import ARTIFACTS, CHECKSUM_FILE, WarmArtifactCache
 from repro.verify.doctor import doctor_run_dir
 
 
@@ -215,6 +217,43 @@ class TestWriteAtomic:
         assert os.listdir(tmp_path) == ["a.json"]
 
 
+class TestWarmStore:
+    def test_every_file_is_fsynced_before_the_entry_is_renamed(
+        self, tmp_path, monkeypatch
+    ):
+        """A published entry never holds unsynced files, and a store still
+        takes exactly one ``disk.enospc`` arrival."""
+        source = tmp_path / "source"
+        source.mkdir()
+        for name in ARTIFACTS:
+            (source / name).write_bytes(name.encode() * 64)
+        warm = WarmArtifactCache(str(tmp_path / "warm"))
+        log = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            log.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            log.append(("replace", str(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        plan = FaultPlan(Fault("disk.enospc", at=10**9))
+        with inject(plan):
+            assert warm.store("key-a", str(source))
+        monkeypatch.undo()
+        assert plan.faults[0].arrivals == 1
+        entry = tmp_path / "warm" / "key-a"
+        renamed = log.index(("replace", str(entry)))
+        synced = {ino for op, ino in log[:renamed] if op == "fsync"}
+        for name in (*ARTIFACTS, CHECKSUM_FILE):
+            assert os.stat(entry / name).st_ino in synced, name
+        assert warm.validate("key-a")
+
+
 class TestFullDiskAtTheWeightsWrite:
     def test_run_fails_then_resumes_bit_for_bit(self, tmp_path, monkeypatch):
         """ibm01 at the fast preset: a disk that fills at the weights'
@@ -239,8 +278,11 @@ class TestFullDiskAtTheWeightsWrite:
 
         run_dir = str(tmp_path / "run")
         with inject(FaultPlan(Fault("disk.enospc", at=at, count=None))):
-            with pytest.raises(ResourceExhaustedError):
+            with pytest.raises(ResourceExhaustedError) as failed:
                 MCTSGuidedPlacer(cfg).place(copy.deepcopy(base), run_dir=run_dir)
+        # the weights' own error, not the stage_failed append's after it
+        assert failed.value.details["label"] == "write:network.npz"
+        assert failed.value.stage == "rl_training"
         manifest = RunDir(run_dir).read_manifest()
         assert "calibration" in manifest["stages"]
         assert "rl_training" not in manifest["stages"]

@@ -1,5 +1,7 @@
 """White-box MCTS tests: backpropagation to root, tree reuse, priors."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from repro.agent.reward import NormalizedReward
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.mcts.node import Node
 from repro.mcts.search import MCTSConfig, MCTSPlacer
+from repro.runtime.errors import FaultInjected
+from repro.runtime.faults import Fault, FaultPlan, inject
 
 
 @pytest.fixture
@@ -244,3 +248,80 @@ class TestValuedTerminalDescent:
         assert float(got.wirelength).hex() == float(want.wirelength).hex()
         assert got.n_terminal_evaluations == want.n_terminal_evaluations
         assert got_tree == want_tree
+
+
+def _search(coarse, **kwargs):
+    env = MacroGroupPlacementEnv(coarse, cell_place_iters=1)
+    net = PolicyValueNet(NetworkConfig(zeta=4, channels=4, res_blocks=1, seed=0))
+    reward_fn = NormalizedReward(w_max=2000.0, w_min=500.0, w_avg=1200.0)
+    config = MCTSConfig(explorations=12, seed=0, root_noise_frac=0.25)
+    return MCTSPlacer(env, net, reward_fn, config, **kwargs)
+
+
+def _outcome(placer, result):
+    """Everything a search decides and counts, and its final tree."""
+    return (
+        result.assignment, result.path, float(result.wirelength).hex(),
+        result.best_terminal_assignment, result.best_terminal_wirelength,
+        result.n_terminal_evaluations, result.n_network_evaluations,
+        result.n_eval_cache_hits, result.n_terminal_cache_hits,
+        result.n_exact_evaluations, _tree_bytes(placer.last_root),
+    )
+
+
+class TestCommitsDropUnreachableState:
+    """A commit keeps only the committed child of its decision node and
+    the eval-cache entries at least as deep as that child."""
+
+    def _killed_at(self, coarse, k, monkeypatch=None):
+        """Snapshots of a search killed at the start of step *k*."""
+        snaps = []
+        placer = _search(coarse, on_commit=lambda s: snaps.append(pickle.dumps(s)))
+        if monkeypatch is not None:  # the snapshot format before the pruning
+            monkeypatch.setattr(placer, "_drop_unreachable", lambda *args: None)
+        with inject(FaultPlan(Fault("mcts.kill", at=k + 1))):
+            with pytest.raises(FaultInjected):
+                placer.run()
+        assert len(snaps) == k
+        return pickle.loads(snaps[-1])
+
+    def test_a_snapshot_holds_one_child_per_decision_node(self, coarse_small):
+        snaps = []
+        placer = _search(
+            coarse_small, on_commit=lambda s: snaps.append(pickle.dumps(s))
+        )
+        result = placer.run()
+        assert len(snaps) == len(result.assignment) >= 3
+        for k, blob in enumerate(snaps):
+            state = pickle.loads(blob)
+            node = state["root"]
+            for action in state["committed"]:
+                assert list(node.children) == [action]
+                node = node.children[action]
+            assert node.depth == k + 1
+            assert all(t >= k + 1 for t, _ in state["eval_cache"])
+        assert any(pickle.loads(b)["eval_cache"] for b in snaps[1:])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_kill_then_resume_equals_the_uninterrupted_search(
+        self, coarse_small, k
+    ):
+        ref = _search(coarse_small)
+        want = _outcome(ref, ref.run())
+        resumed = _search(coarse_small)
+        got = resumed.run(resume_state=self._killed_at(coarse_small, k))
+        assert _outcome(resumed, got) == want
+
+    def test_an_unpruned_snapshot_resumes_to_the_same_result(
+        self, coarse_small, monkeypatch
+    ):
+        ref = _search(coarse_small)
+        want = _outcome(ref, ref.run())
+        state = self._killed_at(coarse_small, 2, monkeypatch)
+        # siblings of the committed moves and entries above the current node
+        assert len(state["root"].children) > 1
+        assert min(t for t, _ in state["eval_cache"]) < 2
+        resumed = _search(coarse_small)
+        got = resumed.run(resume_state=state)
+        # the same result; the resumed tree keeps the old siblings
+        assert _outcome(resumed, got)[:-1] == want[:-1]

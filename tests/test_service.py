@@ -22,10 +22,12 @@ acceptance properties:
 from __future__ import annotations
 
 import copy
+import errno
 import json
 import multiprocessing
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1115,6 +1117,172 @@ class TestOneDaemonPerDir:
                 holder.kill()
                 holder.wait()
             holder.stdout.close()
+
+
+#: an unbuildable job: journalled RUNNING, then FAILED without placing
+_NOSUCH = JobSpec(circuit="nosuch")
+
+
+def _state_records(paths: ServicePaths, job_id: str, state: str) -> list[dict]:
+    return [
+        r for r in read_jsonl(paths.journal)
+        if r.get("id") == job_id and r.get("record") == "state"
+        and r.get("state") == state
+    ]
+
+
+class _ServingThread:
+    """``PlacementService.run()`` on a thread, idle and waiting on its
+    wake once started; a stop on exit, however the test ends."""
+
+    def __init__(self, sdir: str, **kwargs) -> None:
+        self.service = PlacementService(sdir, workers=1, **kwargs)
+        self.thread = threading.Thread(target=self.service.run, daemon=True)
+
+    def __enter__(self) -> "_ServingThread":
+        self.thread.start()
+        deadline = time.monotonic() + 60.0
+        while not os.path.exists(self.service.paths.metrics):  # first poll
+            assert self.thread.is_alive() and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.5)  # well into the wait
+        return self
+
+    def stop(self, within: float) -> float:
+        """Request a stop; seconds until ``run()`` returned."""
+        asked = time.monotonic()
+        request_stop(self.service.paths.root)
+        self.thread.join(within)
+        return time.monotonic() - asked
+
+    def __exit__(self, *exc) -> None:
+        if self.thread.is_alive():
+            self.stop(within=60.0)
+        self.service.governor.uninstall()
+
+
+class TestWake:
+    """Submissions, cancels, stops, settled attempts and due retries wake
+    the daemon: every daemon here polls only every 30 s otherwise."""
+
+    def test_a_submission_to_an_idle_daemon_runs_at_once(self, tmp_path):
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir)
+        with _ServingThread(sdir, poll_interval=30.0):
+            assert stat.S_ISFIFO(os.lstat(paths.wake).st_mode)
+            submitted = time.time()
+            job_id = submit_job(sdir, _NOSUCH)
+            deadline = time.monotonic() + 10.0
+            while not _state_records(paths, job_id, RUNNING):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        [running] = _state_records(paths, job_id, RUNNING)
+        assert running["ts"] - submitted < 2.0
+        assert not os.path.exists(paths.wake)  # removed when run() returned
+
+    def test_request_stop_ends_the_daemon_at_once(self, tmp_path):
+        with _ServingThread(str(tmp_path / "svc"), poll_interval=30.0) as d:
+            assert d.stop(within=10.0) < 2.0
+            assert not d.thread.is_alive()
+
+    def test_drain_returns_once_the_last_job_settles(self, tmp_path):
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir).ensure()
+        os.mkfifo(paths.wake, 0o600)  # as a SIGKILLed daemon leaves it
+        job_id = submit_job(sdir, _NOSUCH)
+        service = PlacementService(sdir, workers=1, poll_interval=30.0)
+        try:
+            service.run(drain=True, max_seconds=60.0)
+        finally:
+            service.governor.uninstall()
+        returned = time.time()
+        [failed] = _state_records(paths, job_id, FAILED)
+        assert returned - failed["ts"] < 2.0
+        assert not os.path.exists(paths.wake)
+
+    def test_a_due_retry_starts_at_once(self, aux_path, tmp_path):
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir)
+        # every attempt dies at its first training episode: one retry
+        spec = _spec(aux_path, faults=(("trainer.kill", 1, 1),))
+        job_id = submit_job(sdir, spec)
+        service = PlacementService(sdir, workers=1, poll_interval=30.0,
+                                   max_retries=1, backoff_base=0.2)
+        try:
+            service.run(drain=True, max_seconds=60.0)
+        finally:
+            service.governor.uninstall()
+        assert service.store.get(job_id).state == QUARANTINED
+        [retry] = [r for r in _state_records(paths, job_id, QUEUED)
+                   if r.get("reason") == "retry"]
+        assert 0.2 <= retry["retry_delay"] < 0.3
+        due = retry["ts"] + retry["retry_delay"]
+        first, second = _state_records(paths, job_id, RUNNING)
+        assert -0.05 < second["ts"] - due < 1.0
+
+    @pytest.mark.parametrize("wake", ["absent", "no_reader", "full"])
+    def test_clients_never_block_or_fail_on_the_wake(self, tmp_path, wake):
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir).ensure()
+        fds = []
+        if wake != "absent":
+            os.mkfifo(paths.wake, 0o600)
+        if wake == "full":
+            fds.append(os.open(paths.wake, os.O_RDONLY | os.O_NONBLOCK))
+            fds.append(os.open(paths.wake, os.O_WRONLY | os.O_NONBLOCK))
+            with pytest.raises(BlockingIOError):
+                while True:
+                    os.write(fds[1], b"\0" * 4096)
+        try:
+            started = time.monotonic()
+            job_id = submit_job(sdir, _NOSUCH)
+            request_cancel(sdir, job_id)
+            request_stop(sdir)
+            assert time.monotonic() - started < 5.0
+        finally:
+            for fd in fds:
+                os.close(fd)
+        assert len(os.listdir(paths.inbox)) == 1
+        assert os.path.exists(paths.stop_file)
+
+    def test_a_regular_file_at_wake_is_left_alone(self, tmp_path):
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir).ensure()
+        with open(paths.wake, "wb") as f:
+            f.write(b"not a fifo")
+        before = os.stat(paths.wake)
+        job_id = submit_job(sdir, _NOSUCH)
+        request_cancel(sdir, job_id)
+        request_stop(sdir)
+        service = PlacementService(sdir, workers=1, poll_interval=30.0)
+        try:
+            with pytest.raises(UsageError, match=paths.wake) as refused:
+                service.run()
+        finally:
+            service.governor.uninstall()
+        assert refused.value.exit_code == 64
+        after = os.stat(paths.wake)
+        assert (after.st_size, after.st_mtime_ns) == (
+            before.st_size, before.st_mtime_ns
+        )
+        with open(paths.wake, "rb") as f:
+            assert f.read() == b"not a fifo"
+
+    def test_without_fifos_the_daemon_polls(self, tmp_path, monkeypatch):
+        def no_fifos(path, mode=0o666):
+            raise OSError(errno.EPERM, "no FIFOs here", path)
+
+        monkeypatch.setattr(os, "mkfifo", no_fifos)
+        sdir = str(tmp_path / "svc")
+        paths = ServicePaths(sdir)
+        with _ServingThread(sdir, poll_interval=0.05):
+            assert not os.path.exists(paths.wake)
+            job_id = submit_job(sdir, _NOSUCH)
+            deadline = time.monotonic() + 10.0
+            while read_result(sdir, job_id) is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        assert read_result(sdir, job_id)["state"] == FAILED
 
 
 class TestOldServiceDirs:
