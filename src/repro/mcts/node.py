@@ -22,6 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+#: the per-edge arrays of a node, all of one length
+_EDGE_ARRAYS = ("actions", "prior", "visit", "total_value")
+
+
 @dataclass
 class Node:
     """One partial-placement state in the search tree."""
@@ -40,14 +44,26 @@ class Node:
     terminal_value: float | None = None
 
     #: derived PUCT terms (:class:`_EdgeStats`); rebuilt when the edge
-    #: arrays are replaced, and never pickled, so search snapshots keep
-    #: their bytes
+    #: arrays are replaced, and never pickled
     _stats = None
 
     def __getstate__(self) -> dict:
+        """The node's fields, each edge array as a ``(dtype.str, bytes)``
+        pair: a snapshot pickles a whole tree, and raw bytes pickle at
+        about half the cost of arrays.  The dtype travels with the bytes
+        because ``prior`` may be float32 or float64."""
         state = self.__dict__.copy()
         state.pop("_stats", None)
+        for name in _EDGE_ARRAYS:
+            array = state[name]
+            state[name] = (array.dtype.str, array.tobytes())
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name in _EDGE_ARRAYS:
+            dtype, data = state[name]
+            state[name] = np.frombuffer(data, dtype=dtype).copy()
+        self.__dict__.update(state)
 
     def _edge_stats(self) -> "_EdgeStats":
         stats = self._stats

@@ -154,6 +154,9 @@ class MCTSPlacer:
             if terminal_cache is not None
             else TerminalCache(environment_fingerprint(env))
         )
+        #: the terminal results this search evaluated itself — what its
+        #: snapshots carry, however many entries the shared cache holds
+        self._evaluated: dict[tuple[int, ...], float] = {}
         #: transposition-keyed evaluation cache: canonical state content
         #: ``(t, s_p bytes)`` maps to the network's (masked probs, value).
         self._eval_cache: dict[tuple[int, bytes], tuple[np.ndarray, float]] = {}
@@ -278,30 +281,34 @@ class MCTSPlacer:
     def _evaluate_exact(
         self, key: tuple[int, ...], score: float | None = None
     ) -> float:
-        """Tier 2: the real legalize-and-place, counted, cached, noted."""
-        started = time.perf_counter()
-        wirelength = self.env.evaluate_assignment(list(key))
-        self.seconds_terminal += time.perf_counter() - started
-        self.n_terminal_evaluations += 1
-        self.n_exact_evaluations += 1
-        self._terminal_cache.put(key, wirelength)
+        """Tier 2: the real legalize-and-place (or its memoized result),
+        counted, cached, noted, and paired with *score*."""
+        wirelength = self._terminal_cache.get(key)
+        if wirelength is not None:
+            self.n_terminal_cache_hits += 1
+        else:
+            started = time.perf_counter()
+            wirelength = self.env.evaluate_assignment(list(key))
+            self.seconds_terminal += time.perf_counter() - started
+            self.n_terminal_evaluations += 1
+            self.n_exact_evaluations += 1
+            self._terminal_cache.put(key, wirelength)
+            self._evaluated[key] = wirelength
         if score is not None:
             self._calibration.observe(score, wirelength)
         self._note_terminal(key, wirelength)
         return float(self.reward_fn(wirelength))
 
     def _terminal_value(self, assignment: list[int]) -> float:
-        """Reward of a complete assignment (cached).
+        """Reward of a complete assignment.
 
-        Order of business: memoized result → tier-1 surrogate gate (finite
-        ``exact_topk`` only) → tier-2 exact evaluation.
+        Order of business: tier-1 surrogate gate (when a surrogate is
+        attached) → tier-2 exact evaluation, which the terminal cache
+        answers when it holds the assignment.  The gate runs before the
+        cache is read, so a search scores, admits and calibrates the same
+        leaves whatever the shared cache already holds.
         """
         key = tuple(int(a) for a in assignment)
-        wirelength = self._terminal_cache.get(key)
-        if wirelength is not None:
-            self.n_terminal_cache_hits += 1
-            self._note_terminal(key, wirelength)
-            return float(self.reward_fn(wirelength))
         score = None
         if self.surrogate is not None:
             score = self._surrogate_score(key)
@@ -392,9 +399,10 @@ class MCTSPlacer:
             "committed": list(committed),
             "path": [tuple(p) for p in path],
             "root": root,
-            #: pure-terminal results (assignment → HPWL) — replaces the old
-            #: value-keyed "terminal_cache" entry
-            "terminal_wirelengths": self._terminal_cache.as_dict(),
+            #: the pure-terminal results (assignment → HPWL) this search
+            #: evaluated — not the whole shared cache it may have been
+            #: handed; replaces the old value-keyed "terminal_cache" entry
+            "terminal_wirelengths": dict(self._evaluated),
             "eval_cache": dict(self._eval_cache),
             "best_terminal_assignment": self.best_terminal_assignment,
             "best_terminal_wirelength": self.best_terminal_wirelength,
@@ -429,7 +437,8 @@ class MCTSPlacer:
         # from before the parallel engine stored reward *values* under
         # "terminal_cache"; those are ignored — purity makes recomputation
         # bitwise-identical, so dropping them costs time, never correctness.
-        self._terminal_cache.update(state.get("terminal_wirelengths", {}))
+        self._evaluated = dict(state.get("terminal_wirelengths", {}))
+        self._terminal_cache.update(self._evaluated)
         # .get defaults keep snapshots from before the batching engine loadable
         self._eval_cache = dict(state.get("eval_cache", {}))
         self.best_terminal_assignment = state["best_terminal_assignment"]

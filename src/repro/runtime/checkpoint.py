@@ -18,8 +18,14 @@ A run dir makes a flow run durable.  Layout::
 Every file is written whole through
 :func:`repro.runtime.resources.write_atomic` (an fsynced tmp file renamed
 onto the target, ENOSPC-guarded), so a kill or a full disk mid-write
-leaves the previous version in place; a damaged pickle snapshot is
-detected at load time and treated as absent.
+leaves the previous version in place.  The manifest records the sha256
+of each stage artifact; it is written when a stage is marked complete,
+so a stage's digests and its completion mark land in one write.  The
+two intra-stage snapshots are rewritten far more often than any stage
+completes, so they check themselves instead: a snapshot file is a
+one-line header carrying the sha256 of the pickle payload that follows
+it (:func:`seal_snapshot`), and a damaged one is detected at load time
+(:func:`unseal_snapshot`) and treated as absent.
 """
 
 from __future__ import annotations
@@ -39,6 +45,12 @@ from repro.runtime.resources import write_atomic
 
 MANIFEST = "manifest.json"
 EVENTS = "events.jsonl"
+TRAINING_SNAPSHOT = "training_snapshot.pkl"
+MCTS_SNAPSHOT = "mcts_snapshot.pkl"
+#: the intra-stage snapshots, each a self-checking file
+SNAPSHOTS = (TRAINING_SNAPSHOT, MCTS_SNAPSHOT)
+#: start of a snapshot's header line; the payload's hex digest follows
+SNAPSHOT_HEADER = b"repro-snapshot sha256:"
 
 #: canonical stage order of Algorithm 1
 STAGES = ("prototype", "preprocess", "calibration", "rl_training", "mcts", "final")
@@ -124,6 +136,23 @@ def pretraining_fingerprint(config) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def seal_snapshot(obj: object) -> bytes:
+    """*obj* pickled, behind a header line carrying the payload's sha256."""
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(payload).hexdigest().encode()
+    return SNAPSHOT_HEADER + digest + b"\n" + payload
+
+
+def unseal_snapshot(data: bytes) -> tuple[bytes, bool]:
+    """``(payload, intact)`` of a snapshot file's bytes: *intact* when
+    the header line carries the sha256 of the payload that follows it.
+    A file in any other format (a bare pickle of an older run) reads as
+    damaged."""
+    header, _, payload = data.partition(b"\n")
+    digest = hashlib.sha256(payload).hexdigest().encode()
+    return payload, header == SNAPSHOT_HEADER + digest
+
+
 def design_fingerprint(design) -> dict:
     """Coarse identity of a design: enough to catch resuming the wrong one."""
     nl = design.netlist
@@ -201,23 +230,18 @@ class RunDir:
     def file(self, name: str) -> str:
         return os.path.join(self.path, name)
 
-    def _load_pickle(self, name: str):
-        path = self.file(name)
-        if not os.path.exists(path):
-            return None
+    def save_snapshot(self, name: str, obj: object) -> None:
+        """Write *obj* as a self-checking snapshot (:func:`seal_snapshot`)."""
+        write_atomic(self.file(name), seal_snapshot(obj))
+
+    def read_snapshot(self, name: str) -> tuple[bytes, bool] | None:
+        """:func:`unseal_snapshot` of the file *name* (None when absent)."""
         try:
-            with open(path, "rb") as f:
-                return pickle.load(f)
-        except Exception:
-            return None  # torn write from a kill; treat as absent
-
-    def save_pickle(self, name: str, obj: object) -> None:
-        write_atomic(
-            self.file(name), pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def load_pickle(self, name: str):
-        return self._load_pickle(name)
+            with open(self.file(name), "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            return None
+        return unseal_snapshot(data)
 
     def remove(self, name: str) -> None:
         try:

@@ -11,14 +11,14 @@ code is identical either way.
 from __future__ import annotations
 
 import io
-import os
+import pickle
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro.runtime import faults
 from repro.runtime.budget import StageBudget
-from repro.runtime.checkpoint import RunDir
+from repro.runtime.checkpoint import MCTS_SNAPSHOT, TRAINING_SNAPSHOT, RunDir
 from repro.runtime.errors import PlacementError
 from repro.runtime.integrity import (
     CHECKSUMS_KEY,
@@ -30,8 +30,6 @@ from repro.runtime.integrity import (
 from repro.runtime.resources import write_atomic
 from repro.utils.events import EventLog
 
-TRAINING_SNAPSHOT = "training_snapshot.pkl"
-MCTS_SNAPSHOT = "mcts_snapshot.pkl"
 TERMINAL_CACHE = "terminal_cache.jsonl"
 
 
@@ -59,11 +57,10 @@ class RunContext:
         self.dir = RunDir(run_dir) if run_dir else None
         self.events = EventLog(self.dir.events_path if self.dir else None)
         if self.dir is not None:
+            # a fresh run gets a fresh manifest, written with no stages
             self.manifest = self.dir.init_manifest(config, design, resume)
             if not resume:
                 # a fresh run must not pick up a previous run's leftovers
-                self.manifest["stages"] = {}
-                self.dir.write_manifest(self.manifest)
                 self.dir.remove(TRAINING_SNAPSHOT)
                 self.dir.remove(MCTS_SNAPSHOT)
                 self.dir.remove(TERMINAL_CACHE)
@@ -83,32 +80,30 @@ class RunContext:
                 yield
 
     # -- artifact integrity ---------------------------------------------------
-    def _record_checksum(self, name: str) -> None:
-        """Record the sha256 of artifact *name* in the manifest.
-
-        The ``checkpoint.corrupt`` fault site fires *after* the digest is
-        taken from the good bytes, then flips one byte on disk — exactly
-        the failure mode (good write, later bit rot) the checksums exist
-        to catch.
-        """
-        if self.dir is None:
-            return
-        path = self.dir.file(name)
-        digest = sha256_file(path)
+    def _corrupt_site(self, name: str) -> None:
+        """The ``checkpoint.corrupt`` fault site, one arrival per artifact
+        or snapshot written: it flips one byte of *name* on disk after the
+        good bytes were written (and digested) — exactly the failure mode
+        (good write, later bit rot) the checksums exist to catch."""
         if faults.should_fire("checkpoint.corrupt"):
-            offset = corrupt_file(path)
+            offset = corrupt_file(self.dir.file(name))
             self.events.emit(
                 "fault_injected", site="checkpoint.corrupt",
                 artifact=name, offset=offset,
             )
-        self.manifest.setdefault(CHECKSUMS_KEY, {})[name] = digest
-        self.dir.write_manifest(self.manifest)
 
-    def _drop_checksum(self, name: str) -> None:
+    def _record_checksum(self, name: str) -> None:
+        """Record the sha256 of artifact *name* in the manifest.
+
+        Only the in-memory manifest changes: the stage's :meth:`mark`
+        writes it, so the digests of a stage's artifacts become durable
+        in the same atomic write as its completion mark.
+        """
         if self.dir is None:
             return
-        if self.manifest.get(CHECKSUMS_KEY, {}).pop(name, None) is not None:
-            self.dir.write_manifest(self.manifest)
+        digest = sha256_file(self.dir.file(name))
+        self._corrupt_site(name)
+        self.manifest.setdefault(CHECKSUMS_KEY, {})[name] = digest
 
     def _artifact_intact(self, name: str) -> bool:
         """True when *name* exists and matches its recorded checksum
@@ -116,26 +111,33 @@ class RunContext:
         expected = self.manifest.get(CHECKSUMS_KEY, {}).get(name)
         return verify_file(self.dir.file(name), expected)
 
-    def _snapshot_intact(self, name: str) -> bool:
-        """Verify an intra-stage snapshot before unpickling it.
+    def _save_snapshot(self, name: str, state: dict) -> None:
+        """Write an intra-stage snapshot: one self-checking file, no
+        manifest entry (:func:`~repro.runtime.checkpoint.seal_snapshot`)."""
+        self.dir.save_snapshot(name, state)
+        self._corrupt_site(name)
 
-        A corrupt snapshot is discarded (with a degradation event) and
-        reported absent, so the stage restarts from its last good state
-        instead of loading damaged bytes.
+    def _load_snapshot(self, name: str):
+        """The unpickled intra-stage snapshot *name*, verified first.
+
+        A snapshot whose header does not match its payload — damaged, or
+        in the bare-pickle format of an older run — is discarded (with a
+        degradation event) and reported absent (None), as is a missing
+        one, so the stage restarts from its last good state instead of
+        loading damaged bytes.
         """
-        path = self.dir.file(name)
-        if not os.path.exists(path):
-            return True  # absent is a normal state, not damage
-        expected = self.manifest.get(CHECKSUMS_KEY, {}).get(name)
-        if expected is None or sha256_file(path) == expected:
-            return True
-        self.events.emit(
-            "degradation", solver="integrity",
-            fallback="snapshot_discarded", artifact=name,
-        )
-        self.dir.remove(name)
-        self._drop_checksum(name)
-        return False
+        read = self.dir.read_snapshot(name)
+        if read is None:
+            return None  # absent is a normal state, not damage
+        payload, intact = read
+        if not intact:
+            self.events.emit(
+                "degradation", solver="integrity",
+                fallback="snapshot_discarded", artifact=name,
+            )
+            self.dir.remove(name)
+            return None
+        return pickle.loads(payload)
 
     # -- stage bookkeeping ----------------------------------------------------
     def completed(self, stage: str) -> bool:
@@ -164,6 +166,9 @@ class RunContext:
         return True
 
     def mark(self, stage: str, **meta) -> None:
+        """Mark *stage* complete and write the manifest: its completion
+        and the digests its artifacts recorded land in one atomic write,
+        so a crash before the mark leaves the stage unmarked."""
         entry = {"completed": True}
         entry.update(meta)
         self.manifest["stages"][stage] = entry
@@ -276,7 +281,6 @@ class RunContext:
         self._record_checksum("network.npz")
         self._record_checksum("training.json")
         self.dir.remove(TRAINING_SNAPSHOT)
-        self._drop_checksum(TRAINING_SNAPSHOT)
 
     def load_training(self, network, rng):
         from repro.agent.actorcritic import TrainingHistory
@@ -300,8 +304,7 @@ class RunContext:
     def save_training_snapshot(self, trainer, history) -> None:
         if self.dir is None:
             return
-        self.dir.save_pickle(TRAINING_SNAPSHOT, trainer.export_state(history))
-        self._record_checksum(TRAINING_SNAPSHOT)
+        self._save_snapshot(TRAINING_SNAPSHOT, trainer.export_state(history))
         self.events.emit(
             "checkpoint", stage="rl_training", episode=len(history.rewards)
         )
@@ -311,9 +314,7 @@ class RunContext:
         restored :class:`TrainingHistory` (or None when no snapshot)."""
         if self.dir is None:
             return None
-        if not self._snapshot_intact(TRAINING_SNAPSHOT):
-            return None
-        state = self.dir.load_pickle(TRAINING_SNAPSHOT)
+        state = self._load_snapshot(TRAINING_SNAPSHOT)
         if state is None:
             return None
         history = trainer.restore_state(state)
@@ -326,16 +327,13 @@ class RunContext:
     def save_mcts_snapshot(self, state: dict) -> None:
         if self.dir is None:
             return
-        self.dir.save_pickle(MCTS_SNAPSHOT, state)
-        self._record_checksum(MCTS_SNAPSHOT)
+        self._save_snapshot(MCTS_SNAPSHOT, state)
         self.events.emit("checkpoint", stage="mcts", step=state["step"])
 
     def load_mcts_snapshot(self) -> dict | None:
         if self.dir is None:
             return None
-        if not self._snapshot_intact(MCTS_SNAPSHOT):
-            return None
-        state = self.dir.load_pickle(MCTS_SNAPSHOT)
+        state = self._load_snapshot(MCTS_SNAPSHOT)
         if state is not None:
             self.events.emit("resume", stage="mcts", step=state["step"])
         return state
@@ -367,7 +365,6 @@ class RunContext:
         )
         self._record_checksum("search.json")
         self.dir.remove(MCTS_SNAPSHOT)
-        self._drop_checksum(MCTS_SNAPSHOT)
 
     def load_search(self):
         from repro.mcts.search import SearchResult

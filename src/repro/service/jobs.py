@@ -153,6 +153,16 @@ class JobSpec:
                     overrides=self.overrides,
                 )
 
+    @property
+    def design_name(self) -> str | None:
+        """The name :meth:`build_design` gives the design, without
+        building it: the ``.aux`` basename without its extension (as
+        :func:`~repro.netlist.bookshelf.read_aux` names it), else the
+        circuit."""
+        if self.aux:
+            return os.path.splitext(os.path.basename(self.aux))[0]
+        return self.circuit
+
     def build_design(self):
         return resolve_design(
             circuit=self.circuit,

@@ -498,17 +498,15 @@ class PlacementService:
         started = time.perf_counter()
         running = False
         try:
-            name, design = job.spec.build_design()
             config = job.spec.build_config(
                 terminal_cache_path=None if cold else self.paths.terminal_cache
             )
             if self.verify_results:
                 config = replace(config, verify_results=True)
-            warm_key = self.warm.key(config, design)
             worker = self.scheduler.worker()
             self.store.transition(
                 job.id, RUNNING, attempt=attempt, resume=resume,
-                design=name, cold=cold, worker=worker.pid,
+                design=job.spec.design_name, cold=cold, worker=worker.pid,
             )
             running = True
             self.write_metrics()
@@ -521,7 +519,7 @@ class PlacementService:
                     run_dir=run_dir,
                     resume=resume,
                     warm_root=self.warm.root,
-                    warm_key=None if resume or cold else warm_key,
+                    warm=not (resume or cold),
                     plan=faults.active(),
                 ),
                 Heartbeat(),
@@ -529,9 +527,10 @@ class PlacementService:
             )
         except Exception as exc:  # noqa: BLE001 — jobs must not kill slots
             if not running:
-                # The attempt failed before it could start: its design or
-                # config cannot be built (an unknown circuit or knob, a
-                # malformed netlist) or its worker would not start.
+                # The attempt failed before it could start: its config
+                # cannot be built (an unknown preset or knob) or its
+                # worker would not start.  A design that cannot be built
+                # fails in the worker, like any other attempt.
                 # Journal it as started so the supervisor decides it like
                 # any failed attempt; a permanent kind ends FAILED now.
                 self.store.transition(
@@ -557,7 +556,7 @@ class PlacementService:
             # disk here (after the guarded write's own emergency GC +
             # retry) fails the *attempt* — retryable, supervisor-routed —
             # not the slot thread or the daemon.
-            self.warm.store(warm_key, run_dir)
+            self.warm.store(reply.warm_key, run_dir, reply.design_digest)
         except ResourceExhaustedError as exc:
             self._resolve_attempt_failure(
                 job, started, error_record(exc), warm_hit=warm_hit

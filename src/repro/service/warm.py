@@ -3,20 +3,29 @@
 Pre-training (reward calibration + Actor-Critic episodes) dominates a
 job's wall-clock and is a pure function of (design, config) — seed
 included, since the trained weights depend on it.  The cache stores the
-three stage artifacts the run harness already knows how to restore
-(``calibration.json``, ``network.npz``, ``training.json``) under a
-fingerprint key; a later job with the same key gets them *injected* into
-its fresh run dir with the two stages pre-marked complete, so the flow's
-ordinary resume path loads them — network weights plus the post-training
-RNG state — and continues straight into MCTS.  Because that is exactly
-the code path the kill-and-resume tests prove bit-for-bit, a warm job's
-HPWL is bitwise-identical to an uninterrupted cold run with the same
-seed: the cache trades time, never determinism.
+four stage artifacts the run harness already knows how to restore
+(``prototype.npz``, ``calibration.json``, ``network.npz``,
+``training.json``) under a fingerprint key; a later job with the same
+key gets them *injected* into its fresh run dir with their stages
+pre-marked complete, so the flow's ordinary resume path loads them —
+prototype positions, network weights plus the post-training RNG state —
+and continues straight into MCTS.  Because that is exactly the code path
+the kill-and-resume tests prove bit-for-bit, a warm job's HPWL is
+bitwise-identical to an uninterrupted cold run with the same seed: the
+cache trades time, never determinism.
 
-In the service, injection runs in the attempt's worker process on a
-fresh instance over the same root; the daemon's instance, which stores
-entries and publishes the counts, adds what the worker saw with
-:meth:`WarmArtifactCache.absorb`.
+The key hashes the design coarsely (:func:`design_key`), so two designs
+can share it — a resubmission after one fixed pad moved, say.  An entry
+therefore also records the :func:`design_digest` of the design it was
+computed from, and a job on a design with another digest misses: it
+runs cold instead of placing against the other design's prototype and
+weights.
+
+In the service, the attempt's worker process computes the key and the
+digest from the design it builds and runs the injection, on a fresh
+instance over the same root; the daemon's instance, which stores entries
+under what the worker reports and publishes the counts, adds what the
+worker saw with :meth:`WarmArtifactCache.absorb`.
 
 Integrity (PR 5): every stored entry carries a ``checksums.json`` of
 sha256 digests, verified *before* injection — a corrupted entry (bit
@@ -34,19 +43,24 @@ import os
 import shutil
 import uuid
 
+import numpy as np
+
 from repro.runtime import faults
 from repro.runtime.checkpoint import pretraining_fingerprint
 from repro.runtime.errors import ResourceExhaustedError
 from repro.runtime.integrity import CHECKSUMS_KEY, corrupt_file, sha256_file
 from repro.runtime.resources import dir_usage_bytes, guarded_write, write_atomic
 
-#: the stage artifacts that constitute "pre-training is done"
-ARTIFACTS = ("calibration.json", "network.npz", "training.json")
+#: the stage artifacts a warm job starts from: the prototype placement
+#: and what constitutes "pre-training is done"
+ARTIFACTS = ("prototype.npz", "calibration.json", "network.npz", "training.json")
 #: stages those artifacts complete
-WARM_STAGES = ("calibration", "rl_training")
+WARM_STAGES = ("prototype", "calibration", "rl_training")
 #: per-entry digest record, written last so its presence implies a
-#: complete copy
+#: complete copy: each artifact's sha256, and under :data:`DESIGN` the
+#: :func:`design_digest` of the design the artifacts were computed from
 CHECKSUM_FILE = "checksums.json"
+DESIGN = "design"
 
 
 def design_key(design) -> str:
@@ -67,6 +81,32 @@ def design_key(design) -> str:
     }
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def design_digest(design) -> str:
+    """sha256 of everything the flow reads from *design*: every node's
+    name, kind, hierarchy, size, position and fixed flag, every net's
+    weight and pins, and the region.  Unlike :func:`design_key` it tells
+    apart two designs that differ only in where one pad sits."""
+    nl = design.netlist
+    region = design.region
+    pins = [pin for net in nl.nets for pin in net.pins]
+    text = "\n".join([
+        nl.name,
+        *(f"{node.name} {type(node).__name__} {node.hierarchy}" for node in nl),
+        *(pin.node for pin in pins),
+    ])
+    numbers = np.array(
+        [len(nl), len(nl.nets), region.x, region.y, region.width, region.height]
+        + [v for node in nl
+           for v in (node.width, node.height, node.x, node.y, node.fixed)]
+        + [v for net in nl.nets for v in (net.weight, len(net.pins))]
+        + [v for pin in pins for v in (pin.dx, pin.dy)],
+        dtype=np.float64,
+    )
+    digest = hashlib.sha256(text.encode())
+    digest.update(numbers.tobytes())
+    return digest.hexdigest()
 
 
 def warm_key(config, design) -> str:
@@ -133,20 +173,24 @@ class WarmArtifactCache:
         )
 
     # -- population ------------------------------------------------------------
-    def store(self, key: str, run_dir: str) -> bool:
-        """Copy a completed run dir's pre-training artifacts under *key*.
+    def store(self, key: str, run_dir: str, digest: str | None = None) -> bool:
+        """Copy a completed run dir's artifacts under *key*, recording
+        *digest*, the :func:`design_digest` of the design the run placed.
 
         No-op when the key is already populated or the run dir is missing
         an artifact.  The copy lands in a temp dir first, every file of it
         written and fsynced, and is renamed into place, so a concurrently
         reading (or crashing) daemon never observes a half-written entry
-        and a power loss never publishes one with empty files.
+        and a power loss never publishes one with empty files.  An entry
+        that lacks an artifact (one stored before the prototype was one)
+        reads as absent, and the rename replaces it.
         """
         if self.has(key):
             return False
         sources = [os.path.join(run_dir, name) for name in ARTIFACTS]
         if not all(os.path.exists(src) for src in sources):
             return False
+        entry = self._entry_dir(key)
         tmp = os.path.join(self.root, f".{key}.{uuid.uuid4().hex[:6]}.tmp")
         os.makedirs(tmp, exist_ok=True)
 
@@ -157,15 +201,17 @@ class WarmArtifactCache:
                 os.fsync(f.fileno())
 
         def _copy() -> None:
-            checksums = {}
+            record = {DESIGN: digest}
             for src, name in zip(sources, ARTIFACTS):
                 with open(src, "rb") as f:
                     data = f.read()
                 _write(name, data)
-                checksums[name] = hashlib.sha256(data).hexdigest()
+                record[name] = hashlib.sha256(data).hexdigest()
             _write(CHECKSUM_FILE,
-                   json.dumps(checksums, indent=2, sort_keys=True).encode())
-            os.replace(tmp, self._entry_dir(key))
+                   json.dumps(record, indent=2, sort_keys=True).encode())
+            if not self.has(key):
+                shutil.rmtree(entry, ignore_errors=True)
+            os.replace(tmp, entry)
 
         try:
             # ENOSPC-guarded: a full disk degrades (emergency GC + one
@@ -179,32 +225,24 @@ class WarmArtifactCache:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
         if faults.should_fire("warm.corrupt"):
-            corrupt_file(os.path.join(self._entry_dir(key), "network.npz"))
+            corrupt_file(os.path.join(entry, "network.npz"))
         self.stores += 1
         self._count(key, "stores")
         return True
 
     # -- validation ------------------------------------------------------------
-    def checksums(self, key: str) -> dict | None:
-        """The entry's recorded digests (None for pre-PR 5 legacy entries)."""
-        path = os.path.join(self._entry_dir(key), CHECKSUM_FILE)
-        if not os.path.exists(path):
-            return None
+    def checksums(self, key: str) -> dict:
+        """The entry's digest record (empty when it is missing or
+        unreadable: every artifact is then suspect)."""
         try:
-            with open(path) as f:
+            with open(os.path.join(self._entry_dir(key), CHECKSUM_FILE)) as f:
                 return json.load(f)
         except (OSError, json.JSONDecodeError):
-            return {}  # unreadable record: treat every artifact as suspect
+            return {}
 
     def validate(self, key: str) -> bool:
-        """Verify the entry's artifacts against its recorded digests.
-
-        Legacy entries without a digest record are accepted (same
-        tolerance the run harness extends to old manifests).
-        """
+        """Verify the entry's artifacts against its recorded digests."""
         checksums = self.checksums(key)
-        if checksums is None:
-            return True
         entry = self._entry_dir(key)
         return all(
             checksums.get(name) is not None
@@ -217,37 +255,43 @@ class WarmArtifactCache:
         shutil.rmtree(self._entry_dir(key), ignore_errors=True)
 
     # -- injection -------------------------------------------------------------
-    def inject(self, key: str, ctx) -> bool:
-        """Pre-complete calibration + rl_training in *ctx*'s run dir.
+    def _miss(self, key: str) -> bool:
+        self.misses += 1
+        self._count(key, "misses")
+        return False
+
+    def inject(self, key: str, ctx, digest: str | None = None) -> bool:
+        """Pre-complete prototype, calibration and rl_training in *ctx*'s
+        run dir from the entry under *key*, when that entry was stored
+        for the design whose :func:`design_digest` is *digest*.
 
         Writes the cached artifacts into the run dir (each through
-        :func:`~repro.runtime.resources.write_atomic`) and marks both
+        :func:`~repro.runtime.resources.write_atomic`) and marks their
         stages completed in the manifest (tagged ``warm``), so the flow's
-        resume path restores them instead of re-training.  Returns True
-        on a hit.
+        resume path restores them instead of re-computing them.  Returns
+        True on a hit.
 
         The entry is validated against its recorded digests first: a
         corrupted entry is discarded (the cache must never poison a job)
         and the miss is reported with a ``warm_artifact_corrupt`` event —
-        the job just runs cold.
+        the job just runs cold.  An entry stored for another design (one
+        that shares the key) is kept, and the job misses and runs cold.
         """
         if ctx.dir is None:
             return False
         if not self.has(key):
-            self.misses += 1
-            self._count(key, "misses")
-            return False
+            return self._miss(key)
         if not self.validate(key):
             self.discard(key)
             self.corruptions += 1
-            self.misses += 1
             self._count(key, "corruptions")
-            self._count(key, "misses")
             ctx.events.emit(
                 "warm_artifact_corrupt", key=key, action="discarded"
             )
-            return False
-        checksums = self.checksums(key) or {}
+            return self._miss(key)
+        checksums = self.checksums(key)
+        if checksums.get(DESIGN) != digest:
+            return self._miss(key)
         entry = self._entry_dir(key)
         try:
             os.utime(entry)  # LRU recency: a hit keeps the entry warm
@@ -258,8 +302,9 @@ class WarmArtifactCache:
                 write_atomic(ctx.dir.file(name), f.read())
         for stage in WARM_STAGES:
             ctx.manifest["stages"][stage] = {"completed": True, "warm": True}
-        if checksums:
-            ctx.manifest.setdefault(CHECKSUMS_KEY, {}).update(checksums)
+        ctx.manifest.setdefault(CHECKSUMS_KEY, {}).update(
+            (name, checksums[name]) for name in ARTIFACTS
+        )
         ctx.dir.write_manifest(ctx.manifest)
         self.hits += 1
         self._count(key, "hits")
@@ -288,10 +333,13 @@ class WarmArtifactCache:
         Recency is the entry directory's mtime: ``os.replace`` stamps it
         at store time and :meth:`inject` re-touches it on every hit, so
         eviction order tracks *use*, not just age.  Orphaned ``.tmp``
-        dirs (a crashed store) are swept unconditionally.
+        dirs (a crashed store) and entries that lack an artifact (stored
+        before the prototype was one) are swept unconditionally.
         """
         for name in os.listdir(self.root):
-            if name.startswith(".") and name.endswith(".tmp"):
+            stale = (name.endswith(".tmp") if name.startswith(".")
+                     else not self.has(name))
+            if stale:
                 shutil.rmtree(os.path.join(self.root, name),
                               ignore_errors=True)
         entries = []

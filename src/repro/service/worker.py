@@ -6,10 +6,12 @@ second scheduler thread buys nothing.  Every attempt therefore runs in a
 persistent worker process owned by its scheduler slot
 (:class:`AttemptWorker`).  The daemon keeps all state — journal,
 supervisor, warm publishing, result files, metrics — and the worker runs
-the attempt body (:func:`_attempt`): build the design, open the
+the attempt body (:func:`_attempt`): build the design, compute its
+warm-cache key and digest, open the
 :class:`~repro.service.scheduler.JobRunContext` over the run dir, inject
 the warm artifacts, install the job's fault plan, and call
-``MCTSGuidedPlacer.place``.
+``MCTSGuidedPlacer.place``.  The daemon never builds a design: the reply
+carries the key and digest it publishes the warm entry under.
 
 One pipe per worker carries an attempt:
 
@@ -56,7 +58,7 @@ from repro.runtime.budget import StageBudget
 from repro.runtime.errors import StageStallError
 from repro.service.scheduler import JobRunContext
 from repro.service.supervisor import error_record
-from repro.service.warm import WarmArtifactCache
+from repro.service.warm import WarmArtifactCache, design_digest
 
 #: minimum seconds between two same-stage beats a worker relays
 BEAT_INTERVAL = 0.05
@@ -77,9 +79,9 @@ class AttemptRequest:
     run_dir: str
     resume: bool
     warm_root: str
-    #: warm-cache key to inject, None when the attempt must not (a
+    #: inject the warm artifacts; False when the attempt must not (a
     #: resumed or cold attempt)
-    warm_key: str | None
+    warm: bool
     #: the plan installed around the daemon, if any
     plan: object
 
@@ -129,6 +131,11 @@ class AttemptReply(NamedTuple):
     warm_hit: bool | None
     #: per-key counts of the worker's warm-cache instance
     warm_counts: dict
+    #: the warm-cache key of the attempt's design and config, and the
+    #: design's :func:`~repro.service.warm.design_digest` (None: the
+    #: attempt failed before its design was built)
+    warm_key: str | None = None
+    design_digest: str | None = None
 
 
 # -- daemon side --------------------------------------------------------------
@@ -388,12 +395,14 @@ def _attempt(request: AttemptRequest, link: _Link) -> AttemptReply:
 
     spec = request.spec
     cache = WarmArtifactCache(request.warm_root)
-    warm_hit = None
+    warm_hit = warm_key = digest = None
     try:
         # The daemon's plan covers the whole attempt (it replaces one a
         # forked worker inherited); a job's own plan covers the flow.
         with faults.inject(request.plan):
             _name, design = spec.build_design()
+            warm_key = cache.key(request.config, design)
+            digest = design_digest(design)
             ctx = JobRunContext(
                 request.run_dir,
                 request.config,
@@ -402,16 +411,18 @@ def _attempt(request: AttemptRequest, link: _Link) -> AttemptReply:
                 job_budget=StageBudget("job", spec.budget_seconds),
                 heartbeat=link,
             )
-            warm_hit = request.warm_key is not None and cache.inject(
-                request.warm_key, ctx
-            )
+            warm_hit = request.warm and cache.inject(warm_key, ctx, digest)
             job_plan = spec.build_fault_plan()
             with faults.inject(job_plan) if job_plan is not None else nullcontext():
                 result = MCTSGuidedPlacer(request.config).place(
                     design, context=ctx
                 )
     except Exception as exc:  # noqa: BLE001 — reported, never fatal
-        return AttemptReply(None, error_record(exc), warm_hit, cache.per_key())
+        return AttemptReply(
+            None, error_record(exc), warm_hit, cache.per_key(), warm_key,
+            digest,
+        )
     return AttemptReply(
-        AttemptSummary.of(result), None, warm_hit, cache.per_key()
+        AttemptSummary.of(result), None, warm_hit, cache.per_key(), warm_key,
+        digest,
     )

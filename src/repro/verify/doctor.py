@@ -8,6 +8,8 @@ re-verify the final placement against):
 - manifest present and parseable;
 - every completed stage's artifacts on disk;
 - every recorded sha256 checksum matching its file's bytes;
+- every intra-stage snapshot present matching the digest in its own
+  header;
 - JSONL journals (events, terminal cache) parseable modulo one torn
   tail line;
 - the final placement passing the independent verifier
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.runtime.checkpoint import MANIFEST, RunDir
+from repro.runtime.checkpoint import MANIFEST, SNAPSHOTS, RunDir
 from repro.runtime.integrity import CHECKSUMS_KEY, STAGE_ARTIFACTS, sha256_file
 from repro.utils.events import read_jsonl
 from repro.verify.placement import CheckResult, VerificationReport, verify_placement
@@ -69,7 +71,13 @@ def _check_stage_artifacts(run_dir: str, manifest: dict) -> CheckResult:
 
 
 def _check_checksums(run_dir: str, manifest: dict) -> CheckResult:
-    recorded = manifest.get(CHECKSUMS_KEY, {})
+    # a snapshot carries its own digest (_check_snapshots); one that the
+    # manifest of an older run still lists is stale
+    recorded = {
+        name: digest
+        for name, digest in manifest.get(CHECKSUMS_KEY, {}).items()
+        if name not in SNAPSHOTS
+    }
     mismatched = []
     missing = []
     for name, expected in sorted(recorded.items()):
@@ -85,6 +93,22 @@ def _check_checksums(run_dir: str, manifest: dict) -> CheckResult:
     if missing:
         detail["missing"] = missing
     return CheckResult("checksums", ok, detail)
+
+
+def _check_snapshots(run_dir: str) -> CheckResult:
+    rd = RunDir(run_dir)
+    checked, damaged = [], []
+    for name in SNAPSHOTS:
+        read = rd.read_snapshot(name)
+        if read is None:
+            continue
+        checked.append(name)
+        if not read[1]:
+            damaged.append(name)
+    detail: dict = {"checked": checked}
+    if damaged:
+        detail["damaged"] = damaged
+    return CheckResult("snapshots", not damaged, detail)
 
 
 def _check_journal(run_dir: str, name: str) -> CheckResult:
@@ -149,6 +173,7 @@ def doctor_run_dir(run_dir: str, design=None, zeta: int | None = None) -> Verifi
         return report
     report.checks.append(_check_stage_artifacts(run_dir, manifest))
     report.checks.append(_check_checksums(run_dir, manifest))
+    report.checks.append(_check_snapshots(run_dir))
     for name in JOURNALS:
         report.checks.append(_check_journal(run_dir, name))
     report.checks.append(_check_final_placement(run_dir, manifest, design, zeta))

@@ -2,16 +2,17 @@
 
 The run dir, the warm cache and the service dir are what let a
 placement survive a kill, so each writer of a whole file — the run
-manifest, run-dir JSON, pickle snapshots, the positions ``.npz``, the
-network weights, warm-artifact injection, the service's JSON and both
-JSONL compactions — must behave the same on a full disk: raise
-:class:`ResourceExhaustedError`, leave the previous bytes (or no file)
-in place and leave no ``*.tmp`` behind, whether the disk is full before
-the write (the ``disk.enospc`` fault site) or the write itself fails
-after its tmp file exists (``fsync`` raising ``ENOSPC``).  A warm-cache
-store, which publishes a directory, fsyncs each of its files before the
-rename.  The last test fills the disk at the weights' write of a real
-run, fails with the weights' own error, and resumes it.
+manifest, run-dir JSON, the self-checking pickle snapshots, the
+positions ``.npz``, the network weights, warm-artifact injection, the
+service's JSON and both JSONL compactions — must behave the same on a
+full disk: raise :class:`ResourceExhaustedError`, leave the previous
+bytes (or no file) in place and leave no ``*.tmp`` behind, whether the
+disk is full before the write (the ``disk.enospc`` fault site) or the
+write itself fails after its tmp file exists (``fsync`` raising
+``ENOSPC``).  A warm-cache store, which publishes a directory, fsyncs
+each of its files before the rename.  A run writes its manifest once
+per stage.  The last test fills the disk at the weights' write of a
+real run, fails with the weights' own error, and resumes it.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def _run_dir_json(tmp_path, design):
 
 def _pickle_snapshot(tmp_path, design):
     run = RunDir(str(tmp_path / "run"))
-    run.save_pickle("mcts_snapshot.pkl", {"step": 1})
-    return run.path, lambda: run.save_pickle("mcts_snapshot.pkl", {"step": 2})
+    run.save_snapshot("mcts_snapshot.pkl", {"step": 1})
+    return run.path, lambda: run.save_snapshot("mcts_snapshot.pkl", {"step": 2})
 
 
 def _positions(tmp_path, design):
@@ -252,6 +253,39 @@ class TestWarmStore:
         for name in (*ARTIFACTS, CHECKSUM_FILE):
             assert os.stat(entry / name).st_ino in synced, name
         assert warm.validate("key-a")
+
+
+class TestManifestWrittenAtStageMarks:
+    def test_a_fast_ibm01_run_writes_its_manifest_once_per_stage(
+        self, tmp_path, monkeypatch
+    ):
+        """Artifact digests are recorded in memory and written with their
+        stage's completion mark: a fresh run writes its manifest once on
+        creation and once per stage, and no snapshot has an entry in it."""
+        writes = []
+        write_manifest = RunDir.write_manifest
+
+        def counting(run, manifest):
+            writes.append(sorted(manifest["stages"]))
+            write_manifest(run, manifest)
+
+        monkeypatch.setattr(RunDir, "write_manifest", counting)
+        cfg = PlacerConfig.fast(seed=0)
+        run_dir = str(tmp_path / "run")
+        MCTSGuidedPlacer(cfg).place(
+            make_iccad04_circuit("ibm01").design, run_dir=run_dir
+        )
+        monkeypatch.undo()
+        assert len(writes) <= 8
+        assert writes[0] == []  # the fresh manifest, once
+        manifest = RunDir(run_dir).read_manifest()
+        assert len(manifest["stages"]) == 6
+        assert sorted(manifest["checksums"]) == [
+            "calibration.json", "final.json", "final_positions.npz",
+            "network.npz", "prototype.npz", "search.json", "training.json",
+        ]
+        report = doctor_run_dir(run_dir)
+        assert report.ok, report.to_json()
 
 
 class TestFullDiskAtTheWeightsWrite:

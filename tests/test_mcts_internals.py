@@ -10,6 +10,7 @@ from repro.agent.reward import NormalizedReward
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.mcts.node import Node
 from repro.mcts.search import MCTSConfig, MCTSPlacer
+from repro.parallel import TerminalCache
 from repro.runtime.errors import FaultInjected
 from repro.runtime.faults import Fault, FaultPlan, inject
 
@@ -325,3 +326,90 @@ class TestCommitsDropUnreachableState:
         got = resumed.run(resume_state=state)
         # the same result; the resumed tree keeps the old siblings
         assert _outcome(resumed, got)[:-1] == want[:-1]
+
+
+def _preloaded(n: int = 500) -> TerminalCache:
+    """A shared terminal cache holding *n* results of other searches, under
+    keys no search of this design reaches."""
+    cache = TerminalCache("shared")
+    for i in range(n):
+        cache.put((-1, i), 1000.0 + i)
+    return cache
+
+
+class TestSnapshotsCarryTheSearchsOwnResults:
+    """A search handed a shared terminal cache snapshots only the terminal
+    results it evaluated itself, not every entry the cache holds."""
+
+    def test_a_snapshot_holds_no_foreign_entry(self, coarse_small):
+        snaps = []
+        cache = _preloaded()
+        placer = _search(
+            coarse_small, terminal_cache=cache,
+            on_commit=lambda s: snaps.append(pickle.dumps(s)),
+        )
+        result = placer.run()
+        seen: dict = {}
+        for blob in snaps:
+            own = pickle.loads(blob)["terminal_wirelengths"]
+            assert not [key for key in own if key[0] == -1]
+            assert own.items() >= seen.items()  # grows, never forgets
+            seen = own
+        assert len(seen) == result.n_exact_evaluations >= 1
+        assert all(cache.get(key) == wl for key, wl in seen.items())
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_kill_then_resume_equals_the_uninterrupted_search(
+        self, coarse_small, k
+    ):
+        ref = _search(coarse_small, terminal_cache=_preloaded())
+        want = _outcome(ref, ref.run())
+        snaps = []
+        killed = _search(
+            coarse_small, terminal_cache=_preloaded(),
+            on_commit=lambda s: snaps.append(pickle.dumps(s)),
+        )
+        with inject(FaultPlan(Fault("mcts.kill", at=k + 1))):
+            with pytest.raises(FaultInjected):
+                killed.run()
+        assert len(snaps) == k
+        resumed = _search(coarse_small, terminal_cache=_preloaded())
+        got = resumed.run(resume_state=pickle.loads(snaps[-1]))
+        assert _outcome(resumed, got) == want
+
+
+def _node(prior_dtype) -> Node:
+    node = Node(depth=2, expanded=True)
+    node.actions = np.array([3, 7, 11], dtype=np.int64)
+    node.prior = np.array([0.5, 0.3, 0.2], dtype=prior_dtype)
+    node.visit = np.array([2.0, 0.0, 1.0])
+    node.total_value = np.array([0.75, 0.0, -0.5])
+    node.children = {7: Node(depth=3, terminal=True, terminal_value=0.5)}
+    return node
+
+
+def _same_node(got: Node, want: Node) -> None:
+    for name in ("actions", "prior", "visit", "total_value"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.depth, got.expanded, got.terminal, got.terminal_value) == (
+        want.depth, want.expanded, want.terminal, want.terminal_value
+    )
+    assert sorted(got.children) == sorted(want.children)
+    for action, child in want.children.items():
+        _same_node(got.children[action], child)
+
+
+class TestNodePickling:
+    """A node pickles its edge arrays as ``(dtype.str, bytes)`` pairs."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_keeps_every_dtype_and_bit(self, dtype):
+        node = _node(dtype)
+        node.select_child_index(1.05)  # derived terms: never pickled
+        back = pickle.loads(pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL))
+        _same_node(back, node)
+        assert back._stats is None
+        assert back.select_child_index(1.05) == node.select_child_index(1.05)
+        back.record(1, 0.25)  # the restored edge arrays are writable
+        assert back.visit[1] == 1.0 and back.total_value[1] == 0.25

@@ -337,10 +337,13 @@ class TestRunDir:
 
     def test_torn_pickle_treated_as_absent(self, tmp_path):
         d = RunDir(str(tmp_path / "run"))
-        d.save_pickle("snap.pkl", {"ok": True})
+        d.save_snapshot("snap.pkl", {"ok": True})
+        assert d.read_snapshot("snap.pkl")[1]
         with open(d.file("snap.pkl"), "wb") as f:
             f.write(b"\x80\x04garbage")
-        assert d.load_pickle("snap.pkl") is None
+        _, intact = d.read_snapshot("snap.pkl")
+        assert not intact
+        assert d.read_snapshot("absent.pkl") is None
 
 
 class TestKillAndResume:

@@ -36,6 +36,7 @@ import time
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,8 +46,10 @@ from repro.core.config import PRESETS
 from repro.netlist.bookshelf import read_aux, write_design
 from repro.netlist.generator import generate_design
 from repro.runtime import resources
+from repro.runtime.checkpoint import RunDir
 from repro.runtime.errors import FaultInjected, UsageError
 from repro.runtime.faults import Fault, FaultPlan, inject
+from repro.runtime.integrity import corrupt_file
 from repro.service import (
     CANCELLED,
     DONE,
@@ -64,6 +67,8 @@ from repro.service import (
     WarmArtifactCache,
 )
 from repro.service.jobs import STATES, TERMINAL_STATES
+from repro.service.scheduler import JobRunContext
+from repro.service.warm import DESIGN, design_digest, warm_key
 from repro.service.service import (
     read_result,
     request_cancel,
@@ -135,6 +140,15 @@ class TestJobSpec:
         spec = JobSpec(circuit="ibm01", preset=preset, seed=seed)
         assert got.value.args[0] == spec.build_config()
         assert got.value.args[0].seed == seed
+
+    def test_design_name_is_the_name_build_design_gives(self, aux_path):
+        for spec in (
+            JobSpec(aux=aux_path),
+            JobSpec(circuit="ibm01", scale=0.004, macro_scale=0.04),
+            JobSpec(circuit="ibm01", aux=aux_path),  # the .aux wins
+        ):
+            assert spec.design_name == spec.build_design()[0]
+        assert JobSpec(circuit="nosuch").design_name == "nosuch"
 
     def test_unknown_preset_is_one_usage_error(self):
         with pytest.raises(UsageError) as err:
@@ -537,7 +551,11 @@ class TestWarmReuseAndBudgets:
     @pytest.fixture(scope="class")
     def served(self, aux_path, tmp_path_factory):
         """One drained daemon serving a cold job, its warm duplicate, and
-        a budget-doomed sibling — plus the single-shot reference run."""
+        a budget-doomed sibling — plus the single-shot reference run.
+
+        The doomed sibling has a seed of its own, so it misses the warm
+        cache and runs out of time in the prototype, a hard stage; a warm
+        job runs no hard stage."""
         sdir = str(tmp_path_factory.mktemp("svc"))
         spec = _spec(aux_path, seed=self.SEED)
         reference = MCTSGuidedPlacer(spec.build_config()).place(
@@ -548,7 +566,7 @@ class TestWarmReuseAndBudgets:
         service = PlacementService(sdir, workers=1)
         service.run(drain=True)
         warm = submit_job(sdir, spec)
-        doomed = submit_job(sdir, _spec(aux_path, seed=self.SEED,
+        doomed = submit_job(sdir, _spec(aux_path, seed=self.SEED + 1,
                                         budget_seconds=0.002))
         service.run(drain=True)
         return sdir, service, reference, {
@@ -576,6 +594,23 @@ class TestWarmReuseAndBudgets:
                    if e.get("event") == "stage_skipped"}
         assert {"calibration", "rl_training"} <= skipped
 
+    def test_warm_job_skipped_the_prototype(self, served):
+        """The warm entry carries the prototype placement: a warm job
+        loads its positions instead of running the prototype."""
+        sdir, service, _, ids = served
+        (key,) = service.warm.keys()
+        assert "prototype.npz" in service.warm.checksums(key)
+        run_dir = service.paths.run_dir(ids["warm"])
+        events = read_jsonl(os.path.join(run_dir, "events.jsonl"))
+        skipped = {e.get("stage") for e in events
+                   if e.get("event") == "stage_skipped"}
+        assert {"prototype", "calibration", "rl_training"} <= skipped
+        assert not [e for e in events if e.get("event") == "stage_start"
+                    and e.get("stage") == "prototype"]
+        manifest = RunDir(run_dir).read_manifest()
+        assert manifest["stages"]["prototype"] == {"completed": True, "warm": True}
+        assert read_result(sdir, ids["warm"])["stage_seconds"]["prototype"] == 0.0
+
     def test_budget_failure_is_structured_and_isolated(self, served):
         sdir, service, _, ids = served
         doomed = read_result(sdir, ids["doomed"])
@@ -592,11 +627,10 @@ class TestWarmReuseAndBudgets:
         assert snapshot["jobs"][DONE] == 2
         assert snapshot["jobs"][FAILED] == 1
         counters = snapshot["counters"]
-        # The warm duplicate AND the budget-doomed sibling share the cold
-        # job's fingerprint (the budget is a job knob, not config), so
-        # both hit; only the cold job misses.
-        assert counters["warm_hits"] == 2
-        assert counters["warm_misses"] == 1
+        # The warm duplicate shares the cold job's fingerprint and hits;
+        # the cold job and the budget-doomed sibling (another seed) miss.
+        assert counters["warm_hits"] == 1
+        assert counters["warm_misses"] == 2
         assert counters["terminal_cache_hits"] > 0
         assert counters["terminal_cache_misses"] > 0
         hists = snapshot["histograms"]
@@ -611,12 +645,174 @@ class TestWarmReuseAndBudgets:
         misses it saw land in the daemon's cache and ``metrics.json``."""
         _, service, _, _ = served
         snapshot = json.load(open(service.paths.metrics))
-        assert snapshot["counters"]["warm_hits"] == 2
-        ((key, counts),) = snapshot["warm_fingerprints"].items()
-        assert key in service.warm.keys()
-        assert counts["hits"] == 2 and counts["misses"] == 1
+        assert snapshot["counters"]["warm_hits"] == 1
+        (stored,) = service.warm.keys()
+        fingerprints = dict(snapshot["warm_fingerprints"])
+        counts = fingerprints.pop(stored)
+        assert counts["hits"] == 1 and counts["misses"] == 1
         assert counts["stores"] == 1 and counts["corruptions"] == 0
-        assert service.warm.hits == 2 and service.warm.misses == 1
+        # the doomed sibling's key: one miss, never stored
+        ((_, doomed),) = fingerprints.items()
+        assert doomed["misses"] == 1 and doomed["stores"] == 0
+        assert service.warm.hits == 1 and service.warm.misses == 2
+
+
+class TestWarmPrototype:
+    """A warm attempt as the worker runs it, in process: the entry's
+    prototype and pre-training artifacts are injected, and the job runs
+    only its search."""
+
+    SPEC = JobSpec(circuit="ibm01", scale=0.004, macro_scale=0.04,
+                   preset="fast", seed=3)
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        """A cold run, and the warm cache it was stored into."""
+        root = tmp_path_factory.mktemp("warm")
+        _, design = self.SPEC.build_design()
+        config = self.SPEC.build_config()
+        key, digest = warm_key(config, design), design_digest(design)
+        result = MCTSGuidedPlacer(config).place(design, run_dir=str(root / "cold"))
+        cache = WarmArtifactCache(str(root / "cache"))
+        assert cache.store(key, str(root / "cold"), digest)
+        return cache, result
+
+    def _warm(self, cache_root: str, run_dir: str):
+        """One attempt on a fresh cache instance: (hit, FlowResult)."""
+        cache = WarmArtifactCache(cache_root)
+        _, design = self.SPEC.build_design()
+        config = self.SPEC.build_config()
+        ctx = JobRunContext(run_dir, config, design)
+        hit = cache.inject(cache.key(config, design), ctx, design_digest(design))
+        return hit, MCTSGuidedPlacer(config).place(design, context=ctx)
+
+    def test_a_warm_job_writes_its_manifest_at_most_six_times(
+        self, cold, tmp_path, monkeypatch
+    ):
+        cache, want = cold
+        writes = []
+        write_manifest = RunDir.write_manifest
+
+        def counting(run, manifest):
+            writes.append(sorted(manifest["stages"]))
+            write_manifest(run, manifest)
+
+        monkeypatch.setattr(RunDir, "write_manifest", counting)
+        hit, got = self._warm(cache.root, str(tmp_path / "run"))
+        monkeypatch.undo()
+        assert hit
+        assert len(writes) <= 6
+        assert got.hpwl == want.hpwl and got.assignment == want.assignment
+        skipped = {e.stage for e in got.events.of("stage_skipped")}
+        assert skipped == {"prototype", "calibration", "rl_training"}
+        assert got.stage_seconds["prototype"] == 0.0
+
+    def test_an_entry_without_the_prototype_is_replaced(self, cold, tmp_path):
+        """An entry stored before the prototype was one of its artifacts
+        reads as absent: the job runs cold, with the same bits, and
+        storing its run dir replaces the entry with a whole one."""
+        import shutil
+
+        cache, want = cold
+        (key,) = cache.keys()
+        old_root = tmp_path / "old"
+        shutil.copytree(cache.root, old_root)
+        os.remove(old_root / key / "prototype.npz")
+        old = WarmArtifactCache(str(old_root))
+        assert old.keys() == []
+
+        run_dir = str(tmp_path / "run")
+        hit, got = self._warm(str(old_root), run_dir)
+        assert not hit
+        assert got.hpwl == want.hpwl and got.assignment == want.assignment
+        assert not got.events.of("stage_skipped")
+        _, design = self.SPEC.build_design()
+        assert old.store(key, run_dir, design_digest(design))
+        assert old.keys() == [key] and old.validate(key)
+        assert self._warm(str(old_root), str(tmp_path / "again"))[0]
+
+    def test_a_damaged_prototype_discards_the_entry(self, cold, tmp_path):
+        import shutil
+
+        cache, _ = cold
+        (key,) = cache.keys()
+        root = tmp_path / "damaged"
+        shutil.copytree(cache.root, root)
+        corrupt_file(str(root / key / "prototype.npz"))
+        hit, _ = self._warm(str(root), str(tmp_path / "run"))
+        assert not hit
+        assert not WarmArtifactCache(str(root)).has(key)
+
+
+class TestWarmEntryServesItsOwnDesign:
+    def test_a_moved_pad_misses_its_namesakes_entry(self, tmp_path):
+        """Two ``.aux`` designs of one name, with equal counts, area and
+        region, share a warm key; they differ only in where one fixed pad
+        sits.  The second job must not start from the first one's
+        prototype (which would put the pad back where the first design
+        had it) or its weights: it misses the entry and runs cold."""
+        design = generate_design(copy.deepcopy(_SMALL_SPEC))
+        first = write_design(design, str(tmp_path / "first"))
+        pad = design.netlist.pads[0]
+        pad.x += 7.0
+        second = write_design(design, str(tmp_path / "second"))
+        specs = (_spec(first), _spec(second))
+        config = specs[0].build_config()
+        (_, a), (_, b) = (spec.build_design() for spec in specs)
+        assert warm_key(config, a) == warm_key(config, b)
+        assert design_digest(a) != design_digest(b)
+        want_x = b.netlist[pad.name].x
+        assert want_x != a.netlist[pad.name].x
+
+        sdir = str(tmp_path / "svc")
+        service = PlacementService(sdir, workers=1, poll_interval=0.01)
+        ids = []
+        for spec in specs:
+            ids.append(submit_job(sdir, spec))
+            service.run(drain=True, max_seconds=120.0)
+        results = [read_result(sdir, job_id) for job_id in ids]
+        assert [r["state"] for r in results] == [DONE, DONE]
+        assert [r["warm_hit"] for r in results] == [False, False]
+        run_dir = RunDir(service.paths.run_dir(ids[1]))
+        for name in ("prototype", "final_positions"):
+            with np.load(run_dir.file(name + ".npz")) as saved:
+                (i,) = np.flatnonzero(saved["names"] == pad.name)
+                assert saved["x"][i] == want_x, name
+        # the entry stays the first design's
+        (key,) = service.warm.keys()
+        assert service.warm.checksums(key)[DESIGN] == design_digest(a)
+
+
+class TestTheDaemonBuildsNoDesign:
+    def test_the_daemon_never_calls_resolve_design(
+        self, aux_path, tmp_path, monkeypatch
+    ):
+        """The attempt worker builds the design and reports the warm key;
+        the daemon journals the design's name from the spec alone."""
+        from repro.service import jobs
+
+        daemon = os.getpid()
+        resolve = jobs.resolve_design
+
+        def in_workers_only(*args, **kwargs):
+            assert os.getpid() != daemon, "the daemon built a design"
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(jobs, "resolve_design", in_workers_only)
+        sdir = str(tmp_path / "svc")
+        service = PlacementService(sdir, workers=1, poll_interval=0.01)
+        ids = []
+        for _ in range(2):  # cold, then its warm duplicate
+            ids.append(submit_job(sdir, _spec(aux_path)))
+            service.run(drain=True, max_seconds=120.0)
+        cold, warm = (read_result(sdir, job_id) for job_id in ids)
+        assert cold["state"] == warm["state"] == DONE
+        assert not cold["warm_hit"] and warm["warm_hit"]
+        assert cold["hpwl"] == warm["hpwl"]
+        assert len(service.warm.keys()) == 1
+        designs = {r["design"] for r in read_jsonl(service.store.path)
+                   if r.get("state") == RUNNING}
+        assert designs == {os.path.splitext(os.path.basename(aux_path))[0]}
 
 
 class TestUnbuildableJobs:
@@ -797,7 +993,7 @@ class TestAttemptRelay:
         handle._process, handle._conn = _StubProcess(), ours
         request = AttemptRequest(
             job_id="job-r", attempt=1, spec=None, config=None, run_dir="",
-            resume=False, warm_root="", warm_key=None, plan=None,
+            resume=False, warm_root="", warm=False, plan=None,
         )
         self.received: list = []
         end = threading.Thread(target=behave, args=(theirs, self.received))

@@ -21,9 +21,16 @@ import pytest
 
 from repro.core import MCTSGuidedPlacer, PlacerConfig
 from repro.netlist.hpwl import hpwl
-from repro.runtime.errors import StageTimeoutError
+from repro.runtime.checkpoint import (
+    MCTS_SNAPSHOT,
+    SNAPSHOT_HEADER,
+    TRAINING_SNAPSHOT,
+    RunDir,
+)
+from repro.runtime.errors import FaultInjected, StageTimeoutError
 from repro.runtime.faults import Fault, FaultPlan, inject
 from repro.runtime.integrity import corrupt_file, sha256_file, verify_file
+from repro.runtime.resources import write_atomic
 from repro.service import (
     DONE,
     QUARANTINED,
@@ -279,7 +286,8 @@ class TestIntegrity:
         src.mkdir()
         for name in ("calibration.json", "training.json"):
             (src / name).write_text("{}")
-        (src / "network.npz").write_bytes(b"\x93NUMPY" + b"x" * 64)
+        for name in ("network.npz", "prototype.npz"):
+            (src / name).write_bytes(b"\x93NUMPY" + b"x" * 64)
         cache = WarmArtifactCache(str(tmp_path / "warm"))
         assert cache.store("key-a", str(src))
         assert cache.validate("key-a")
@@ -287,6 +295,85 @@ class TestIntegrity:
         assert not cache.validate("key-a")
         cache.discard("key-a")
         assert not cache.has("key-a")
+
+
+class TestSelfCheckingSnapshots:
+    """An intra-stage snapshot carries the sha256 of its pickle payload in
+    a header line: it has no manifest entry, and is verified at load time
+    and by ``repro doctor``."""
+
+    CONFIG = replace(PlacerConfig.fast(seed=3), checkpoint_every=5)
+    #: the kill that leaves each snapshot as a run's latest
+    KILLS = {MCTS_SNAPSHOT: ("mcts.kill", 2), TRAINING_SNAPSHOT: ("trainer.kill", 13)}
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        return MCTSGuidedPlacer(self.CONFIG).place(
+            quick_design(), run_dir=str(tmp_path_factory.mktemp("clean"))
+        )
+
+    def _killed(self, run_dir: str, name: str) -> str:
+        """Kill a run while *name* is its latest snapshot; the path."""
+        site, at = self.KILLS[name]
+        with inject(FaultPlan(Fault(site, at=at))):
+            with pytest.raises(FaultInjected):
+                MCTSGuidedPlacer(self.CONFIG).place(
+                    quick_design(), run_dir=run_dir
+                )
+        assert name not in RunDir(run_dir).read_manifest().get("checksums", {})
+        path = os.path.join(run_dir, name)
+        with open(path, "rb") as f:
+            assert f.read().startswith(SNAPSHOT_HEADER)
+        return path
+
+    def _resume(self, run_dir: str):
+        result = MCTSGuidedPlacer(self.CONFIG).place(
+            quick_design(), run_dir=run_dir, resume=True
+        )
+        discarded = [
+            e.data["artifact"] for e in result.events.of("degradation")
+            if e.data.get("fallback") == "snapshot_discarded"
+        ]
+        return result, discarded
+
+    @pytest.mark.parametrize("name", [MCTS_SNAPSHOT, TRAINING_SNAPSHOT])
+    def test_a_flipped_byte_is_discarded_once_and_flagged_by_doctor(
+        self, tmp_path, clean, name
+    ):
+        run_dir = str(tmp_path / "run")
+        path = self._killed(run_dir, name)
+        assert doctor_run_dir(run_dir).ok
+        offset = corrupt_file(path)  # the middle byte: in the payload
+        assert offset > len(SNAPSHOT_HEADER) + 64
+        report = doctor_run_dir(run_dir)
+        assert report.failed == ["snapshots"]
+        resumed, discarded = self._resume(run_dir)
+        assert discarded == [name]
+        assert resumed.hpwl == clean.hpwl
+        assert resumed.assignment == clean.assignment
+        assert doctor_run_dir(run_dir).ok
+
+    def test_an_old_format_snapshot_is_discarded_and_the_stage_restarts(
+        self, tmp_path, clean
+    ):
+        """A bare pickle with its digest in the manifest, the format of
+        older run dirs, reads as damaged: the resume discards it, runs
+        the stage from its start, and ends on the clean run's result."""
+        run_dir = str(tmp_path / "run")
+        path = self._killed(run_dir, MCTS_SNAPSHOT)
+        run = RunDir(run_dir)
+        payload, _ = run.read_snapshot(MCTS_SNAPSHOT)
+        write_atomic(path, payload)
+        manifest = run.read_manifest()
+        manifest.setdefault("checksums", {})[MCTS_SNAPSHOT] = sha256_file(path)
+        run.write_manifest(manifest)
+        assert doctor_run_dir(run_dir).failed == ["snapshots"]
+        resumed, discarded = self._resume(run_dir)
+        assert discarded == [MCTS_SNAPSHOT]
+        assert not [e for e in resumed.events.of("resume") if e.stage == "mcts"]
+        assert resumed.hpwl == clean.hpwl
+        assert resumed.assignment == clean.assignment
+        assert doctor_run_dir(run_dir).ok
 
 
 # -- independent verification --------------------------------------------------

@@ -171,6 +171,23 @@ class TestGroupCentroidSurrogate:
             sur.score([0] * (sur.n_macro_groups + 1))
 
 
+def _complete_assignments(coarse, n: int, seed: int) -> list[list[int]]:
+    """*n* random legal assignments of every macro group."""
+    from repro.agent.state import StateBuilder
+
+    rng = np.random.default_rng(seed)
+    leaves = []
+    for _ in range(n):
+        builder = StateBuilder(coarse)
+        actions = []
+        while not builder.done():
+            legal = np.flatnonzero(builder.observe().action_mask > 0)
+            actions.append(int(rng.choice(legal)))
+            builder.apply(actions[-1])
+        leaves.append(actions)
+    return leaves
+
+
 class TestTwoTierSearch:
     @pytest.fixture
     def setup(self, coarse_small):
@@ -272,6 +289,31 @@ class TestTwoTierSearch:
         assert resumed.assignment == full.assignment
         assert resumed.wirelength == full.wirelength
         assert resumed.best_terminal_wirelength == full.best_terminal_wirelength
+
+    def test_a_cached_leaf_is_gated_like_a_fresh_one(self, setup):
+        """A shared terminal cache may already hold a leaf (another job
+        evaluated it).  The search still scores it, admits it and pairs
+        it for calibration, so what it decides does not depend on what
+        the cache held: the cache replaces only the exact pipeline."""
+        env, net, reward_fn = setup
+        leaves = _complete_assignments(env.coarse, n=16, seed=3)
+        cfg = MCTSConfig(exact_topk=2)
+        fresh = MCTSPlacer(self._fresh_env(env), net, reward_fn, cfg)
+        want = [fresh._terminal_value(leaf) for leaf in leaves]
+        assert 0 < fresh.n_exact_evaluations < len(leaves)  # some pruned
+        shared = fresh._terminal_cache  # holds every admitted leaf now
+        again = MCTSPlacer(
+            self._fresh_env(env), net, reward_fn, cfg, terminal_cache=shared
+        )
+        assert [again._terminal_value(leaf) for leaf in leaves] == want
+        assert again._topk_heap == fresh._topk_heap
+        assert again._calibration.export_pairs() == (
+            fresh._calibration.export_pairs()
+        )
+        assert again.n_surrogate_evaluations == fresh.n_surrogate_evaluations
+        assert again.n_exact_evaluations == 0
+        assert again.n_terminal_cache_hits == fresh.n_exact_evaluations
+        assert again.best_terminal_assignment == fresh.best_terminal_assignment
 
     def test_fidelity_reported_when_surrogate_active(self, setup):
         env, net, reward_fn = setup
