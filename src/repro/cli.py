@@ -102,8 +102,14 @@ def cmd_place(args) -> int:
     if search.surrogate_spearman is not None:
         evals += f", spearman {search.surrogate_spearman:.3f}"
     print(evals)
+    split = ""
+    if result.mcts_runtime > 0.0:  # a resumed run loads no seconds
+        split = (f"selection {search.seconds_selection:.2f}s, "
+                 f"network {search.seconds_evaluation:.2f}s, "
+                 f"exact {search.seconds_terminal:.2f}s, "
+                 f"tier 1 {search.seconds_surrogate:.2f}s; ")
     print(f"MCTS stage      : {result.mcts_runtime:.1f}s "
-          f"(total {result.stopwatch.overall():.1f}s)")
+          f"({split}total {result.stopwatch.overall():.1f}s)")
     breakdown = " | ".join(
         f"{stage} {seconds:.2f}s"
         for stage, seconds in result.stage_seconds.items()

@@ -9,8 +9,10 @@ which is how the Table IV runtime benchmark isolates the MCTS stage):
 4. ``rl_training``   — Actor-Critic pre-training (Sec. III).
 5. ``mcts``          — agent-guided search (Sec. IV).
 6. ``final``         — legalization + cell placement of the committed
-   assignment (already part of the MCTS terminal evaluation; re-run so the
-   design object carries the final coordinates).
+   assignment, its one placement in the flow: the search takes the
+   committed wirelength from the exact result it already holds for that
+   leaf, so this stage is what leaves the design object at the final
+   coordinates.
 
 ``MCTSGuidedPlacer.place`` runs every stage through one driver,
 ``_run``, with or without a run dir.

@@ -9,9 +9,9 @@ actions:
 - ``W(s_p, s_q)`` — accumulated value,
 - ``Q(s_p, s_q)`` — mean value W/N (Eq. 12).
 
-Selection reads the PUCT terms from :class:`_EdgeStats`, which
-:meth:`Node.record` keeps in step with N and W instead of re-deriving them
-from the arrays at every descent.
+Selection reads the PUCT terms from :class:`_EdgeStats`, which every
+:meth:`Node.record` updates in place instead of re-deriving them from the
+arrays at every descent.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ class Node:
         stats = self._stats
         if stats is None or not stats.derived_from(self):
             stats = self._stats = _EdgeStats(self)
-        elif stats.pending:
-            stats.catch_up()
         return stats
 
     def q_values(self) -> np.ndarray:
@@ -81,31 +79,42 @@ class Node:
         """Q + U with U per Eq. 11 (PUCT)."""
         return self._edge_stats().scores(c)
 
-    def select_child_index(self, c: float) -> int:
-        """argmax over Q+U (Eq. 10); deterministic first-max tie-break."""
+    def select(self, c: float) -> tuple[int, int, "Node"]:
+        """One level of a descent: argmax over Q+U (Eq. 10, first-max
+        tie-break), as ``(edge index, action, child)`` with the child
+        created lazily."""
         stats = self._edge_stats()
-        return int(stats.scores(c, out=stats.buffer).argmax())
+        index = int(stats.scores(c, out=stats.buffer).argmax())
+        action = int(self.actions[index])
+        return index, action, self._child(action)
 
     def child_for(self, action_index: int) -> "Node":
         """Child node reached by :attr:`actions`[action_index] (created lazily)."""
-        action = int(self.actions[action_index])
+        return self._child(int(self.actions[action_index]))
+
+    def _child(self, action: int) -> "Node":
         child = self.children.get(action)
         if child is None:
-            child = Node(depth=self.depth + 1)
-            self.children[action] = child
+            child = self.children[action] = Node(depth=self.depth + 1)
         return child
 
     def record(self, action_index: int, value: float) -> None:
-        """Eq. 12 update for one traversed edge."""
-        self.visit[action_index] += 1.0
-        self.total_value[action_index] += value
+        """Eq. 12 update for one traversed edge, and its PUCT terms.
+
+        The float64 arithmetic runs on Python floats (``value`` converted
+        exactly), which gives the bits of the array expressions
+        ``visit[i] += 1``, ``total_value[i] += value`` and
+        ``Q[i] = W[i] / max(N[i], 1)`` at a fraction of their cost.
+        """
+        n = self.visit.item(action_index) + 1.0
+        self.visit[action_index] = n
+        w = self.total_value.item(action_index) + float(value)
+        self.total_value[action_index] = w
         stats = self._stats
         if stats is not None:
-            stats.pending.append(action_index)
-            if len(stats.pending) > len(self.visit):
-                # no longer selected from (a committed ancestor): rebuilding
-                # on demand is cheaper than catching up
-                self._stats = None
+            stats.q[action_index] = w / n
+            stats.visits_plus_one[action_index] = 1.0 + n
+            stats.visit_sum += 1.0
 
     def most_visited_index(self) -> int:
         """Commit rule after γ explorations: the most-traversed edge
@@ -122,25 +131,21 @@ class _EdgeStats:
     """The PUCT terms of a node's edges: Q, 1 + N, ΣN and c·P.
 
     Built from the node's (prior, visit, total_value) with the from-scratch
-    formulas.  :meth:`Node.record` only notes which edge it updated; the
-    next selection refreshes those entries with the same IEEE operations
-    the formulas apply elementwise, so every score is byte-identical to
-    recomputing it.  ΣN is a sum of small integers, hence exact in any
-    order: the running count equals ``visit.sum()``.
+    formulas, and rebuilt when one of those arrays is replaced.
+    :meth:`Node.record` updates the entries of the edge it visits with the
+    same IEEE operations the formulas apply elementwise, so every score is
+    byte-identical to recomputing it.  ΣN is a sum of small integers,
+    hence exact in any order: the running count equals ``visit.sum()``.
     """
 
-    __slots__ = (
-        "arrays", "q", "visits_plus_one", "visit_sum", "pending", "c", "c_prior", "buffer"
-    )
+    __slots__ = ("arrays", "q", "visits_plus_one", "visit_sum", "c", "c_prior", "buffer")
 
     def __init__(self, node: Node) -> None:
         prior, visit, total_value = self.arrays = (node.prior, node.visit, node.total_value)
         with np.errstate(invalid="ignore", divide="ignore"):
             self.q = np.where(visit > 0, total_value / np.maximum(visit, 1), 0.0)
         self.visits_plus_one = 1.0 + visit
-        self.visit_sum = visit.sum()
-        #: edges recorded since the terms were last brought up to date
-        self.pending: list[int] = []
+        self.visit_sum = float(visit.sum())
         self.c = self.c_prior = None
         self.buffer = np.empty(len(prior))
 
@@ -149,15 +154,6 @@ class _EdgeStats:
         return (
             prior is node.prior and visit is node.visit and total_value is node.total_value
         )
-
-    def catch_up(self) -> None:
-        _, visit, total_value = self.arrays
-        for index in self.pending:
-            n = visit[index]
-            self.q[index] = total_value[index] / max(n, 1) if n > 0 else 0.0
-            self.visits_plus_one[index] = 1.0 + n
-        self.visit_sum += len(self.pending)
-        self.pending.clear()
 
     def scores(self, c: float, out: np.ndarray | None = None) -> np.ndarray:
         """Q + c·P·sqrt(ΣN) / (1 + N), evaluated in that order."""

@@ -24,15 +24,18 @@ are pure functions of the assignment, so they are memoized in a shared
 :class:`~repro.parallel.TerminalCache` (optionally persisted across runs).
 
 Two-tier terminal evaluation (``MCTSConfig.exact_topk``): with a finite K,
-every terminal leaf is first scored by an incremental
-:class:`~repro.surrogate.GroupCentroidSurrogate` (tier 1, microseconds);
+every terminal leaf is first scored by a
+:class:`~repro.surrogate.GroupCentroidSurrogate` (tier 1, array operations
+only: tens of microseconds a score on the service workload's ibm01);
 only candidates ranking in the search's running top-K by surrogate score
 are admitted to the exact legalize-and-place pipeline (tier 2).  Pruned
 leaves backpropagate a value calibrated from the (surrogate, exact) pairs
 the search has already paid for — but the surrogate never *reports*:
 ``best_terminal_assignment`` and the final committed wirelength always
-come from exact evaluations.  K=None (the default) disables tier 1
-entirely and reproduces the single-tier search bit-for-bit.
+come from exact evaluations (the committed one from the search's own
+result for that leaf when it holds one, see :meth:`MCTSPlacer.run`).
+K=None (the default) disables tier 1 entirely and reproduces the
+single-tier search bit-for-bit.
 """
 
 from __future__ import annotations
@@ -339,24 +342,26 @@ class MCTSPlacer:
         *path_to_target* holds (node, action_index) pairs for the committed
         prefix so backpropagation can run all the way to the root, as the
         paper's Fig. 3 shows.  Leaf evaluation goes through :meth:`_expand`
-        so subclasses overriding it (the Sec. IV-B3 rollout ablation) keep
-        working.
+        with the full action prefix, so subclasses overriding it (the
+        Sec. IV-B3 rollout ablation) keep working.
         """
         started = time.perf_counter()
-        path: list[tuple[Node, int]] = list(path_to_target)
+        c = self.config.c_puct
+        descent: list[tuple[Node, int]] = []
+        tail: list[int] = []
         node = target
-        actions_taken = list(committed)
 
-        # Selection: descend through expanded nodes.
+        # Selection: descend through expanded nodes, one call per level.
         while node.expanded and not node.terminal:
-            idx = node.select_child_index(self.config.c_puct)
-            path.append((node, idx))
-            actions_taken.append(int(node.actions[idx]))
-            node = node.child_for(idx)
+            index, action, child = node.select(c)
+            descent.append((node, index))
+            tail.append(action)
+            node = child
 
         # Evaluation (+ expansion for non-terminals).  A terminal node that
-        # already has its value needs no state: the builder is replayed
-        # only for a leaf that is checked for completion or expanded.
+        # already has its value needs no state: the builder is replayed and
+        # the full assignment built only for a leaf that is checked for
+        # completion, valued or expanded.
         if node.terminal and node.terminal_value is not None:
             self.seconds_selection += time.perf_counter() - started
             value = node.terminal_value
@@ -367,21 +372,24 @@ class MCTSPlacer:
                 builder = StateBuilder(self.env.coarse)
                 for a in committed:
                     builder.apply(a)
-            for a in actions_taken[len(committed):]:
+            for a in tail:
                 builder.apply(a)
             self.seconds_selection += time.perf_counter() - started
+            assignment = committed + tail
             if builder.done():
                 node.terminal = True
                 if node.terminal_value is None:
-                    node.terminal_value = self._terminal_value(actions_taken)
+                    node.terminal_value = self._terminal_value(assignment)
                 value = node.terminal_value
             else:
-                value = self._expand(node, builder, actions_taken)
+                value = self._expand(node, builder, assignment)
 
         # Backpropagation to the root (Eq. 12).
         started = time.perf_counter()
-        for parent, idx in path:
-            parent.record(idx, value)
+        for parent, index in path_to_target:
+            parent.record(index, value)
+        for parent, index in descent:
+            parent.record(index, value)
         self.seconds_selection += time.perf_counter() - started
 
     # -- checkpoint/resume ---------------------------------------------------------------
@@ -472,15 +480,18 @@ class MCTSPlacer:
     def _drop_unreachable(self, decision: Node, action: int) -> None:
         """Forget what the search cannot reach once *action* is committed
         at *decision*: the committed child's siblings (with their
-        subtrees) and every eval-cache entry shallower than that child.
+        subtrees), *decision*'s PUCT statistics and every eval-cache entry
+        shallower than that child.
 
         Selection starts at the committed child, backups update only the
         committed path's edge arrays, and every later expansion,
         transpositions included, is at least as deep as the child.  So
-        the search reads nothing dropped, and a checkpoint holds only
+        the search reads nothing dropped, the backups that keep reaching
+        *decision* touch only its arrays, and a checkpoint holds only
         what a resume can still use instead of growing with every commit.
         """
         decision.children = {action: decision.children[action]}
+        decision._stats = None
         depth = decision.depth + 1
         self._eval_cache = {
             key: hit for key, hit in self._eval_cache.items() if key[0] >= depth
@@ -488,7 +499,17 @@ class MCTSPlacer:
 
     # -- full placement ------------------------------------------------------------------
     def run(self, resume_state: dict | None = None) -> SearchResult:
-        """Place every macro group; returns the final traced-back result.
+        """Search every macro group's anchor; returns the traced-back result.
+
+        The committed wirelength is the exact result the search already
+        holds for the committed leaf (its own evaluation, or the terminal
+        cache's entry, read without counting a hit).  Only when it holds
+        none — the leaf was surrogate-pruned, the budget ran out before it
+        was reached, or ``exact_topk=0`` — is the assignment evaluated
+        here.  So ``run`` does not in general leave the design at the
+        committed coordinates: placing the committed assignment is the
+        flow's ``final`` stage (or the caller's
+        :meth:`~repro.env.placement_env.MacroGroupPlacementEnv.evaluate_assignment`).
 
         The search tree's root survives on ``self.last_root`` for post-hoc
         analysis (:func:`principal_variation`, visit statistics).  Every
@@ -561,7 +582,9 @@ class MCTSPlacer:
             if self.on_commit is not None:
                 self.on_commit(self._export_state(step, committed, path, root))
 
-        wirelength = env.evaluate_assignment(committed)
+        wirelength = self._terminal_cache.peek(committed)
+        if wirelength is None:
+            wirelength = env.evaluate_assignment(committed)
         surrogate_spearman = self._surrogate_fidelity()
         self.events.emit(
             "search_stats",

@@ -122,6 +122,11 @@ class TerminalCache:
             self.hits += 1
         return wirelength
 
+    def peek(self, assignment) -> float | None:
+        """The cached wirelength of *assignment*, counted neither as a hit
+        nor as a miss."""
+        return self._entries.get(tuple(int(a) for a in assignment))
+
     def put(self, assignment, wirelength: float) -> None:
         key = tuple(int(a) for a in assignment)
         if key in self._entries:

@@ -12,15 +12,18 @@ nets.  No QP solve, no LP, no per-cell placement at score time.
 objective is linear in the boundary (macro + fixed group) positions:
 ``x_cells = M @ x_boundary + b``, where ``M`` solves the cell-block
 Laplacian once at construction (ridge-regularized so disconnected cell
-groups stay at their canonical centroids).  Scoring therefore costs one
-small matvec plus a bounding box per net — and fidelity jumps from
-~0.87 to ~0.93 Spearman against exact HPWL on a cell-heavy design,
+groups stay at their canonical centroids).  Scoring therefore costs two
+small matvecs plus the bounding boxes of the nets — and fidelity jumps
+from ~0.87 to ~0.93 Spearman against exact HPWL on a cell-heavy design,
 clearing the ≥ 0.9 floor the pruning scheme requires (pinned by a test).
 
-Every score is computed from scratch.  A cell group's position depends
-on every macro group through ``M``, and on the service design (ibm01)
-every coarse net touches a cell group, so there is no per-net state a
-score could reuse from the previous one.
+Every score is computed from scratch, with array operations only: the
+anchor tables are built one group at a time over every anchor, and the
+nets' bounding boxes come from one gather of a flattened pin array and
+segment reductions (``np.maximum.reduceat``) over it.  A cell group's
+position depends on every macro group through ``M``, and on the service
+design (ibm01) every coarse net touches a cell group, so there is no
+per-net state a score could reuse from the previous one.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 
 from repro.coarsen.coarse import CoarseNetlist
 from repro.coarsen.groups import GroupKind
-from repro.legalize.pipeline import span_rect
 
 
 class GroupCentroidSurrogate:
@@ -54,35 +56,50 @@ class GroupCentroidSurrogate:
 
         # Canonical centroids (fixed groups never move in the surrogate
         # model; each score overwrites the macro-group entries of a copy,
-        # and the cell groups' when the cell response is on).
+        # and the cell groups' when the cell response is on).  Row 0 holds
+        # x, row 1 y.
         canonical = getattr(coarse, "_canonical", None)
         if canonical is not None:
             centers = [(cx, cy) for (cx, cy, _bbox) in canonical[1]]
         else:
             centers = [(g.cx, g.cy) for g in groups]
-        self._gx = np.array([c[0] for c in centers], dtype=float)
-        self._gy = np.array([c[1] for c in centers], dtype=float)
+        self._centers = np.array(
+            [[x for x, _ in centers], [y for _, y in centers]], dtype=float
+        )
 
-        # Anchor → span-rect center, tabulated per macro group through the
-        # real span_rect so tier 1 and tier 2 agree bit-for-bit on where
-        # an anchored group sits.
-        n_grids = coarse.plan.n_grids
-        self._anchor_cx = np.empty((n_mg, n_grids))
-        self._anchor_cy = np.empty((n_mg, n_grids))
+        # Anchor → span-rect center, tabulated per macro group over every
+        # anchor with span_rect's operations (anchor_for_span's clamp, the
+        # plan's origin, origin + extent / 2), so tier 1 and tier 2 agree
+        # bit-for-bit on where an anchored group sits.
+        plan = coarse.plan
+        region = plan.region
+        row, col = np.divmod(np.arange(plan.n_grids), plan.zeta)
+        self._anchor_cx = np.empty((n_mg, plan.n_grids))
+        self._anchor_cy = np.empty((n_mg, plan.n_grids))
         for i in range(n_mg):
-            for a in range(n_grids):
-                rect = span_rect(coarse, i, a)
-                self._anchor_cx[i, a] = rect.cx
-                self._anchor_cy[i, a] = rect.cy
+            rows, cols = coarse.group_span(i)
+            r = np.maximum(np.minimum(row, plan.zeta - rows), 0)
+            c = np.maximum(np.minimum(col, plan.zeta - cols), 0)
+            width, height = cols * plan.cell_width, rows * plan.cell_height
+            self._anchor_cx[i] = (region.x + c * plan.cell_width) + width / 2.0
+            self._anchor_cy[i] = (region.y + r * plan.cell_height) + height / 2.0
+        self._macro_rows = np.arange(n_mg)
 
-        # Net structure: group-index arrays + weights, in coarse-net order.
-        self._net_groups = [
-            np.asarray(net.groups, dtype=np.int64) for net in coarse.coarse_nets
-        ]
+        # Net structure: every net's group indices flattened in coarse-net
+        # order, the position where each net starts, and the weights.
+        net_groups = [net.groups for net in coarse.coarse_nets]
+        sizes = np.array([len(g) for g in net_groups], dtype=np.int64)
+        self._net_pins = np.array(
+            [g for gids in net_groups for g in gids], dtype=np.int64
+        )
+        self._net_starts = np.cumsum(sizes) - sizes
         self._net_weight = np.array(
             [net.weight for net in coarse.coarse_nets], dtype=float
         )
-        self.n_nets = len(self._net_groups)
+        self.n_nets = len(net_groups)
+        #: the first net with no group: it has no bounding box to score
+        empty = np.flatnonzero(sizes == 0)
+        self._empty_net = int(empty[0]) if len(empty) else None
 
         # Cell-response model: x_cells = M @ x_boundary + b at the ridge-
         # regularized clique equilibrium (solved once; scoring is a matvec).
@@ -92,9 +109,11 @@ class GroupCentroidSurrogate:
         #: the design has cell groups, so scoring runs the cell response
         self.cell_response = len(cell_ids) > 0
         if self.cell_response:
-            self._compile_cell_response(n_groups, cell_ids)
+            self._compile_cell_response(n_groups, cell_ids, net_groups)
 
-    def _compile_cell_response(self, n_groups: int, cell_ids: list[int]) -> None:
+    def _compile_cell_response(
+        self, n_groups: int, cell_ids: list[int], net_groups: list[tuple[int, ...]]
+    ) -> None:
         """Solve the cell-block clique Laplacian once.
 
         ``K x_c = B x_b + eps * x_canonical`` with a ridge ``eps`` on the
@@ -104,14 +123,15 @@ class GroupCentroidSurrogate:
         all scoring ever needs.
         """
         self._cell_idx = np.asarray(cell_ids, dtype=np.int64)
-        bound_ids = [g for g in range(n_groups) if g not in set(cell_ids)]
+        cells = set(cell_ids)
+        bound_ids = [g for g in range(n_groups) if g not in cells]
         self._bound_idx = np.asarray(bound_ids, dtype=np.int64)
         pos_c = {g: k for k, g in enumerate(cell_ids)}
         pos_b = {g: k for k, g in enumerate(bound_ids)}
         n_c, n_b = len(cell_ids), len(bound_ids)
         K = np.zeros((n_c, n_c))
         B = np.zeros((n_c, n_b))
-        for j, gids in enumerate(self._net_groups):
+        for j, gids in enumerate(net_groups):
             w = float(self._net_weight[j])
             members = [int(g) for g in gids]
             for a in members:
@@ -129,8 +149,8 @@ class GroupCentroidSurrogate:
                         B[ia, pos_b[b]] += w
         eps = 1e-6 * max(float(K.diagonal().max(initial=0.0)), 1.0)
         K[np.diag_indices_from(K)] += eps
-        canon_x = self._gx[self._cell_idx].copy()
-        canon_y = self._gy[self._cell_idx].copy()
+        canon_x = self._centers[0, self._cell_idx]
+        canon_y = self._centers[1, self._cell_idx]
         rhs = np.concatenate(
             [B, eps * canon_x[:, None], eps * canon_y[:, None]], axis=1
         )
@@ -139,36 +159,14 @@ class GroupCentroidSurrogate:
         self._b0x = solved[:, n_b]
         self._b0y = solved[:, n_b + 1]
 
-    # -- contribution kernels --------------------------------------------------
-    def _contrib(self, j: int, gx: np.ndarray, gy: np.ndarray) -> float:
-        """Weighted HPWL of coarse net *j* under coordinates (gx, gy)."""
-        idx = self._net_groups[j]
-        xs = gx[idx]
-        ys = gy[idx]
-        return float(
-            self._net_weight[j]
-            * ((xs.max() - xs.min()) + (ys.max() - ys.min()))
-        )
-
-    def _apply_cell_response(self, gx: np.ndarray, gy: np.ndarray) -> None:
-        """Write the equilibrium cell positions for the current boundary."""
-        gx[self._cell_idx] = self._M @ gx[self._bound_idx] + self._b0x
-        gy[self._cell_idx] = self._M @ gy[self._bound_idx] + self._b0y
-
-    def _full_contribs(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_nets)
-        for j in range(self.n_nets):
-            out[j] = self._contrib(j, gx, gy)
-        return out
-
     # -- scoring ---------------------------------------------------------------
     def score(self, assignment) -> float:
         """Surrogate HPWL of a *complete* assignment.
 
         Places every macro group at its anchor's span-rect center, runs
-        the cell response (one matvec) and totals every net's weighted
-        HPWL.  Nothing is cached between calls, so a score depends on
-        *assignment* alone.
+        the cell response (one matvec per axis) and totals every net's
+        weighted HPWL, ``w · ((xmax − xmin) + (ymax − ymin))``.  Nothing
+        is cached between calls, so a score depends on *assignment* alone.
         """
         anchors = [int(a) for a in assignment]
         if len(anchors) != self.n_macro_groups:
@@ -176,11 +174,17 @@ class GroupCentroidSurrogate:
                 f"assignment covers {len(anchors)} groups, "
                 f"expected {self.n_macro_groups}"
             )
-        gx = self._gx.copy()
-        gy = self._gy.copy()
-        for i, anchor in enumerate(anchors):
-            gx[i] = self._anchor_cx[i, anchor]
-            gy[i] = self._anchor_cy[i, anchor]
+        if self._empty_net is not None:
+            raise ValueError(f"coarse net {self._empty_net} has no group")
+        n_mg = self.n_macro_groups
+        g = self._centers.copy()
+        anchors = np.array(anchors, dtype=np.intp)
+        g[0, :n_mg] = self._anchor_cx[self._macro_rows, anchors]
+        g[1, :n_mg] = self._anchor_cy[self._macro_rows, anchors]
         if self.cell_response:
-            self._apply_cell_response(gx, gy)
-        return float(self._full_contribs(gx, gy).sum())
+            g[0, self._cell_idx] = self._M @ g[0, self._bound_idx] + self._b0x
+            g[1, self._cell_idx] = self._M @ g[1, self._bound_idx] + self._b0y
+        pins = g[:, self._net_pins]
+        extent = np.maximum.reduceat(pins, self._net_starts, axis=1)
+        extent -= np.minimum.reduceat(pins, self._net_starts, axis=1)
+        return float((self._net_weight * (extent[0] + extent[1])).sum())

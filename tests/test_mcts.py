@@ -1,14 +1,24 @@
-"""MCTS tests: node/edge statistics (Eq. 10–12) and the full search."""
+"""MCTS tests: node/edge statistics (Eq. 10–12), the full search, and
+the single placement of the committed assignment."""
+
+import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.agent.network import NetworkConfig, PolicyValueNet
 from repro.agent.reward import NormalizedReward
+from repro.core import MCTSGuidedPlacer, PlacerConfig
+from repro.core.config import apply_overrides
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.eval.metrics import macro_overlap_area
 from repro.mcts.node import Node
 from repro.mcts.search import MCTSConfig, MCTSPlacer
+from repro.netlist.suites import make_iccad04_circuit
+from repro.runtime.errors import FaultInjected
+from repro.runtime.faults import Fault, FaultPlan
 
 
 def make_node(priors, visits=None, values=None) -> Node:
@@ -46,7 +56,7 @@ class TestNodeStatistics:
 
     def test_puct_q_dominates_when_c_small(self):
         node = make_node([0.1, 0.9], visits=[5, 5], values=[5.0, 0.0])
-        assert node.select_child_index(c=1e-6) == 0
+        assert node.select(c=1e-6)[0] == 0
 
     def test_record_implements_eq12(self):
         node = make_node([1.0])
@@ -61,9 +71,13 @@ class TestNodeStatistics:
         on a node must not change its bytes."""
         import pickle
 
-        node = make_node([0.2, 0.5, 0.3], visits=[1, 0, 2], values=[0.5, 0.0, 0.1])
-        before = pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL)
-        node.select_child_index(1.05)
+        def fresh():
+            return make_node([0.2, 0.5, 0.3], visits=[1, 0, 2], values=[0.5, 0.0, 0.1])
+
+        node, plain = fresh(), fresh()
+        index, _, _ = node.select(1.05)
+        plain.child_for(index)  # the child select creates, without its terms
+        before = pickle.dumps(plain, protocol=pickle.HIGHEST_PROTOCOL)
         assert pickle.dumps(node, protocol=pickle.HIGHEST_PROTOCOL) == before
         node.record(1, 0.4)
         restored = pickle.loads(pickle.dumps(node))
@@ -103,7 +117,9 @@ class TestMCTSSearch:
 
     def test_search_result_is_legal(self, setup):
         env, net, reward_fn = setup
-        MCTSPlacer(env, net, reward_fn, MCTSConfig(explorations=4)).run()
+        result = MCTSPlacer(env, net, reward_fn, MCTSConfig(explorations=4)).run()
+        # run() need not leave the design at the committed coordinates
+        env.evaluate_assignment(result.assignment)
         assert macro_overlap_area(env.coarse.design) < 1e-9
 
     def test_reward_consistent_with_wirelength(self, setup):
@@ -191,3 +207,117 @@ class TestMCTSSearch:
         reward_fn = NormalizedReward(w_max=2.0, w_min=1.0, w_avg=1.5)
         result = MCTSPlacer(env, net, reward_fn, MCTSConfig(explorations=2)).run()
         assert result.assignment == []
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every ``evaluate_assignment`` call as (calling function, assignment):
+    ``_evaluate_exact`` is the search's own evaluation of a leaf, ``run``
+    the search's evaluation of a committed leaf it holds no result for,
+    and ``_run`` the flow's ``final`` stage."""
+    calls = []
+    original = MacroGroupPlacementEnv.evaluate_assignment
+
+    def recorded(env, assignment):
+        caller = sys._getframe(1).f_code.co_name
+        calls.append((caller, tuple(int(a) for a in assignment)))
+        return original(env, assignment)
+
+    monkeypatch.setattr(MacroGroupPlacementEnv, "evaluate_assignment", recorded)
+    return calls
+
+
+def _callers(calls, assignment) -> list[str]:
+    key = tuple(assignment)
+    return [caller for caller, evaluated in calls if evaluated == key]
+
+
+def _ibm01(scale: float = 0.004, macro_scale: float = 0.04):
+    return make_iccad04_circuit("ibm01", scale=scale, macro_scale=macro_scale).design
+
+
+def _degradations(run_dir) -> list[dict]:
+    """The run dir's logged ``degradation`` records, without timestamps."""
+    with open(f"{run_dir}/events.jsonl") as f:
+        records = [json.loads(line) for line in f if line.strip()]
+    return [
+        {k: v for k, v in r.items() if k != "ts"}
+        for r in records if r.get("event") == "degradation"
+    ]
+
+
+class TestCommittedAssignmentPlacedOnce:
+    """The search takes the committed wirelength from the exact result it
+    already holds, and the ``final`` stage is the one placement of the
+    committed assignment."""
+
+    def test_a_flow_places_it_in_final_only(self, tmp_path, evaluations):
+        cfg = PlacerConfig.fast(seed=3)
+        result = MCTSGuidedPlacer(cfg).place(_ibm01(), run_dir=str(tmp_path / "run"))
+        assert result.search.n_exact_evaluations >= 1
+        assert _callers(evaluations, result.assignment) == ["_evaluate_exact", "_run"]
+        assert result.search.wirelength.hex() == result.hpwl.hex()
+
+    def test_without_exact_results_the_search_evaluates_it_once(self, evaluations):
+        cfg = replace(PlacerConfig.fast(seed=3), exact_topk=0)
+        result = MCTSGuidedPlacer(cfg).place(_ibm01())
+        assert result.search.n_exact_evaluations == 0
+        assert _callers(evaluations, result.assignment) == ["run", "_run"]
+        assert result.search.wirelength.hex() == result.hpwl.hex()
+
+    def test_a_resume_after_mcts_places_it_once(self, tmp_path, monkeypatch):
+        d = str(tmp_path / "run")
+        cfg = PlacerConfig.fast(seed=3)
+        want = MCTSGuidedPlacer(cfg).place(_ibm01(), run_dir=str(tmp_path / "ref"))
+
+        calls = []
+        original = MacroGroupPlacementEnv.evaluate_assignment
+
+        def dies_in_final(env, assignment):
+            if sys._getframe(1).f_code.co_name == "_run":
+                raise FaultInjected("killed in final", stage="final")
+            return original(env, assignment)
+
+        monkeypatch.setattr(MacroGroupPlacementEnv, "evaluate_assignment", dies_in_final)
+        with pytest.raises(FaultInjected):
+            MCTSGuidedPlacer(cfg).place(_ibm01(), run_dir=d)
+
+        def recorded(env, assignment):
+            calls.append((sys._getframe(1).f_code.co_name, tuple(assignment)))
+            return original(env, assignment)
+
+        monkeypatch.setattr(MacroGroupPlacementEnv, "evaluate_assignment", recorded)
+        got = MCTSGuidedPlacer(cfg).place(_ibm01(), run_dir=d, resume=True)
+        assert "mcts" in {e.stage for e in got.events.of("stage_skipped")}
+        assert _callers(calls, got.assignment) == ["_run"]
+        assert len(calls) == 1
+        assert got.assignment == want.assignment
+        assert got.hpwl.hex() == want.hpwl.hex() == got.search.wirelength.hex()
+
+    def test_a_resume_mid_mcts_logs_what_an_uninterrupted_run_logs(
+        self, tmp_path, evaluations
+    ):
+        """On this search the committed leaf is valued at step 1 and the
+        kill comes at the start of step 3: the resumed search finds the
+        leaf's result in its snapshot instead of placing it again."""
+        cfg = apply_overrides(PlacerConfig.benchmark(seed=3), {
+            "episodes": 20, "calibration_episodes": 8, "mcts.explorations": 60,
+            "mcts.root_noise_frac": 0.25, "mcts.seed": 104,
+        })
+        design = lambda: _ibm01(0.01, 0.08)  # noqa: E731 -- LP fallbacks
+        ref = str(tmp_path / "ref")
+        want = MCTSGuidedPlacer(cfg).place(design(), run_dir=ref)
+        assert _callers(evaluations, want.assignment) == ["_evaluate_exact", "_run"]
+        assert _degradations(ref)
+
+        d = str(tmp_path / "run")
+        with pytest.raises(FaultInjected):
+            MCTSGuidedPlacer(cfg).place(
+                design(), run_dir=d, faults=FaultPlan(Fault("mcts.kill", at=4))
+            )
+        evaluations.clear()
+        got = MCTSGuidedPlacer(cfg).place(design(), run_dir=d, resume=True)
+        assert got.events.of("resume")[0].data["step"] == 2
+        assert _callers(evaluations, got.assignment) == ["_run"]
+        assert got.hpwl.hex() == want.hpwl.hex()
+        assert _degradations(d) == _degradations(ref)

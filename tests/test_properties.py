@@ -11,6 +11,7 @@ from repro.grid.plan import GridPlan
 from repro.legalize.lp_spread import pack_longest_path
 from repro.legalize.sequence_pair import extract_sequence_pair
 from repro.mcts.node import Node
+from repro.mcts.search import MCTSPlacer
 from repro.netlist.model import PlacementRegion
 from repro.nn.functional import masked_softmax, softmax
 
@@ -149,17 +150,21 @@ class TestPUCTProperties:
         st.integers(1, 24),
         st.lists(
             st.tuples(
-                st.sampled_from(["record", "record", "select", "noise", "replace"]),
+                st.sampled_from(
+                    ["record", "record", "select", "noise", "replace", "commit"]
+                ),
                 st.integers(0, 2**32 - 1),
             ),
             max_size=80,
         ),
     )
     def test_incremental_puct_equals_from_scratch(self, n, ops):
-        """Selection reads Q, 1 + N, ΣN and c·P kept in step with record():
-        after any run of records, root noise and array replacements,
-        select_child_index, puct_scores and q_values equal the from-scratch
-        Eq. 10–12 formulas byte for byte."""
+        """Selection reads Q, 1 + N, ΣN and c·P that every record() updates
+        in place: after any run of records, selections, root noise, array
+        replacements and commits (which drop the terms), select,
+        puct_scores and q_values equal the from-scratch Eq. 10–12 formulas
+        byte for byte."""
+        from types import SimpleNamespace
 
         def from_scratch(node, c):
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -180,10 +185,20 @@ class TestPUCTProperties:
             elif op == "replace":  # MCTSPlacer._attach, or a restored tree
                 node.visit = rng.integers(0, 20, n).astype(float)
                 node.total_value = rng.normal(size=n) * node.visit
+            elif op == "commit":  # the decision node of a committed move
+                action = int(node.actions[int(rng.integers(0, n))])
+                node.children.setdefault(action, Node(depth=node.depth + 1))
+                search = SimpleNamespace(_eval_cache={})
+                MCTSPlacer._drop_unreachable(search, node, action)
+                assert node._stats is None and list(node.children) == [action]
             else:
                 c = float(rng.choice([1.05, 1e-3, 4.0]))
                 q, scores = from_scratch(node, c)
-                assert node.select_child_index(c) == int(np.argmax(scores))
+                index, action, child = node.select(c)
+                assert index == int(np.argmax(scores))
+                assert action == int(node.actions[index])
+                assert node.children[action] is child
+                assert child.depth == node.depth + 1
                 assert node.puct_scores(c).tobytes() == scores.tobytes()
                 assert node.q_values().tobytes() == q.tobytes()
 

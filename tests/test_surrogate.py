@@ -25,10 +25,11 @@ import pytest
 from repro.agent.network import NetworkConfig, PolicyValueNet
 from repro.agent.reward import NormalizedReward
 from repro.coarsen import coarsen_design
+from repro.coarsen.coarse import CoarseNet
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.gp.mixed_size import MixedSizePlacer
 from repro.grid.plan import GridPlan
-from repro.legalize.pipeline import MacroLegalizer
+from repro.legalize.pipeline import MacroLegalizer, span_rect
 from repro.mcts.search import MCTSConfig, MCTSPlacer
 from repro.netlist.generator import GeneratorSpec, generate_design
 from repro.surrogate import GroupCentroidSurrogate, SurrogateCalibration, spearman
@@ -169,6 +170,89 @@ class TestGroupCentroidSurrogate:
         sur = GroupCentroidSurrogate(coarse_small)
         with pytest.raises(ValueError):
             sur.score([0] * (sur.n_macro_groups + 1))
+
+
+def _flow_coarse(circuit: str, scale: float, macro_scale: float):
+    """A suite circuit's coarse netlist as the benchmark preset builds it."""
+    from repro.core.config import PlacerConfig
+    from repro.service.jobs import resolve_design
+
+    cfg = PlacerConfig.benchmark()
+    _, design = resolve_design(
+        circuit=circuit, aux=None, scale=scale, macro_scale=macro_scale
+    )
+    MixedSizePlacer(n_iterations=cfg.prototype_iterations).place(design)
+    plan = GridPlan(design.region, zeta=cfg.zeta)
+    return coarsen_design(design, plan, gamma=cfg.gamma_params, phi=cfg.phi_params)
+
+
+def _reference_tables(coarse) -> tuple[np.ndarray, np.ndarray]:
+    """The anchor tables through span_rect, one call per (group, anchor)."""
+    n_mg, n_grids = coarse.n_macro_groups, coarse.plan.n_grids
+    cx, cy = np.empty((n_mg, n_grids)), np.empty((n_mg, n_grids))
+    for i in range(n_mg):
+        for a in range(n_grids):
+            rect = span_rect(coarse, i, a)
+            cx[i, a], cy[i, a] = rect.cx, rect.cy
+    return cx, cy
+
+
+def _reference_score(sur, tables, assignment) -> float:
+    """The per-net loop: each coarse net's weighted HPWL in net order, then
+    one sum over them.  The compiled cell response is the surrogate's."""
+    coarse = sur.coarse
+    canonical = getattr(coarse, "_canonical", None)
+    if canonical is not None:
+        centers = [(cx, cy) for (cx, cy, _bbox) in canonical[1]]
+    else:
+        centers = [(g.cx, g.cy) for g in coarse.all_groups]
+    gx = np.array([c[0] for c in centers], dtype=float)
+    gy = np.array([c[1] for c in centers], dtype=float)
+    for i, anchor in enumerate(assignment):
+        gx[i], gy[i] = tables[0][i, anchor], tables[1][i, anchor]
+    if sur.cell_response:
+        gx[sur._cell_idx] = sur._M @ gx[sur._bound_idx] + sur._b0x
+        gy[sur._cell_idx] = sur._M @ gy[sur._bound_idx] + sur._b0y
+    out = np.empty(len(coarse.coarse_nets))
+    for j, net in enumerate(coarse.coarse_nets):
+        idx = np.asarray(net.groups, dtype=np.int64)
+        xs, ys = gx[idx], gy[idx]
+        weight = np.float64(net.weight)
+        out[j] = float(weight * ((xs.max() - xs.min()) + (ys.max() - ys.min())))
+    return float(out.sum())
+
+
+class TestArrayScoring:
+    """The array-built anchor tables and the segment-reduced score equal
+    span_rect's tables and the per-net loop, byte for byte."""
+
+    @pytest.fixture(params=["coarse_small", "ibm01-service", "cir1-place"])
+    def coarse(self, request, coarse_small):
+        if request.param == "coarse_small":
+            return coarse_small
+        if request.param == "ibm01-service":  # the service workload's design
+            return _flow_coarse("ibm01", 0.01, 0.08)
+        return _flow_coarse("Cir1", 0.002, 0.5)  # the place-cir1 design
+
+    def test_tables_and_scores_equal_the_loops(self, coarse):
+        sur = GroupCentroidSurrogate(coarse)
+        tables = _reference_tables(coarse)
+        assert sur._anchor_cx.tobytes() == tables[0].tobytes()
+        assert sur._anchor_cy.tobytes() == tables[1].tobytes()
+        rng = np.random.default_rng(5)
+        n_grids = coarse.plan.n_grids
+        for _ in range(300):
+            assignment = [int(a) for a in rng.integers(0, n_grids, sur.n_macro_groups)]
+            want = _reference_score(sur, tables, assignment)
+            assert sur.score(assignment).hex() == want.hex(), assignment
+
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_a_net_with_no_group_raises(self, coarse_small, where):
+        nets = coarse_small.coarse_nets
+        nets.insert(where if where >= 0 else len(nets), CoarseNet(groups=(), weight=1.0))
+        sur = GroupCentroidSurrogate(coarse_small)
+        with pytest.raises(ValueError):
+            sur.score([0] * sur.n_macro_groups)
 
 
 def _complete_assignments(coarse, n: int, seed: int) -> list[list[int]]:

@@ -97,6 +97,47 @@ class TestCli:
         assert "HPWL" in out
         assert (tmp_path / "p.svg").exists()
 
+    def test_place_prints_the_mcts_split(self, tmp_path, capsys, monkeypatch):
+        """The MCTS stage line splits the stage by the search's own clocks
+        when the stage ran in this process, and not on a resume that
+        skipped it (search.json carries no seconds)."""
+        import re
+
+        import repro.cli as cli
+
+        results = []
+        place = cli.MCTSGuidedPlacer.place
+
+        def kept(placer, *args, **kwargs):
+            results.append(place(placer, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli.MCTSGuidedPlacer, "place", kept)
+        argv = [
+            "place", "--circuit", "ibm01", "--scale", "0.003",
+            "--macro-scale", "0.03", "--preset", "fast",
+            "--run-dir", str(tmp_path / "run"),
+        ]
+
+        def stage_line():
+            out = capsys.readouterr().out
+            return next(l for l in out.splitlines() if l.startswith("MCTS stage"))
+
+        assert main(argv) == 0
+        line, search = stage_line(), results[-1].search
+        split = (
+            f"(selection {search.seconds_selection:.2f}s, "
+            f"network {search.seconds_evaluation:.2f}s, "
+            f"exact {search.seconds_terminal:.2f}s, "
+            f"tier 1 {search.seconds_surrogate:.2f}s; total "
+        )
+        assert split in line
+        assert search.seconds_selection > 0 and search.seconds_evaluation > 0
+
+        assert main(argv + ["--resume"]) == 0
+        line = stage_line()
+        assert re.fullmatch(r"MCTS stage\s+: 0\.0s \(total [0-9.]+s\)", line), line
+
     def test_place_from_aux(self, tmp_path, capsys, placed_design):
         from repro.netlist.bookshelf import write_design
 
