@@ -107,7 +107,8 @@ def cmd_place(args) -> int:
         split = (f"selection {search.seconds_selection:.2f}s, "
                  f"network {search.seconds_evaluation:.2f}s, "
                  f"exact {search.seconds_terminal:.2f}s, "
-                 f"tier 1 {search.seconds_surrogate:.2f}s; ")
+                 f"tier 1 {search.seconds_surrogate:.2f}s, "
+                 f"checkpoint {search.seconds_checkpoint:.2f}s; ")
     print(f"MCTS stage      : {result.mcts_runtime:.1f}s "
           f"({split}total {result.stopwatch.overall():.1f}s)")
     breakdown = " | ".join(

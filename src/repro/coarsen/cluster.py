@@ -13,7 +13,9 @@ k-nearest neighbours in the prototype placement — the two terms through
 which Eq. 1/Eq. 2 can actually produce large scores (connectivity w and
 inverse distance 1/ΔD).  The same restriction is used by practical
 clustering implementations; it is exact for the top-score pair whenever
-that pair is connected or spatially adjacent.
+that pair is connected or spatially adjacent.  The neighbours come from one
+:class:`~repro.coarsen.knn.CentroidIndex` over the live group centroids,
+updated at each merge.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ import heapq
 import itertools
 from typing import Callable
 
-import numpy as np
-from scipy.spatial import cKDTree
-
 from repro.coarsen.groups import Group, GroupKind
+from repro.coarsen.knn import CentroidIndex
 from repro.coarsen.scores import (
     GammaParams,
     PhiParams,
@@ -100,7 +100,9 @@ def greedy_cluster(
     """Run the greedy merge loop and return the surviving groups.
 
     *seeds* are single-node groups; *score_fn(gi, gj, w)* evaluates the
-    clustering score given the current connectivity weight *w*.
+    clustering score given the current connectivity weight *w*.  A group's
+    spatial candidates are its *k_spatial* nearest live groups by centroid,
+    ties at the k-th distance going to the lower group ids.
     """
     groups: dict[int, Group] = {g.gid: g for g in seeds}
     next_gid = max(groups, default=-1) + 1
@@ -121,35 +123,18 @@ def greedy_cluster(
         if s >= threshold:
             heapq.heappush(heap, (-s, a, b))
 
-    def spatial_neighbors(gid: int, k: int) -> list[int]:
-        active = [g for g in groups.values() if g.gid != gid]
-        if not active:
-            return []
-        pts = np.array([[g.cx, g.cy] for g in active])
-        tree = cKDTree(pts)
-        g = groups[gid]
-        k_eff = min(k, len(active))
-        _, idx = tree.query([g.cx, g.cy], k=k_eff)
-        idx = np.atleast_1d(idx)
-        return [active[int(i)].gid for i in idx]
+    index = CentroidIndex((g.gid, g.cx, g.cy) for g in groups.values())
 
     # Seed the heap: connected pairs + k-nearest spatial pairs.
     for gid in list(groups):
         for nb in conn.neighbors(gid):
             if gid < nb:
                 push_pair(gid, nb)
-    if k_spatial > 0 and len(groups) > 1:
-        pts = np.array([[g.cx, g.cy] for g in groups.values()])
-        gids = list(groups)
-        tree = cKDTree(pts)
-        k_eff = min(k_spatial + 1, len(gids))
-        _, nbrs = tree.query(pts, k=k_eff)
-        nbrs = np.atleast_2d(nbrs)
-        for i, row in enumerate(nbrs):
-            for j in np.atleast_1d(row):
-                a, b = gids[i], gids[int(j)]
-                if a < b:
-                    push_pair(a, b)
+    if k_spatial > 0:
+        for gid in list(groups):
+            for nb in index.nearest(gid, k_spatial):
+                if gid < nb:
+                    push_pair(gid, nb)
 
     while heap:
         neg_s, a, b = heapq.heappop(heap)
@@ -170,12 +155,15 @@ def greedy_cluster(
         del groups[a], groups[b]
         groups[merged.gid] = merged
         conn.merge(a, b, merged.gid)
+        index.remove(a)
+        index.remove(b)
+        index.insert(merged.gid, merged.cx, merged.cy)
 
         for nb in conn.neighbors(merged.gid):
             lo, hi = min(merged.gid, nb), max(merged.gid, nb)
             push_pair(lo, hi)
         if k_spatial > 0:
-            for nb in spatial_neighbors(merged.gid, k_spatial):
+            for nb in index.nearest(merged.gid, k_spatial):
                 lo, hi = min(merged.gid, nb), max(merged.gid, nb)
                 push_pair(lo, hi)
 

@@ -25,7 +25,9 @@ and MCTS after every committed move, and ``resume=True`` skips completed
 stages and restores their artifacts — an interrupted run continues
 bit-for-bit.  Stage budgets, solver fallbacks, and the divergence
 watchdog degrade gracefully instead of crashing, recording structured
-events in the run's JSONL log.
+events in the run's JSONL log; so does a conjugate-gradient QP solve of
+the prototype, a legalization or a cell placement that stops unconverged
+(its positions are kept).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.coarsen.coarse import CoarseNetlist, coarsen_design
 from repro.core.config import PlacerConfig
 from repro.env.placement_env import MacroGroupPlacementEnv
 from repro.gp.mixed_size import MixedSizePlacer
+from repro.gp.quadratic import report_unconverged
 from repro.grid.plan import GridPlan
 from repro.mcts.search import MCTSPlacer, SearchResult
 from repro.netlist.model import Design, NodeKind
@@ -237,7 +240,8 @@ class MCTSGuidedPlacer:
             with ctx.guard("prototype"):
                 with stopwatch.measure("prototype"):
                     MixedSizePlacer(n_iterations=cfg.prototype_iterations).place(
-                        design
+                        design,
+                        on_unconverged=report_unconverged(events, stage="prototype"),
                     )
                 ctx.save_positions("prototype", design)
                 ctx.mark(

@@ -17,7 +17,7 @@ import numpy as np
 from repro.agent.state import EnvState, StateBuilder
 from repro.coarsen.coarse import CoarseNetlist
 from repro.gp.mixed_size import place_cells_with_fixed_macros
-from repro.gp.quadratic import CompiledQP
+from repro.gp.quadratic import CompiledQP, report_unconverged
 from repro.legalize.pipeline import MacroLegalizer
 from repro.utils.events import EventLog
 from repro.utils.rng import ensure_rng
@@ -105,6 +105,9 @@ class MacroGroupPlacementEnv:
             self.coarse.design,
             n_iterations=self.cell_place_iters,
             compiled=self._cell_qp,
+            on_unconverged=report_unconverged(
+                self.legalizer.events, stage=None, step="cell_place"
+            ),
         )
 
     # -- convenience rollouts -------------------------------------------------------

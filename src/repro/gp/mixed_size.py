@@ -251,6 +251,7 @@ class MixedSizePlacer:
         flat: FlatNetlist,
         blockers: list | None = None,
         compiled: CompiledQP | None = None,
+        on_unconverged=None,
     ) -> int:
         region = design.region
         center = (region.x + region.width / 2.0, region.y + region.height / 2.0)
@@ -272,7 +273,7 @@ class MixedSizePlacer:
         # Initial pure-connectivity solve.
         solve_quadratic_placement(
             flat, movable_mask, center, clique_threshold=self.clique_threshold,
-            plan=plan,
+            plan=plan, on_unconverged=on_unconverged,
         )
         _clamp_centers(flat, idx, region)
 
@@ -302,6 +303,7 @@ class MixedSizePlacer:
                 anchor_x=sx,
                 anchor_y=sy,
                 plan=plan,
+                on_unconverged=on_unconverged,
             )
             _clamp_centers(flat, idx, region)
             weight *= self.anchor_growth
@@ -313,6 +315,7 @@ class MixedSizePlacer:
         design: Design,
         move_macros: bool = True,
         compiled: CompiledQP | None = None,
+        on_unconverged=None,
     ) -> PlacementResult:
         """Place *design* in-place and return the measured result.
 
@@ -320,7 +323,9 @@ class MixedSizePlacer:
         already be fixed/placed), and only the cells are written back to
         the design; this is the configuration used as the flow's final
         cell-placement step.  *compiled* reuses the design's pin table and
-        QP plans from an earlier call with the same *compiled*.
+        QP plans from an earlier call with the same *compiled*.  Every QP
+        solve reports an unconverged conjugate-gradient axis to
+        *on_unconverged* (see :func:`~repro.gp.quadratic.solve_system`).
         """
         if compiled is None:
             flat = FlatNetlist(design.netlist)
@@ -335,7 +340,8 @@ class MixedSizePlacer:
                     flat.fixed[i] = True
             blockers = list(design.netlist.macros)
         iterations = self._run(
-            design, movable_mask, flat, blockers=blockers, compiled=compiled
+            design, movable_mask, flat, blockers=blockers, compiled=compiled,
+            on_unconverged=on_unconverged,
         )
         flat.writeback(None if move_macros else np.flatnonzero(movable_mask))
 
@@ -351,7 +357,8 @@ class MixedSizePlacer:
                     flat.fixed[i] = True
             all_macros = list(design.netlist.macros)
             iterations += self._run(
-                design, cell_mask, flat, blockers=all_macros, compiled=compiled
+                design, cell_mask, flat, blockers=all_macros, compiled=compiled,
+                on_unconverged=on_unconverged,
             )
             flat.writeback()
 
@@ -361,7 +368,10 @@ class MixedSizePlacer:
 
 
 def place_cells_with_fixed_macros(
-    design: Design, n_iterations: int = 4, compiled: CompiledQP | None = None
+    design: Design,
+    n_iterations: int = 4,
+    compiled: CompiledQP | None = None,
+    on_unconverged=None,
 ) -> float:
     """Place standard cells around the current (fixed) macros; return HPWL.
 
@@ -370,7 +380,9 @@ def place_cells_with_fixed_macros(
     placement result, which also returns a measured wirelength value."
     A caller that places cells of the same design again keeps a
     *compiled* state and passes it every time (see
-    :meth:`MixedSizePlacer.place`).
+    :meth:`MixedSizePlacer.place`, which also takes *on_unconverged*).
     """
     placer = MixedSizePlacer(n_iterations=n_iterations)
-    return placer.place(design, move_macros=False, compiled=compiled).hpwl
+    return placer.place(
+        design, move_macros=False, compiled=compiled, on_unconverged=on_unconverged
+    ).hpwl

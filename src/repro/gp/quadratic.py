@@ -75,24 +75,42 @@ class CompiledQP:
         }
 
 
+#: the most unknowns a QP is solved for by LU factorization
+LU_MAX_UNKNOWNS = 2000
+
+
 def _solver(system: QuadraticSystem, w: np.ndarray):
-    """``b -> x`` solving ``(A + diag(w)) x = b``, kept per *w* in
+    """``b -> (x, info)`` solving ``(A + diag(w)) x = b``, kept per *w* in
     ``system.factors``.
 
-    Up to 2000 unknowns the solver is an LU factorization; above, conjugate
-    gradients on the regularized matrix.
+    Up to :data:`LU_MAX_UNKNOWNS` unknowns the solver is an LU
+    factorization (``info`` 0); above, conjugate gradients on the
+    regularized matrix, with ``info`` the flag ``spla.cg`` returns: not 0
+    when it stopped unconverged, *x* then being its last iterate.
     """
     key = w.tobytes()
     solve = system.factors.get(key)
     if solve is None:
         A = system.A + sp.diags(w)
-        if A.shape[0] <= 2000:
-            solve = spla.factorized(A.tocsc())
+        if A.shape[0] <= LU_MAX_UNKNOWNS:
+            def solve(b: np.ndarray, lu=spla.factorized(A.tocsc())):
+                return lu(b), 0
         else:
-            def solve(b: np.ndarray, A=A) -> np.ndarray:
-                return spla.cg(A, b, rtol=1e-8, maxiter=2000)[0]
+            def solve(b: np.ndarray, A=A):
+                return spla.cg(A, b, rtol=1e-8, maxiter=2000)
         system.factors[key] = solve
     return solve
+
+
+def report_unconverged(events, **fields):
+    """An ``on_unconverged`` callback that logs each unconverged axis to
+    *events* as a ``degradation`` event (``solver="cg"``, with ``axis``,
+    ``info`` and *fields*)."""
+
+    def report(axis: str, info: int) -> None:
+        events.emit("degradation", solver="cg", axis=axis, info=info, **fields)
+
+    return report
 
 
 def solve_system(
@@ -102,6 +120,7 @@ def solve_system(
     anchor_x: np.ndarray | None = None,
     anchor_y: np.ndarray | None = None,
     regularization: float = 1e-6,
+    on_unconverged=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve for unknown x/y positions.
 
@@ -112,6 +131,9 @@ def solve_system(
             unknown toward (anchor_x, anchor_y) — the spreading loop's handle.
         anchor_x/anchor_y: pseudo-net targets (default: die center).
         regularization: tiny diagonal term guaranteeing positive definiteness.
+        on_unconverged: called as ``on_unconverged(axis, info)`` for each
+            axis whose conjugate-gradient solve did not converge; its
+            positions are kept.
 
     Returns:
         (x, y) arrays over all unknowns (movables first, then star nodes).
@@ -129,7 +151,12 @@ def solve_system(
     if n == 0:
         return np.zeros(0), np.zeros(0)
     solve = _solver(system, w)
-    return solve(bx), solve(by)
+    (x, info_x), (y, info_y) = solve(bx), solve(by)
+    if on_unconverged is not None:
+        for axis, info in (("x", info_x), ("y", info_y)):
+            if info != 0:
+                on_unconverged(axis, int(info))
+    return x, y
 
 
 def solve_quadratic_placement(
@@ -142,6 +169,7 @@ def solve_quadratic_placement(
     anchor_y: np.ndarray | None = None,
     apply: bool = True,
     plan: QuadraticPlan | None = None,
+    on_unconverged=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-shot quadratic placement of the masked nodes of *flat*.
 
@@ -151,7 +179,8 @@ def solve_quadratic_placement(
     :meth:`FlatNetlist.writeback`).  *plan*, compiled from *flat*'s pin
     table for this *movable_mask* and *clique_threshold*
     (:meth:`CompiledQP.plan`), replaces the assembly and keeps the
-    factorizations for the next call.
+    factorizations for the next call.  *on_unconverged* is passed to
+    :func:`solve_system`.
 
     Returns the (x, y) centers of the movable nodes, in ``movable_mask``
     order (star-node positions are internal and discarded).
@@ -196,6 +225,7 @@ def solve_quadratic_placement(
         anchor_weight=w,
         anchor_x=ax,
         anchor_y=ay,
+        on_unconverged=on_unconverged,
     )
     mx, my = x[:n_mov], y[:n_mov]
     if apply:

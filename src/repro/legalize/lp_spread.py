@@ -21,8 +21,11 @@ reported infeasible without calling HiGHS (:func:`_overflows`).
 
 The LP goes straight to the HiGHS binding that scipy bundles, with the
 options ``linprog(method="highs")`` sets; ``linprog``'s own per-call input
-checks cost several times HiGHS's solve on these small LPs.  Where that
-binding cannot be imported, ``linprog`` solves the same arrays.  The
+checks cost several times HiGHS's solve on these small LPs.  The binding
+is loaded from its extension file (:func:`_load_highs`), so a placing
+process never imports ``scipy.optimize`` (nor ``scipy.spatial``, which
+that package imports).  Where the binding cannot be loaded, ``linprog``
+solves the same arrays.  The
 nets go into the LP's arrays through :class:`CompiledNets`: a caller that
 meets the same nets again keeps theirs and fills in only what changes
 between calls; an :class:`AxisNet` list is compiled for the one call.  A
@@ -33,22 +36,61 @@ byte.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize as sopt
-import scipy.sparse as sp
+import scipy
 
 from repro.runtime import faults
 from repro.runtime.errors import SolverInfeasibleError
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # a scipy build without the bundled binding
-    _highs = None
+#: the binding's module name inside scipy
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's bundled HiGHS binding, or None where scipy has none.
+
+    The extension file is loaded under its real module name and registered
+    in ``sys.modules`` without running ``scipy/optimize/__init__.py``; a
+    later ``import scipy.optimize`` finds it there and uses the same
+    module object.  Where the file is not found, or does not load, the
+    binding is imported the usual way.
+    """
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    for directory in scipy.__path__:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "optimize", "_highspy", "_core" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, path)
+            spec = importlib.util.spec_from_file_location(
+                _HIGHS_MODULE, path, loader=loader
+            )
+            try:
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_HIGHS_MODULE] = module
+                loader.exec_module(module)
+            except ImportError:
+                sys.modules.pop(_HIGHS_MODULE, None)
+                break
+            return module
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:  # a scipy build without the bundled binding
+        return None
+    return _core
+
+
+_highs = _load_highs()
 
 #: ``linprog``'s acceptance tolerance for an optimal solution
 _CHECK_TOL = np.sqrt(1e-9) * 10
@@ -344,6 +386,9 @@ def _run_highs(highs, c, start, index, value, rhs, lb, ub) -> np.ndarray:
 
 def _solve_linprog(c, start, index, value, rhs, lb, ub) -> np.ndarray:
     """The same solve through ``scipy.optimize.linprog``."""
+    import scipy.optimize as sopt
+    import scipy.sparse as sp
+
     A = sp.csc_matrix((value, index, start), shape=(len(rhs), len(c)))
     try:
         res = sopt.linprog(

@@ -26,7 +26,11 @@ import numpy as np
 
 from repro.coarsen.coarse import CoarseNetlist
 from repro.gp.mixed_size import legalize_macros_greedy
-from repro.gp.quadratic import CompiledQP, solve_quadratic_placement
+from repro.gp.quadratic import (
+    CompiledQP,
+    report_unconverged,
+    solve_quadratic_placement,
+)
 from repro.legalize.lp_spread import (
     AxisNet,
     BoundNets,
@@ -182,6 +186,7 @@ class MacroLegalizer:
                 flat, movable, center,
                 clique_threshold=QP_CLIQUE_THRESHOLD,
                 plan=self._compiled[step].plan(movable, QP_CLIQUE_THRESHOLD),
+                on_unconverged=report_unconverged(self.events, stage=None, step=step),
             )
         except (PlacementError, np.linalg.LinAlgError, ValueError) as exc:
             self.events.emit(

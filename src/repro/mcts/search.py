@@ -110,8 +110,9 @@ class SearchResult:
     #: terminal-cache hits (legalize-and-place calls avoided; includes
     #: entries carried over from a persisted cross-run cache)
     n_terminal_cache_hits: int = 0
-    #: wall-clock seconds by stage (selection+backprop / network forward /
-    #: terminal legalize-and-place)
+    #: wall-clock seconds by stage (selection+backprop / network
+    #: evaluation: the input state, the forward pass or its cache hit and
+    #: the new edges / terminal legalize-and-place)
     seconds_selection: float = 0.0
     seconds_evaluation: float = 0.0
     seconds_terminal: float = 0.0
@@ -123,6 +124,9 @@ class SearchResult:
     n_surrogate_evaluations: int = 0
     #: wall-clock seconds spent in tier-1 surrogate scoring
     seconds_surrogate: float = 0.0
+    #: wall-clock seconds spent in the per-commit ``on_commit`` hook
+    #: (exporting and writing the search snapshot)
+    seconds_checkpoint: float = 0.0
     #: Spearman rank correlation between surrogate and exact HPWL over the
     #: (surrogate, exact) pairs observed during the search; ``None`` when
     #: the surrogate was off or saw < 2 exact results.
@@ -185,6 +189,7 @@ class MCTSPlacer:
         self.seconds_evaluation = 0.0
         self.seconds_terminal = 0.0
         self.seconds_surrogate = 0.0
+        self.seconds_checkpoint = 0.0
         self.best_terminal_assignment: list[int] | None = None
         self.best_terminal_wirelength = float("inf")
         #: runtime plumbing (optional): event log, wall-clock budget polled
@@ -220,6 +225,7 @@ class MCTSPlacer:
         cache key, but kept in the signature because rollout-based variants
         (the Sec. IV-B3 ablation) need it to complete assignments.
         """
+        started = time.perf_counter()
         state = builder.observe()
         key = _state_key(state)
         hit = self._eval_cache.get(key)
@@ -227,14 +233,13 @@ class MCTSPlacer:
             probs, value = hit
             self.n_eval_cache_hits += 1
         else:
-            started = time.perf_counter()
             probs, value = self.network.evaluate(
                 state.s_p, state.s_a, state.t, state.total_steps
             )
-            self.seconds_evaluation += time.perf_counter() - started
             self.n_network_evaluations += 1
             self._eval_cache[key] = (probs, value)
         self._attach(node, state, probs)
+        self.seconds_evaluation += time.perf_counter() - started
         return value
 
     def _note_terminal(self, key: tuple[int, ...], wirelength: float) -> None:
@@ -424,6 +429,7 @@ class MCTSPlacer:
             "n_exact_evaluations": self.n_exact_evaluations,
             "n_surrogate_evaluations": self.n_surrogate_evaluations,
             "seconds_surrogate": self.seconds_surrogate,
+            "seconds_checkpoint": self.seconds_checkpoint,
             #: ordered (surrogate, exact) pairs — the calibration's running
             #: sums are rebuilt by replaying these, so a resumed search
             #: predicts (and therefore prunes) bit-identically
@@ -464,6 +470,7 @@ class MCTSPlacer:
         )
         self.n_surrogate_evaluations = state.get("n_surrogate_evaluations", 0)
         self.seconds_surrogate = state.get("seconds_surrogate", 0.0)
+        self.seconds_checkpoint = state.get("seconds_checkpoint", 0.0)
         self._calibration = SurrogateCalibration.from_pairs(
             state.get("surrogate_pairs", [])
         )
@@ -580,7 +587,9 @@ class MCTSPlacer:
             self._drop_unreachable(current, action)
             current = child
             if self.on_commit is not None:
+                started = time.perf_counter()
                 self.on_commit(self._export_state(step, committed, path, root))
+                self.seconds_checkpoint += time.perf_counter() - started
 
         wirelength = self._terminal_cache.peek(committed)
         if wirelength is None:
@@ -600,6 +609,7 @@ class MCTSPlacer:
             seconds_evaluation=round(self.seconds_evaluation, 6),
             seconds_terminal=round(self.seconds_terminal, 6),
             seconds_surrogate=round(self.seconds_surrogate, 6),
+            seconds_checkpoint=round(self.seconds_checkpoint, 6),
         )
         return SearchResult(
             assignment=committed,
@@ -618,6 +628,7 @@ class MCTSPlacer:
             n_exact_evaluations=self.n_exact_evaluations,
             n_surrogate_evaluations=self.n_surrogate_evaluations,
             seconds_surrogate=self.seconds_surrogate,
+            seconds_checkpoint=self.seconds_checkpoint,
             surrogate_spearman=surrogate_spearman,
         )
 

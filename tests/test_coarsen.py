@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro.coarsen.cluster import (
     cluster_cells,
@@ -11,6 +12,7 @@ from repro.coarsen.cluster import (
 )
 from repro.coarsen.coarse import coarsen_design
 from repro.coarsen.groups import Group, GroupKind
+from repro.coarsen.knn import CentroidIndex
 from repro.coarsen.scores import (
     GammaParams,
     PhiParams,
@@ -19,6 +21,8 @@ from repro.coarsen.scores import (
 )
 from repro.grid.plan import GridPlan
 from repro.netlist.model import Macro, Net, Pin
+from repro.netlist.suites import ICCAD04_STATS, INDUSTRIAL_STATS
+from tests.coarsen_oracles import coarsen_both, placed_suite_design
 
 
 def make_group(gid, cx, cy, area=10.0, hierarchy="", kind=GroupKind.MACRO):
@@ -242,3 +246,98 @@ class TestCoarsenDesign:
             assert ax == pytest.approx(bx)
             assert ay == pytest.approx(by)
         assert (g.cx, g.cy) == (12.3, 4.5)
+
+
+class TestCentroidIndex:
+    """The neighbour index against scipy's ``cKDTree`` (imported by the
+    tests only): the same k nearest, ties at the k-th distance going to
+    the lowest keys."""
+
+    @staticmethod
+    def _points(rng, n):
+        """Random reals, or lattice points: duplicates and equal distances."""
+        if rng.random() < 0.5:
+            return [tuple(p) for p in rng.random((n, 2)) * 100.0]
+        return [tuple(p) for p in rng.integers(0, 6, size=(n, 2)).astype(float)]
+
+    @staticmethod
+    def _check(index, points, alive, key, k):
+        got = index.nearest(key, k)
+        x, y = points[key]
+
+        def d2(other):
+            dx, dy = x - points[other][0], y - points[other][1]
+            return dx * dx + dy * dy
+
+        others = [o for o in alive if o != key]
+        if not others:
+            assert got == []
+            return
+        _, idx = cKDTree([points[o] for o in others]).query(
+            [x, y], k=min(k, len(others))
+        )
+        oracle = [others[int(i)] for i in np.atleast_1d(idx)]
+        assert got == sorted(got, key=lambda o: (d2(o), o))
+        assert sorted(map(d2, got)) == sorted(map(d2, oracle))
+        kth = max(map(d2, oracle))
+        nearer = [o for o in got if d2(o) < kth]
+        assert set(nearer) == {o for o in oracle if d2(o) < kth}
+        # the rest are tied at the k-th distance: the lowest keys of all tied
+        tied = sorted(o for o in others if d2(o) == kth)
+        assert got[len(nearer):] == tied[: len(got) - len(nearer)]
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_the_kdtree_through_merges(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        points = self._points(rng, n)
+        index = CentroidIndex((i, x, y) for i, (x, y) in enumerate(points))
+        alive = list(range(n))
+        while len(alive) > 1:
+            for key in rng.permutation(alive)[:10].tolist():
+                self._check(index, points, alive, key, int(rng.integers(1, 9)))
+            # a merge: two points out, their midpoint or a lattice point in
+            a = alive.pop(int(rng.integers(len(alive))))
+            b = alive.pop(int(rng.integers(len(alive))))
+            index.remove(a)
+            index.remove(b)
+            if rng.random() < 0.5:
+                p = ((points[a][0] + points[b][0]) / 2, (points[a][1] + points[b][1]) / 2)
+            else:
+                p = tuple(float(v) for v in rng.integers(0, 6, size=2))
+            points.append(p)
+            index.insert(len(points) - 1, *p)
+            alive.append(len(points) - 1)
+
+    def test_ties_go_to_the_lowest_keys(self):
+        # four points at distance 1 from the origin, two on top of it
+        points = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0),
+                  (0.0, 0.0), (0.0, 0.0)]
+        index = CentroidIndex((i, x, y) for i, (x, y) in enumerate(points))
+        assert index.nearest(0, 1) == [5]
+        assert index.nearest(0, 2) == [5, 6]
+        assert index.nearest(0, 4) == [5, 6, 1, 2]
+        assert index.nearest(1, 3) == [0, 5, 6]
+        index.remove(5)
+        assert index.nearest(0, 3) == [6, 1, 2]
+
+
+def _suite_scales():
+    """Every suite circuit at the perfbench scales (ibm01 0.01/0.08;
+    Cir1's 0.002/0.5 as the CLI passes it on) and at the bench smoke
+    budget's; these include the default and full ICCAD04 scale."""
+    return [
+        (c, s, m) for c in ICCAD04_STATS for s, m in ((0.005, 0.04), (0.01, 0.08))
+    ] + [
+        (c, s, m) for c in INDUSTRIAL_STATS for s, m in ((0.0004, 2.5), (0.0008, 0.3))
+    ]
+
+
+class TestCoarseningOracle:
+    """Coarsening with the index gives what the cKDTree loop gave: the
+    same gids, members, centroid bits and coarse nets."""
+
+    @pytest.mark.parametrize(("circuit", "scale", "macro_scale"), _suite_scales())
+    def test_suite_circuit_matches(self, circuit, scale, macro_scale):
+        ours, oracle = coarsen_both(placed_suite_design(circuit, scale, macro_scale))
+        assert ours == oracle

@@ -650,3 +650,60 @@ class TestGreedyLegalizerProperty:
         region, macros, steps = case
         design = _greedy_design(region, macros)
         TestGreedyLegalizerOracle._assert_matches(design, max_radius_steps=steps)
+
+
+class TestUnconvergedConjugateGradients:
+    """A conjugate-gradient QP solve that stops unconverged keeps its
+    positions and is reported: to ``on_unconverged``, and in a flow as a
+    ``degradation`` event (``solver="cg"``)."""
+
+    @pytest.fixture
+    def cg_everywhere(self, monkeypatch):
+        """Every QP solved by ``spla.cg``; returns a setter of the flag its
+        stand-in reports (the real solve's positions either way)."""
+        import scipy.sparse.linalg as spla
+
+        from repro.gp import quadratic
+
+        real = spla.cg
+        flag = {"info": 0}
+
+        def cg(A, b, **kwargs):
+            x, _ = real(A, b, **kwargs)
+            return x, flag["info"]
+
+        monkeypatch.setattr(quadratic, "LU_MAX_UNKNOWNS", 0)
+        monkeypatch.setattr(spla, "cg", cg)
+        return flag
+
+    def test_solve_reports_each_axis_and_keeps_positions(self, cg_everywhere):
+        nl = two_fixed_one_free()
+        flat = FlatNetlist(nl)
+        movable = ~flat.fixed
+        want = solve_quadratic_placement(flat, movable, (5.0, 5.0), apply=False)
+        cg_everywhere["info"] = 1
+        reports = []
+        got = solve_quadratic_placement(
+            flat, movable, (5.0, 5.0), apply=False,
+            on_unconverged=lambda axis, info: reports.append((axis, info)),
+        )
+        assert reports == [("x", 1), ("y", 1)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_a_flow_logs_them_with_unchanged_results(self, cg_everywhere):
+        from repro.core import MCTSGuidedPlacer, PlacerConfig
+
+        def run():
+            design = make_iccad04_circuit("ibm01", scale=0.004, macro_scale=0.04).design
+            return MCTSGuidedPlacer(PlacerConfig.fast(seed=3)).place(design)
+
+        want = run()
+        cg_everywhere["info"] = 1
+        got = run()
+        assert got.hpwl.hex() == want.hpwl.hex()
+        assert not [e for e in want.events.of("degradation") if e.data["solver"] == "cg"]
+        cg = [e for e in got.events.of("degradation") if e.data["solver"] == "cg"]
+        assert {e.data["info"] for e in cg} == {1}
+        assert {e.data["axis"] for e in cg} == {"x", "y"}
+        assert "prototype" in {e.stage for e in cg}
+        assert {e.data.get("step") for e in cg} >= {"cell_groups", "macro_refine", "cell_place"}

@@ -2,6 +2,9 @@
 
 import contextlib
 import copy
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -729,3 +732,63 @@ class TestBatchedLegalizationEvents:
         assert calls == [(len(batched), True)]
         assert batched == unbatched
         assert len(batched) >= (2 if forced else 1)
+
+
+def _fresh_python(code: str) -> str:
+    """Run *code* in a fresh interpreter with ``src`` importable; its stdout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestScipyImportGraph:
+    """A placing process imports neither ``scipy.spatial`` nor
+    ``scipy.optimize``: the HiGHS binding is loaded from its extension
+    file, and coarsening keeps its own neighbour index."""
+
+    def test_placer_modules_and_a_placement_import_neither(self):
+        out = _fresh_python(
+            "import sys\n"
+            "import repro.cli, repro.core.flow, repro.service.service\n"
+            "unwanted = ('scipy.spatial', 'scipy.optimize')\n"
+            "print(sorted(m for m in unwanted if m in sys.modules))\n"
+            "from repro.core import MCTSGuidedPlacer, PlacerConfig\n"
+            "from repro.netlist.suites import make_iccad04_circuit\n"
+            "design = make_iccad04_circuit('ibm01', scale=0.004, macro_scale=0.04).design\n"
+            "MCTSGuidedPlacer(PlacerConfig.fast(seed=3)).place(design)\n"
+            "from repro.legalize import lp_spread\n"
+            "print(sorted(m for m in unwanted if m in sys.modules), lp_spread._highs is not None)\n"
+        )
+        assert out.splitlines() == ["[]", "[] True"]
+
+    def test_scipy_optimize_reuses_the_loaded_binding(self):
+        out = _fresh_python(
+            "import importlib, sys\n"
+            "import numpy as np\n"
+            "from repro.legalize import lp_spread\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "import scipy.optimize\n"
+            "from scipy.optimize._highspy import _core\n"
+            "core = importlib.import_module('scipy.optimize._highspy._core')\n"
+            "print(core is lp_spread._highs, _core is lp_spread._highs)\n"
+            "res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-3.0],\n"
+            "                             bounds=[(0, None)] * 2, method='highs')\n"
+            "print(res.status, res.x.tolist())\n"
+        )
+        assert out.splitlines() == ["False", "True True", "0 [3.0, 0.0]"]
+
+    def test_without_the_extension_file_the_binding_is_imported(self):
+        out = _fresh_python(
+            "import importlib.machinery\n"
+            "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.no-such-suffix']\n"
+            "from repro.legalize import lp_spread\n"
+            "from scipy.optimize._highspy import _core\n"
+            "print(lp_spread._highs is _core)\n"
+        )
+        assert out.splitlines() == ["True"]

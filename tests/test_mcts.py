@@ -321,3 +321,44 @@ class TestCommittedAssignmentPlacedOnce:
         assert _callers(evaluations, got.assignment) == ["_run"]
         assert got.hpwl.hex() == want.hpwl.hex()
         assert _degradations(d) == _degradations(ref)
+
+
+class TestSearchClocks:
+    def test_the_clocks_cover_the_stage(self, tmp_path):
+        """The search's five clocks account for its stage: the input states
+        and new edges count as evaluation, the per-commit snapshots as
+        checkpoint.  search.json still holds no wall-clock field."""
+        cfg = apply_overrides(PlacerConfig.fast(seed=3), {"mcts.explorations": 24})
+        run = tmp_path / "run"
+        result = MCTSGuidedPlacer(cfg).place(_ibm01(0.01, 0.08), run_dir=str(run))
+        search = result.search
+        clocks = (
+            search.seconds_selection + search.seconds_evaluation
+            + search.seconds_terminal + search.seconds_surrogate
+            + search.seconds_checkpoint
+        )
+        assert search.seconds_checkpoint > 0.0
+        assert clocks >= 0.9 * result.stage_seconds["mcts"]
+        stats = result.events.of("search_stats")[-1].data
+        assert stats["seconds_checkpoint"] == round(search.seconds_checkpoint, 6)
+        with open(run / "search.json") as f:
+            assert not [key for key in json.load(f) if "seconds" in key]
+
+    def test_input_states_count_as_evaluation(self, monkeypatch):
+        """Each expansion's ``builder.observe()`` runs on the evaluation
+        clock, whether the network or its cache answers."""
+        import time
+
+        from repro.agent.state import StateBuilder
+
+        observe = StateBuilder.observe
+
+        def slow_observe(builder):
+            time.sleep(0.002)
+            return observe(builder)
+
+        monkeypatch.setattr(StateBuilder, "observe", slow_observe)
+        search = MCTSGuidedPlacer(PlacerConfig.fast(seed=3)).place(_ibm01()).search
+        expansions = search.n_network_evaluations + search.n_eval_cache_hits
+        assert expansions > 0
+        assert search.seconds_evaluation >= 0.002 * expansions

@@ -129,7 +129,8 @@ class TestCli:
             f"(selection {search.seconds_selection:.2f}s, "
             f"network {search.seconds_evaluation:.2f}s, "
             f"exact {search.seconds_terminal:.2f}s, "
-            f"tier 1 {search.seconds_surrogate:.2f}s; total "
+            f"tier 1 {search.seconds_surrogate:.2f}s, "
+            f"checkpoint {search.seconds_checkpoint:.2f}s; total "
         )
         assert split in line
         assert search.seconds_selection > 0 and search.seconds_evaluation > 0
